@@ -156,13 +156,21 @@ def expected_next_score(scores, k: float, c: float) -> np.ndarray:
     return s * up + (1.0 - s) * down
 
 
+def approved_step(scores: np.ndarray, u: np.ndarray, k: float,
+                  c: float) -> np.ndarray:
+    """Next scores of agents that are all approved: +k if u < pi, else -c*k.
+
+    The one score-update expression of the package; every simulation path
+    applies it, so their results agree bit for bit.
+    """
+    return np.clip(scores + np.where(u < scores, k, -c * k), 0.0, 1.0)
+
+
 def _advance_scores(scores: np.ndarray, u: np.ndarray, beta: float,
                     k: float, c: float) -> np.ndarray:
     # One uniform per agent regardless of approval: keeps runs coupled across
     # betas and penalties that share a seed.
-    paid = u < scores
-    moved = np.clip(scores + np.where(paid, k, -c * k), 0.0, 1.0)
-    return np.where(scores >= beta, moved, scores)
+    return np.where(scores >= beta, approved_step(scores, u, k, c), scores)
 
 
 def step_population(dist: ScoreDistribution, policy: ThresholdPolicy,

@@ -25,7 +25,8 @@ averaged means, so a stored utility is always recomputable from its outcome.
 Every replicate's uniforms depend only on (seed, replicate, step, group
 slot, agent), so outcomes are coupled across policies, penalties, and
 thresholds that share a seed, and grid evaluation order cannot change any
-number.
+number.  Within one evaluation, a single uniform block per (replicate,
+group) drives every threshold of the sweep and the baseline.
 """
 
 from __future__ import annotations
@@ -33,12 +34,13 @@ from __future__ import annotations
 import enum
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ._random import derive_seed, uniform_block, TAG_CELL, TAG_REPLICATE
-from .dynamics import DynamicsParams, ScoreDistribution
+from .dynamics import DynamicsParams, ScoreDistribution, approved_step
 from .thresholds import optimal_threshold
 
 
@@ -127,33 +129,68 @@ def _mean_curves(scores0: np.ndarray, k: float, c: float, betas: np.ndarray,
                  blocks: np.ndarray) -> np.ndarray:
     """Horizon-end group means, shape (replicates, len(betas)).
 
-    blocks: uniforms of shape (replicates, horizon, n).  The per-step update
-    is arithmetic-identical to step_population, so column j of replicate r
-    reproduces simulate_group(..., betas[j], seed=rep_seed[r]) exactly.
+    blocks: uniforms of shape (replicates, horizon, n); betas ascending.
+    Column j of replicate r equals simulate_group(..., betas[j],
+    seed=rep_seed[r]).mean() bit for bit, by the freeze identity: under
+    shared uniforms, an agent with threshold b follows the always-approved
+    walk X until its running minimum first drops below b, and stays frozen
+    from then on.  So its final score is X[tau(b)] with
+    tau(b) = #{t < horizon : min(X_0..X_t) >= b}, and one walk per
+    replicate answers every threshold.
     """
     n_reps, horizon, n = blocks.shape
     nb = betas.size
-    S = np.empty((n_reps, nb, n))
-    S[:] = scores0
-    b = betas[None, :, None]
+    X = np.empty((horizon + 1, n_reps, n))
+    X[0] = scores0
     for t in range(horizon):
-        u = blocks[:, t, None, :]
-        paid = u < S
-        moved = np.clip(S + np.where(paid, k, -c * k), 0.0, 1.0)
-        S = np.where(S >= b, moved, S)
-    return S.mean(axis=2)
+        X[t + 1] = approved_step(X[t], blocks[:, t], k, c)
+    # cleared[r, i, t]: how many betas agent i of replicate r still clears
+    # at step t (ties approve).  Each agent's keys lie together and descend,
+    # which speeds the search.
+    runmin = np.minimum.accumulate(
+        np.ascontiguousarray(X[:horizon].transpose(1, 2, 0)), axis=2)
+    cleared = np.searchsorted(betas, runmin, side="right")
+    rep = np.arange(n_reps)[:, None, None]
+    agent = np.arange(n)
+    counts = np.bincount(((rep * (nb + 1) + cleared) * n + agent[:, None]).ravel(),
+                         minlength=n_reps * (nb + 1) * n)
+    # frozen[r, j, i] = #{t : cleared[r, i, t] <= j}, the steps agent i
+    # spends frozen under betas[j], so tau = horizon - frozen.  It becomes,
+    # in place to bound peak memory, the flat index of X[tau, r, i].
+    index = np.cumsum(counts.reshape(n_reps, nb + 1, n)[:, :nb], axis=1)
+    del counts
+    index *= -n_reps * n
+    index += (horizon * n_reps + rep) * n + agent
+    # finals must stay C-ordered (replicates, betas, agents) like the
+    # per-threshold sweep it replaces: the agent means of another memory
+    # layout sum in another order and change the last bits.
+    finals = X.ravel()[index]
+    return finals.mean(axis=2)
 
 
-def _group_curves(dist: ScoreDistribution, slot: int, k: float, c: float,
-                  betas: np.ndarray, rep_seeds: Sequence[int],
-                  horizon: int) -> np.ndarray:
-    blocks = np.stack([uniform_block(s, horizon, slot, dist.n) for s in rep_seeds])
-    return _mean_curves(dist.scores, k, c, betas, blocks)
+def _replicate_blocks(rep_seeds: Sequence[int], horizon: int, slot: int,
+                      n: int) -> np.ndarray:
+    """One uniform block per replicate, shape (replicates, horizon, n)."""
+    return np.stack([uniform_block(s, horizon, slot, n) for s in rep_seeds])
 
 
 def _beta_grid(step: float) -> np.ndarray:
     m = int(round(1.0 / step))
     return np.linspace(0.0, 1.0, m + 1)
+
+
+def _baseline_means(scores0: np.ndarray, k: float, c: float,
+                    blocks: np.ndarray, long_run_search: bool,
+                    beta_step: float) -> np.ndarray:
+    """Per-replicate baseline horizon means, shape (replicates,).
+
+    The threshold is the analytic one-step beta-hat, or with
+    long_run_search the grid beta that maximizes each replicate's mean.
+    """
+    if long_run_search:
+        return _mean_curves(scores0, k, c, _beta_grid(beta_step), blocks).max(axis=1)
+    bhat = optimal_threshold(k, c).beta_hat
+    return _mean_curves(scores0, k, c, np.array([bhat]), blocks)[:, 0]
 
 
 def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
@@ -163,21 +200,14 @@ def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     """Per-group horizon means under the pre-intervention optimum.
 
     Default threshold is each group's analytic one-step beta-hat; with
-    long_run_search the horizon mean itself is grid-searched per group
-    (ties toward the larger beta).
+    long_run_search the horizon mean itself is grid-searched per group.
     """
     out = {}
     for slot, dist in ((0, dist_a), (1, dist_d)):
-        c = params.c_for(dist.group)
-        if long_run_search:
-            betas = _beta_grid(beta_step)
-            curve = _group_curves(dist, slot, params.k, c, betas, [seed], horizon)[0]
-            out[dist.group] = float(curve[np.flatnonzero(curve == curve.max())[-1]])
-        else:
-            bhat = optimal_threshold(params.k, c).beta_hat
-            curve = _group_curves(dist, slot, params.k, c, np.array([bhat]),
-                                  [seed], horizon)[0]
-            out[dist.group] = float(curve[0])
+        blocks = _replicate_blocks([seed], horizon, slot, dist.n)
+        means = _baseline_means(dist.scores, params.k, params.c_for(dist.group),
+                                blocks, long_run_search, beta_step)
+        out[dist.group] = float(means[0])
     return out
 
 
@@ -207,8 +237,12 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                     long_run_baseline: bool = False) -> PolicyOutcome:
     """Apply one intervention and search the threshold grid for best utility.
 
+    Each group's uniform block per replicate is built once and drives every
+    threshold of the post-intervention sweep and the baseline (c-hat at the
+    pre-intervention optimum), so the curve and its baseline are coupled.
     Replicate streams depend only on (seed, replicate), so evaluations that
-    share a seed are coupled across kinds, r values, and thresholds.
+    share a seed are coupled across kinds and r values too; recommend_grid
+    does not share seeds: it gives every (cell, kind) its own.
     """
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
@@ -218,23 +252,17 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     betas = _beta_grid(beta_step)
     rep_seeds = _replicate_seeds(seed, n_seeds)
 
-    curves_a = _group_curves(dist_a, 0, k, post.c_for(dist_a.group), betas,
-                             rep_seeds, horizon)
-    curves_d = _group_curves(dist_d, 1, k, post.c_for(dist_d.group), betas,
-                             rep_seeds, horizon)
-    ma = curves_a.mean(axis=0)
-    md = curves_d.mean(axis=0)
-
-    base_by_rep_a = []
-    base_by_rep_d = []
-    for rs in rep_seeds:
-        base = baseline_outcome(dist_a, dist_d, pre, horizon, rs,
-                                long_run_search=long_run_baseline,
-                                beta_step=beta_step)
-        base_by_rep_a.append(base[dist_a.group])
-        base_by_rep_d.append(base[dist_d.group])
-    base_a = float(np.mean(base_by_rep_a))
-    base_d = float(np.mean(base_by_rep_d))
+    means, bases = [], []
+    for slot, dist in ((0, dist_a), (1, dist_d)):
+        blocks = _replicate_blocks(rep_seeds, horizon, slot, dist.n)
+        curves = _mean_curves(dist.scores, k, post.c_for(dist.group), betas,
+                              blocks)
+        means.append(curves.mean(axis=0))
+        bases.append(float(np.mean(_baseline_means(
+            dist.scores, k, pre.c_for(dist.group), blocks, long_run_baseline,
+            beta_step))))
+    ma, md = means
+    base_a, base_d = bases
 
     if per_group_beta:
         grid_u = _utility_values(ma[:, None], md[None, :], base_a, base_d, weights)
@@ -283,11 +311,15 @@ class RecommendationGrid:
     n_seeds: int
     seed: int
 
+    @cached_property
+    def _by_anchor(self) -> dict[tuple[float, float], GridCell]:
+        return {(cell.c, cell.r): cell for cell in self.cells}
+
     def cell(self, c: float, r: float) -> GridCell:
-        for cell in self.cells:
-            if cell.c == c and cell.r == r:
-                return cell
-        raise KeyError(f"no cell at ({c}, {r})")
+        try:
+            return self._by_anchor[(c, r)]
+        except KeyError:
+            raise KeyError(f"no cell at ({c}, {r})") from None
 
 
 def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,

@@ -279,14 +279,19 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
         except np.linalg.LinAlgError:
             step = np.linalg.lstsq(H, grad, rcond=None)[0]
             singular = True
+        # Near the optimum a full step's predicted gain, grad . step / 2,
+        # falls below the rounding error of the log-likelihood sum, which may
+        # then read lower; take the step anyway rather than halve it in vain.
+        # The path records the larger value, so it stays monotone.
+        within_rounding = 0.5 * (grad @ step) <= 64 * np.finfo(float).eps * abs(ll)
         scale = 1.0
         improved = False
         while scale >= 2.0 ** -30:
             candidate = w + scale * step
             ll_new = _log_likelihood(X, y, candidate, ridge)
-            if ll_new >= ll:
+            if ll_new >= ll or (scale == 1.0 and within_rounding):
                 w = candidate
-                ll = ll_new
+                ll = max(ll_new, ll)
                 improved = True
                 break
             scale /= 2.0

@@ -74,3 +74,20 @@ def mc_absorption(pi0: F, step: RationalStep, beta: F,
     for s in sorted(set(states)):
         probs[F(int(s), den)] = float(np.mean(states == s))
     return probs, float(steps_taken.mean()), float(steps_taken.std(ddof=1)), alive_at
+
+
+def reference_mean_curves(scores0, k, c, betas, blocks):
+    """Per-threshold sweep: every beta steps its own copy of the population.
+
+    blocks has shape (replicates, horizon, n); returns the horizon-end group
+    means, shape (replicates, len(betas)).
+    """
+    n_reps, horizon, n = blocks.shape
+    S = np.empty((n_reps, betas.size, n))
+    S[:] = scores0
+    b = betas[None, :, None]
+    for t in range(horizon):
+        u = blocks[:, t, None, :]
+        moved = np.clip(S + np.where(u < S, k, -c * k), 0.0, 1.0)
+        S = np.where(S >= b, moved, S)
+    return S.mean(axis=2)

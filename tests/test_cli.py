@@ -1,5 +1,6 @@
 """Command-line interface: flags, config layering, artifacts, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -263,6 +264,20 @@ class TestRecommend:
                                 "utility_group_blind,"
                                 "utility_group_conscious,marginal")
         assert len(csv_lines) == 5
+
+    # sha256 of grid.json from the per-threshold sweep that the one-walk
+    # kernel replaced; the kernel must reproduce every byte.
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "966b14325e2fbdf344db8680ee5f28939ad70aae74598d57c4f22b4ba8b2741f"),
+        (("--per-group-beta",),
+         "04b8b7a11ab9218c51427b16e2902a84b0a5e205b4b2171679d4eb0a43bbe93b"),
+    ])
+    def test_grid_json_is_pinned(self, capsys, tmp_path, flags, digest):
+        out = tmp_path / "rec"
+        code, _, err = run(capsys, *self.args(out), "--mode", "literal", *flags)
+        assert code == 0, err
+        assert hashlib.sha256((out / "grid.json").read_bytes()).hexdigest() \
+            == digest
 
     def test_threads_do_not_change_artifacts(self, capsys, tmp_path):
         d1, d4 = tmp_path / "t1", tmp_path / "t4"

@@ -8,8 +8,11 @@ from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind,
                         baseline_outcome, evaluate_policy, grid_as_dict,
                         grid_rows, optimal_threshold, recommend_grid,
                         sample_beta, simulate_group, utility)
+from lendingdyn import interventions
 from lendingdyn._random import TAG_REPLICATE, derive_seed
-from lendingdyn.interventions import KIND_ORDER
+from lendingdyn.interventions import KIND_ORDER, _beta_grid, _mean_curves
+
+from oracles import reference_mean_curves
 
 BO = InterventionKind.BETA_ONLY
 GB = InterventionKind.GROUP_BLIND
@@ -88,6 +91,46 @@ class TestApplyIntervention:
             InterventionSpec(kind=BO, r=0.5, baseline_c=-1.0)
 
 
+class TestMeanCurves:
+    """The one-walk kernel against the per-threshold sweep it replaced."""
+
+    @pytest.mark.parametrize("horizon, n, k, c", [
+        (20, 50, 0.1, 1.5),
+        (0, 7, 0.1, 1.0),
+        (1, 7, 0.1, 1.0),
+        (6, 1, 0.1, 2.0),
+        (6, 30, 0.1, 0.0),
+        (6, 30, 0.0, 2.0),
+        (12, 40, 0.3, 3.0),
+    ])
+    def test_equals_the_reference_sweep(self, horizon, n, k, c):
+        rng = np.random.default_rng([horizon, n])
+        betas = _beta_grid(0.01)
+        # half the agents start exactly on a grid beta (ties approve)
+        scores = np.where(rng.random(n) < 0.5, rng.choice(betas, n),
+                          rng.random(n))
+        blocks = rng.random((10, horizon, n))
+        got = _mean_curves(scores, k, c, betas, blocks)
+        want = reference_mean_curves(scores, k, c, betas, blocks)
+        assert np.array_equal(got, want)
+        # evaluate_policy averages over replicates next; with 8 or more of
+        # them numpy sums a replicate column in an order that depends on the
+        # memory layout, so the layout must match too.
+        assert np.array_equal(got.mean(axis=0), want.mean(axis=0))
+
+    def test_walks_that_land_on_thresholds(self):
+        # Scores, steps and betas share the exact lattice of quarters, so
+        # every agent sits on a threshold at every step.
+        rng = np.random.default_rng(5)
+        betas = _beta_grid(0.25)
+        scores = rng.choice(betas, 40)
+        blocks = rng.random((4, 9, 40))
+        for c in (0.0, 1.0, 2.0):
+            assert np.array_equal(
+                _mean_curves(scores, 0.25, c, betas, blocks),
+                reference_mean_curves(scores, 0.25, c, betas, blocks))
+
+
 @pytest.fixture
 def small_pair():
     dist_a = sample_beta(BetaSpec(a=4, b=8, n=120, seed=31), group="A")
@@ -105,6 +148,17 @@ class TestBaselineOutcome:
         want_d = simulate_group(dist_d, bhat, 0.1, 1.0, 6, 5, group_slot=1)
         assert base["A"] == want_a.mean()
         assert base["D"] == want_d.mean()
+
+    def test_long_run_search_is_the_best_grid_threshold(self, small_pair):
+        dist_a, dist_d = small_pair
+        params = DynamicsParams.uniform(0.1, 3.0, ("A", "D"))
+        searched = baseline_outcome(dist_a, dist_d, params, horizon=12, seed=5,
+                                    long_run_search=True, beta_step=0.05)
+        for slot, dist in ((0, dist_a), (1, dist_d)):
+            assert searched[dist.group] == max(
+                simulate_group(dist, float(b), 0.1, 3.0, 12, 5,
+                               group_slot=slot).mean()
+                for b in _beta_grid(0.05))
 
     def test_long_run_search_never_does_worse(self, small_pair):
         dist_a, dist_d = small_pair
@@ -180,6 +234,33 @@ class TestEvaluatePolicy:
         assert out.base_a == pytest.approx(float(base_a), abs=1e-14)
         assert out.base_d == pytest.approx(float(base_d), abs=1e-14)
         assert out.utility == pytest.approx(float(utils[best]), abs=1e-14)
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    def test_baseline_is_the_replicate_mean_of_baseline_outcome(
+            self, small_pair, long_run):
+        out = self.evaluate(small_pair, GB, long_run_baseline=long_run)
+        rep_seeds = [derive_seed(17, TAG_REPLICATE, i) for i in range(3)]
+        params = DynamicsParams.uniform(0.1, 2.0, ("A", "D"))
+        bases = [baseline_outcome(*small_pair, params, horizon=5, seed=rs,
+                                  long_run_search=long_run, beta_step=0.1)
+                 for rs in rep_seeds]
+        assert out.base_a == float(np.mean([b["A"] for b in bases]))
+        assert out.base_d == float(np.mean([b["D"] for b in bases]))
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    def test_one_uniform_block_per_replicate_and_group(self, small_pair,
+                                                       monkeypatch, long_run):
+        built = []
+        original = interventions.uniform_block
+
+        def counting(seed, horizon, group_slot, n):
+            built.append((seed, horizon, group_slot, n))
+            return original(seed, horizon, group_slot, n)
+
+        monkeypatch.setattr(interventions, "uniform_block", counting)
+        self.evaluate(small_pair, GC, long_run_baseline=long_run)
+        assert len(built) == 2 * 3
+        assert len(set(built)) == len(built)
 
     def test_per_group_search_weakly_dominates(self, small_pair):
         uni = self.evaluate(small_pair, GC, alpha=0.3)

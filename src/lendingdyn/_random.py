@@ -6,6 +6,17 @@ replicate, step, group slot, agent slot — never on evaluation order, thread
 count, or which other draws happened first.  Two runs that share a seed and a
 coordinate path produce identical numbers even if one sweeps many policies
 and the other simulates a single trajectory.
+
+A uniform block is H such streams, one per step, so building it through
+`substream` would cost H `SeedSequence` + Philox constructions.  It builds
+the same streams more cheaply instead.  A fresh `Philox(SeedSequence(...))`
+is counter 0 and key `SeedSequence(...).generate_state(2, np.uint64)`, and
+that key is plain uint32 arithmetic over the entropy words
+[seed_lo, seed_hi, 0, 0, TAG_STEP, t, slot] with hash constants that do not
+depend on the data.  `_step_keys` mixes the words before t once, as Python
+ints, and the rest as arrays over t, giving every step's key in one pass;
+one Philox is then reset to (key, counter 0, empty buffer) for each row.
+Row t of a block is therefore byte for byte `step_uniforms(seed, t, slot, n)`.
 """
 
 from __future__ import annotations
@@ -21,6 +32,16 @@ TAG_SAMPLE = 2    # distribution sampling
 TAG_CELL = 3      # recommendation-grid cell seeds
 TAG_REPLICATE = 4 # replicate seeds inside one policy evaluation
 TAG_WALK = 5      # chain random walks
+
+
+# numpy's SeedSequence mixing constants (pool of 4 uint32 words).
+_INIT_A = 0x43B0D7E5
+_MULT_A = 0x931E8875
+_INIT_B = 0x8B51F9DD
+_MULT_B = 0x58F38DED
+_MIX_MULT_L = 0xCA01F9DD
+_MIX_MULT_R = 0x4973F715
+_POOL_SIZE = 4
 
 
 def _seed_sequence(seed: int, path: tuple[int, ...]) -> np.random.SeedSequence:
@@ -54,9 +75,88 @@ def step_uniforms(seed: int, step: int, group_slot: int, n: int) -> np.ndarray:
     return substream(seed, TAG_STEP, step, group_slot).random(n)
 
 
+def _hashmix(value, hash_const, mult=_MULT_A):
+    """SeedSequence's hashmix on a Python int or a uint32 array.
+
+    Returns the mixed word and the next hash constant.
+    """
+    hash_const_next = hash_const * mult & _MASK32
+    value = (value ^ hash_const) * hash_const_next & _MASK32
+    return value ^ value >> 16, hash_const_next
+
+
+def _mix(x, y):
+    r = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+    return r ^ r >> 16
+
+
+def _successive(hash_const: int, count: int, mult: int = _MULT_A) -> np.ndarray:
+    """count successive hash constants from hash_const, as a uint32 column."""
+    out = np.empty((count, 1), dtype=np.uint32)
+    for i in range(count):
+        out[i] = hash_const
+        hash_const = hash_const * mult & _MASK32
+    return out
+
+
+# generate_state's hash constants, the same for every stream.
+_OUTPUT_CONSTS = _successive(_INIT_B, _POOL_SIZE, _MULT_B)
+
+
+def _step_keys(seed: int, horizon: int, group_slot: int) -> np.ndarray:
+    """Philox keys of the streams (seed, TAG_STEP, t, group_slot), t < horizon.
+
+    Row t equals _seed_sequence(seed, (TAG_STEP, t, group_slot))
+    .generate_state(2, np.uint64).  The mixing is numpy's SeedSequence: the
+    words before t are mixed once as Python ints, t and the slot as arrays.
+    """
+    seed = int(seed) & _MASK64
+    # A seed below 2**64 fills one or two words; a spawn key pads the run
+    # entropy with zeros to the pool size.
+    pool, hash_const = [], _INIT_A
+    for word in (seed & _MASK32, seed >> 32, 0, 0):
+        word, hash_const = _hashmix(word, hash_const)
+        pool.append(word)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                word, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], word)
+    for dst in range(_POOL_SIZE):
+        word, hash_const = _hashmix(TAG_STEP, hash_const)
+        pool[dst] = _mix(pool[dst], word)
+    # From t on the pool is a (4, horizon) array, and each word is mixed
+    # into all four pool words at once, with four successive constants.
+    pool = np.array(pool, dtype=np.uint32)[:, None]
+    for word in (np.arange(horizon, dtype=np.uint32), int(group_slot) & _MASK32):
+        consts = _successive(hash_const, _POOL_SIZE + 1)
+        mixed, _ = _hashmix(word, consts[:-1])
+        pool = _mix(pool, mixed)
+        hash_const = int(consts[-1, 0])
+
+    # generate_state(2, np.uint64): the four pool words, hashed once more,
+    # read as two little-endian uint64s.
+    state, _ = _hashmix(pool, _OUTPUT_CONSTS, _MULT_B)
+    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64)
+
+
 def uniform_block(seed: int, horizon: int, group_slot: int, n: int) -> np.ndarray:
-    """All update uniforms for one run, shape (horizon, n)."""
+    """All update uniforms for one run, shape (horizon, n).
+
+    Row t is byte for byte step_uniforms(seed, t, group_slot, n), from one
+    Philox generator reset to each step's key in turn.
+    """
     out = np.empty((horizon, n))
-    for t in range(horizon):
-        out[t] = step_uniforms(seed, t, group_slot, n)
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # A fresh stream: counter 0, empty buffer.  Plain lists keep the
+    # per-row assignment cheap.
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for t, key in enumerate(_step_keys(seed, horizon, group_slot).tolist()):
+        state["state"]["key"] = key
+        bitgen.state = state
+        gen.random(out=out[t])
     return out

@@ -125,6 +125,11 @@ def _replicate_seeds(seed: int, n_seeds: int) -> list[int]:
     return [derive_seed(seed, TAG_REPLICATE, r) for r in range(n_seeds)]
 
 
+# Most (replicate, beta + 1, agent) cells the sweep's tail handles at once,
+# so that its counts and indices stay in cache.
+_CHUNK_CELLS = 1 << 17
+
+
 def _mean_curves(scores0: np.ndarray, k: float, c: float, betas: np.ndarray,
                  blocks: np.ndarray) -> np.ndarray:
     """Horizon-end group means, shape (replicates, len(betas)).
@@ -137,6 +142,12 @@ def _mean_curves(scores0: np.ndarray, k: float, c: float, betas: np.ndarray,
     from then on.  So its final score is X[tau(b)] with
     tau(b) = #{t < horizon : min(X_0..X_t) >= b}, and one walk per
     replicate answers every threshold.
+
+    The walk is built for all replicates at once; the rest (running minima,
+    counts, gather, agent means) runs over chunks of whole replicates of at
+    most _CHUNK_CELLS (beta + 1, agent) cells, so a one-beta baseline is a
+    single chunk.  Replicates are independent and each chunk's finals are
+    C-ordered (replicates, betas, agents), so the chunking changes no bit.
     """
     n_reps, horizon, n = blocks.shape
     nb = betas.size
@@ -144,28 +155,33 @@ def _mean_curves(scores0: np.ndarray, k: float, c: float, betas: np.ndarray,
     X[0] = scores0
     for t in range(horizon):
         X[t + 1] = approved_step(X[t], blocks[:, t], k, c)
-    # cleared[r, i, t]: how many betas agent i of replicate r still clears
-    # at step t (ties approve).  Each agent's keys lie together and descend,
-    # which speeds the search.
-    runmin = np.minimum.accumulate(
-        np.ascontiguousarray(X[:horizon].transpose(1, 2, 0)), axis=2)
-    cleared = np.searchsorted(betas, runmin, side="right")
-    rep = np.arange(n_reps)[:, None, None]
+    walks = X.ravel()
     agent = np.arange(n)
-    counts = np.bincount(((rep * (nb + 1) + cleared) * n + agent[:, None]).ravel(),
-                         minlength=n_reps * (nb + 1) * n)
-    # frozen[r, j, i] = #{t : cleared[r, i, t] <= j}, the steps agent i
-    # spends frozen under betas[j], so tau = horizon - frozen.  It becomes,
-    # in place to bound peak memory, the flat index of X[tau, r, i].
-    index = np.cumsum(counts.reshape(n_reps, nb + 1, n)[:, :nb], axis=1)
-    del counts
-    index *= -n_reps * n
-    index += (horizon * n_reps + rep) * n + agent
-    # finals must stay C-ordered (replicates, betas, agents) like the
-    # per-threshold sweep it replaces: the agent means of another memory
-    # layout sum in another order and change the last bits.
-    finals = X.ravel()[index]
-    return finals.mean(axis=2)
+    out = np.empty((n_reps, nb))
+    chunk = max(1, _CHUNK_CELLS // ((nb + 1) * n))
+    for r0 in range(0, n_reps, chunk):
+        m = min(chunk, n_reps - r0)
+        # cleared[r, i, t]: how many betas agent i of replicate r0 + r still
+        # clears at step t (ties approve).  Each agent's keys lie together
+        # and descend, which speeds the search.
+        runmin = np.minimum.accumulate(np.ascontiguousarray(
+            X[:horizon, r0:r0 + m].transpose(1, 2, 0)), axis=2)
+        cleared = np.searchsorted(betas, runmin, side="right")
+        rep = np.arange(m)[:, None, None]
+        counts = np.bincount(
+            ((rep * (nb + 1) + cleared) * n + agent[:, None]).ravel(),
+            minlength=m * (nb + 1) * n)
+        # frozen[r, j, i] = #{t : cleared[r, i, t] <= j}, the steps agent i
+        # spends frozen under betas[j], so tau = horizon - frozen.  It
+        # becomes, in place, the flat index of X[tau, r0 + r, i].
+        index = np.cumsum(counts.reshape(m, nb + 1, n)[:, :nb], axis=1)
+        index *= -n_reps * n
+        index += (horizon * n_reps + r0 + rep) * n + agent
+        # finals must stay C-ordered (replicates, betas, agents) like the
+        # per-threshold sweep it replaces: the agent means of another
+        # memory layout sum in another order and change the last bits.
+        out[r0:r0 + m] = walks[index].mean(axis=2)
+    return out
 
 
 def _replicate_blocks(rep_seeds: Sequence[int], horizon: int, slot: int,

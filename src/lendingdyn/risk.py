@@ -46,23 +46,26 @@ class LoanRecord:
     group: str | None = None
 
     def __post_init__(self):
-        problems = record_problems(self)
+        problems = record_problems(self.balance, self.ltv, self.dti,
+                                   self.units, self.purpose)
         if problems:
             raise ValueError("; ".join(problems))
 
 
-def record_problems(rec: "LoanRecord") -> list[str]:
+def record_problems(balance: float, ltv: float, dti: float, units: int,
+                    purpose: str) -> list[str]:
+    """The invariants a loan's fields break, as messages; empty if none."""
     problems = []
-    if not (math.isfinite(rec.balance) and rec.balance >= 0):
-        problems.append(f"balance must be nonnegative, got {rec.balance!r}")
-    if not (math.isfinite(rec.ltv) and rec.ltv >= 0):
-        problems.append(f"ltv must be nonnegative, got {rec.ltv!r}")
-    if not math.isfinite(rec.dti):
-        problems.append(f"dti must be finite, got {rec.dti!r}")
-    if rec.units < 1:
-        problems.append(f"units must be >= 1, got {rec.units!r}")
-    if rec.purpose not in PURPOSES:
-        problems.append(f"purpose must be one of {PURPOSES}, got {rec.purpose!r}")
+    if not (math.isfinite(balance) and balance >= 0):
+        problems.append(f"balance must be nonnegative, got {balance!r}")
+    if not (math.isfinite(ltv) and ltv >= 0):
+        problems.append(f"ltv must be nonnegative, got {ltv!r}")
+    if not math.isfinite(dti):
+        problems.append(f"dti must be finite, got {dti!r}")
+    if units < 1:
+        problems.append(f"units must be >= 1, got {units!r}")
+    if purpose not in PURPOSES:
+        problems.append(f"purpose must be one of {PURPOSES}, got {purpose!r}")
     return problems
 
 
@@ -123,8 +126,7 @@ def load_records(path, schema: str = "training",
                 if not group:
                     rejects.append(RowReject(line, "empty group label"))
                     continue
-            probe = _ProbeRecord(balance, ltv, dti, units, purpose)
-            problems = record_problems(probe)
+            problems = record_problems(balance, ltv, dti, units, purpose)
             if problems:
                 rejects.append(RowReject(line, "; ".join(problems)))
                 continue
@@ -137,15 +139,6 @@ def load_records(path, schema: str = "training",
     if not records:
         raise ValueError(f"{path}: no usable rows after validation and filtering")
     return LoadResult(records=tuple(records), rejects=tuple(rejects))
-
-
-@dataclass(frozen=True)
-class _ProbeRecord:
-    balance: float
-    ltv: float
-    dti: float
-    units: int
-    purpose: str
 
 
 @dataclass(frozen=True)

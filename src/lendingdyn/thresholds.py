@@ -15,6 +15,7 @@ depend on the score distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -22,21 +23,19 @@ from .dynamics import DynamicsParams, ScoreDistribution, ThresholdPolicy, \
     expected_next_score
 
 
-@dataclass(frozen=True)
-class GainFunction:
-    k: float
-    c: float
+def GainFunction(k: float, c: float):
+    """The gain function g = expected_next_score(., k, c) as a callable.
 
-    def __post_init__(self):
-        if self.k < 0 or self.c < 0:
-            raise ValueError("k and c must be nonnegative")
-
-    def __call__(self, x):
-        return expected_next_score(x, self.k, self.c)
+    A thin alias kept for callers of the old class; k and c must be
+    nonnegative.
+    """
+    if k < 0 or c < 0:
+        raise ValueError("k and c must be nonnegative")
+    return partial(expected_next_score, k=k, c=c)
 
 
-def gain(g: GainFunction, x):
-    """Expected next score for an approved agent at score x."""
+def gain(g, x):
+    """Expected next score for an approved agent at score x: g(x)."""
     return g(x)
 
 

@@ -8,8 +8,13 @@ import numpy as np
 from lendingdyn import RationalStep
 
 
-def exact_absorption(chain, start):
-    """Independent oracle: Gauss-Jordan over Fractions on (I - B) X = A."""
+def exact_absorption(chain):
+    """Independent oracle: Gauss-Jordan over Fractions on (I - B) X = A.
+
+    One elimination reduces the system to the identity, so row i then holds
+    the answer for transient state i.  Returns {start: (probs, steps)} for
+    every transient start.
+    """
     space = chain.space
     trans = list(space.transient)
     nt, na = len(trans), len(space.absorbing)
@@ -29,10 +34,9 @@ def exact_absorption(chain, start):
             if r != col and rows[r][col] != 0:
                 factor = rows[r][col]
                 rows[r] = [v - factor * w for v, w in zip(rows[r], rows[col])]
-    i = trans.index(start)
-    probs = {s: rows[i][nt + j] for j, s in enumerate(space.absorbing)}
-    steps = rows[i][nt + na]
-    return probs, steps
+    return {start: ({s: rows[i][nt + j] for j, s in enumerate(space.absorbing)},
+                    rows[i][nt + na])
+            for i, start in enumerate(trans)}
 
 
 def mc_absorption(pi0: F, step: RationalStep, beta: F,

@@ -130,6 +130,36 @@ class TestMeanCurves:
                 _mean_curves(scores, 0.25, c, betas, blocks),
                 reference_mean_curves(scores, 0.25, c, betas, blocks))
 
+    @pytest.mark.parametrize("reps_per_chunk, n_reps", [
+        (0.5, 3),    # a chunk smaller than one replicate still takes one
+        (3, 10),     # 3 + 3 + 3 + 1
+        (4.5, 11),   # rounds down: 4 + 4 + 3
+    ])
+    def test_chunks_of_replicates(self, monkeypatch, reps_per_chunk, n_reps):
+        n, betas = 30, _beta_grid(0.01)
+        monkeypatch.setattr(interventions, "_CHUNK_CELLS",
+                            int(reps_per_chunk * (betas.size + 1) * n))
+        rng = np.random.default_rng(n_reps)
+        scores = rng.random(n)
+        blocks = rng.random((n_reps, 15, n))
+        got = _mean_curves(scores, 0.1, 1.5, betas, blocks)
+        want = reference_mean_curves(scores, 0.1, 1.5, betas, blocks)
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.mean(axis=0), want.mean(axis=0))
+
+    def test_grid_size_spans_several_chunks(self):
+        # At the recommendation grid's size (101 betas, 500 agents) the
+        # default chunk holds fewer replicates than an evaluation has.
+        betas = _beta_grid(0.01)
+        n, n_reps = 500, 5
+        assert interventions._CHUNK_CELLS // ((betas.size + 1) * n) < n_reps
+        rng = np.random.default_rng(9)
+        scores = rng.beta(8, 3, n)
+        blocks = rng.random((n_reps, 20, n))
+        got = _mean_curves(scores, 0.1, 2.0, betas, blocks)
+        want = reference_mean_curves(scores, 0.1, 2.0, betas, blocks)
+        assert np.array_equal(got, want)
+
 
 @pytest.fixture
 def small_pair():

@@ -18,7 +18,7 @@ from .distributions import (BetaSpec, DominanceReport, check_dominance,
 from .dynamics import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                        Trajectory, clamp_unit, expected_next_score,
                        population_mean, simulate, simulate_group, step_agent,
-                       step_mean, step_population)
+                       step_mean, step_population, verify_bifurcation)
 from .interventions import (GridCell, InterventionKind, InterventionSpec,
                             PolicyOutcome, RecommendationGrid, UtilityWeights,
                             apply_intervention, baseline_outcome,
@@ -26,8 +26,7 @@ from .interventions import (GridCell, InterventionKind, InterventionSpec,
                             recommend_grid, utility)
 from .markov import (AbsorbingChain, AbsorptionResult, ChainError,
                      RationalStep, StateSpace, absorption_probabilities,
-                     build_chain, enumerate_states, transient_mass,
-                     verify_bifurcation)
+                     build_chain, enumerate_states, transient_mass)
 from .risk import (FitDiagnostics, LoanRecord, LoadResult, RiskModel,
                    RowReject, SeparationError, fit_logistic, load_records,
                    predict_late_risk, predict_many, to_score_distributions)

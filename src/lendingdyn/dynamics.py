@@ -290,3 +290,12 @@ def simulate_group(dist: ScoreDistribution, beta: float, k: float, c: float,
         u = step_uniforms(seed, t, group_slot, dist.n)
         scores = _advance_scores(scores, u, beta, k, c)
     return scores
+
+
+def verify_bifurcation(dist: ScoreDistribution, policy: ThresholdPolicy,
+                       params: DynamicsParams, horizon: int, seed: int) -> float:
+    """Fraction of agents still strictly inside (beta, 1) after `horizon` steps."""
+    beta = policy.beta_for(dist.group)
+    final = simulate_group(dist, beta, params.k, params.c_for(dist.group),
+                           horizon, seed)
+    return float(np.mean((final > beta) & (final < 1.0)))

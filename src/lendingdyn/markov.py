@@ -1,30 +1,26 @@
 """Exact absorbing-chain analysis of a single agent's score walk.
 
-With rational step sizes the walk from a rational start visits finitely many
-scores: up-moves add `up`, down-moves subtract `down`, values at or above 1
-collapse to the absorbing score 1, values below the threshold beta freeze
-where they land (each kept as its own absorbing state), and values below 0
-collapse to 0.  Ordering states as (absorbing, transient) gives the block
-transition matrix
-
-    S = [ I  0 ]
-        [ A  B ]
-
-whose transient block B has zero diagonal (a transient state always moves)
-and spectral radius < 1.  Absorption probabilities solve (I - B) X = A and
-expected steps to absorption solve (I - B) t = 1.  All states and transition
-probabilities are exact fractions; floats appear only at the linear solve.
+A walk with rational steps from a rational start stays on the multiples of
+1/den, den = lcm of the denominators of pi0, up and down: state x is the
+score x/den.  Scores clamp to 1 or 0 and freeze below beta, all absorbing.
+Transient x moves up with probability x/den, down with (den - x)/den.  With
+S = [[I, 0], [A, B]] (absorbing states first), (I - B) X = A gives the
+absorption probabilities and (I - B) t = 1 the expected steps.  Fractions
+are exact views of the ints; floats appear only in the float blocks, built
+once per chain, and in the linear algebra.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from functools import cached_property
 
 import numpy as np
 
-from .dynamics import DynamicsParams, ScoreDistribution, ThresholdPolicy, simulate_group
+# enumerate_states' limit: the float blocks are dense and the solve is O(n^3).
+MAX_TRANSIENT_STATES = 4096
 
 
 class ChainError(ValueError):
@@ -40,10 +36,6 @@ def _exact(value, name: str) -> Fraction:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"{name} is not a valid rational: {value!r}") from exc
-
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -70,11 +62,12 @@ class RationalStep:
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Reachable states from pi0, partitioned by absorption."""
+    """States reachable from pi0, split by absorption; each is x/den, x an int."""
 
     pi0: Fraction
     step: RationalStep
     beta: Fraction
+    den: int
     transient: tuple[Fraction, ...]
     absorbing: tuple[Fraction, ...]
 
@@ -83,95 +76,110 @@ class StateSpace:
         return self.absorbing + self.transient
 
 
-def _is_absorbing(x: Fraction, beta: Fraction) -> bool:
-    # 0 never repays and 1 never slips, so both trap regardless of beta.
-    return x < beta or x == ZERO or x == ONE
-
-
 def enumerate_states(pi0, step: RationalStep, beta) -> StateSpace:
     """Closure of {pi0} under the clamped walk, split transient/absorbing."""
     pi0 = _exact(pi0, "pi0")
     beta = _exact(beta, "beta")
-    if not (ZERO <= pi0 <= ONE):
+    if not (0 <= pi0 <= 1):
         raise ValueError(f"pi0 must lie in [0, 1], got {pi0}")
-    if not (ZERO <= beta <= ONE):
+    if not (0 <= beta <= 1):
         raise ValueError(f"beta must lie in [0, 1], got {beta}")
     if step.up == 0 or step.down == 0:
         raise ChainError(
             "zero step sizes create transient self-loops; the block structure "
             "requires up > 0 and down > 0")
-    seen = {pi0}
-    frontier = [pi0]
+    den = math.lcm(pi0.denominator, step.up.denominator, step.down.denominator)
+    up, down = int(step.up * den), int(step.down * den)
+    seen = {int(pi0 * den)}
+    frontier, transient = list(seen), []
     while frontier:
         x = frontier.pop()
-        if _is_absorbing(x, beta):
+        # x/den < beta; 0 never repays and 1 never slips, whatever beta is
+        if x * beta.denominator < beta.numerator * den or x == 0 or x == den:
             continue
-        for nxt in (min(x + step.up, ONE), max(x - step.down, ZERO)):
+        transient.append(x)
+        if len(transient) > MAX_TRANSIENT_STATES:
+            raise ChainError(f"more than {MAX_TRANSIENT_STATES} transient states "
+                             f"from {pi0} on the 1/{den} lattice; use coarser steps")
+        for nxt in (min(x + up, den), max(x - down, 0)):
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    transient = tuple(sorted(x for x in seen if not _is_absorbing(x, beta)))
-    absorbing = tuple(sorted(x for x in seen if _is_absorbing(x, beta)))
-    return StateSpace(pi0=pi0, step=step, beta=beta,
-                      transient=transient, absorbing=absorbing)
+    views = (tuple(Fraction(x, den) for x in sorted(group))
+             for group in (transient, seen - set(transient)))
+    return StateSpace(pi0, step, beta, den, *views)
 
 
 @dataclass(frozen=True)
 class AbsorbingChain:
-    """Exact transition blocks over an enumerated state space."""
+    """rows[r] holds transient state r's moves as (target, numerator) pairs:
+    target is a position in `space.states`, the probability numerator/den."""
 
     space: StateSpace
-    # rows: transient states in space order; columns: see each block.
-    transient_block: tuple[tuple[Fraction, ...], ...]   # B, transient -> transient
-    absorbing_block: tuple[tuple[Fraction, ...], ...]   # A, transient -> absorbing
+    rows: tuple[tuple[tuple[int, int], ...], ...]
+
+    @cached_property
+    def _float_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        # int / int is correctly rounded, as float(Fraction) is, so these are
+        # the floats of the exact blocks bit for bit; shared, so read-only.
+        na, nt = len(self.space.absorbing), len(self.rows)
+        B, A = np.zeros((nt, nt)), np.zeros((nt, na))
+        for r, moves in enumerate(self.rows):
+            for target, num in moves:
+                block, j = (A, target) if target < na else (B, target - na)
+                block[r, j] += num / self.space.den
+        B.flags.writeable = A.flags.writeable = False
+        return B, A
 
     def b_matrix(self) -> np.ndarray:
-        return np.array([[float(p) for p in row] for row in self.transient_block])
+        return self._float_blocks[0]
 
     def a_matrix(self) -> np.ndarray:
-        return np.array([[float(p) for p in row] for row in self.absorbing_block])
+        return self._float_blocks[1]
+
+    def _exact_block(self, columns: range) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(sum((Fraction(n, self.space.den) for t, n in moves if t == j),
+                               Fraction(0)) for j in columns) for moves in self.rows)
+
+    @cached_property
+    def transient_block(self) -> tuple[tuple[Fraction, ...], ...]:   # B
+        return self._exact_block(range(len(self.space.absorbing), len(self.space.states)))
+
+    @cached_property
+    def absorbing_block(self) -> tuple[tuple[Fraction, ...], ...]:   # A
+        return self._exact_block(range(len(self.space.absorbing)))
 
 
 def build_chain(space: StateSpace) -> AbsorbingChain:
-    """Fill the transition blocks: up with probability x, down with 1 - x."""
-    t_index = {s: i for i, s in enumerate(space.transient)}
-    a_index = {s: i for i, s in enumerate(space.absorbing)}
-    nt, na = len(space.transient), len(space.absorbing)
-    B = [[ZERO] * nt for _ in range(nt)]
-    A = [[ZERO] * na for _ in range(nt)]
-    for i, x in enumerate(space.transient):
-        for target, prob in ((min(x + space.step.up, ONE), x),
-                             (max(x - space.step.down, ZERO), ONE - x)):
-            if target in t_index:
-                B[i][t_index[target]] += prob
-            else:
-                A[i][a_index[target]] += prob
-    for i, x in enumerate(space.transient):
-        if B[i][i] != 0:
-            raise ChainError(f"transient state {x} self-loops")
-        if sum(B[i]) + sum(A[i]) != ONE:
-            raise ChainError(f"row for state {x} is not stochastic")
-    return AbsorbingChain(space=space,
-                          transient_block=tuple(tuple(r) for r in B),
-                          absorbing_block=tuple(tuple(r) for r in A))
+    """Fill the transition rows: up with probability x, down with 1 - x."""
+    den = space.den
+    lattice = [s.numerator * (den // s.denominator) for s in space.states]
+    col = {x: j for j, x in enumerate(lattice)}
+    up, down = int(space.step.up * den), int(space.step.down * den)
+    rows = []
+    for x in lattice[len(space.absorbing):]:
+        moves = ((col[min(x + up, den)], x), (col[max(x - down, 0)], den - x))
+        if any(target == col[x] for target, _ in moves):
+            raise ChainError(f"transient state {Fraction(x, den)} self-loops")
+        if sum(num for _, num in moves) != den:
+            raise ChainError(f"row for state {Fraction(x, den)} is not stochastic")
+        rows.append(moves)
+    return AbsorbingChain(space=space, rows=tuple(rows))
 
 
-def _spectral_radius_below_one(B: np.ndarray) -> None:
-    # Power iteration on the nonnegative block; rho(B) >= 1 means the chain
-    # was built wrong (some transient state cannot reach absorption).
-    if B.size == 0:
-        return
-    v = np.full(B.shape[0], 1.0)
-    rho = 0.0
-    for _ in range(500):
-        w = B @ v
-        norm = w.max()
-        if norm == 0.0:
-            return
-        rho = norm
-        v = w / norm
-    if rho >= 1.0:
-        raise ChainError(f"transient block spectral radius {rho} >= 1")
+def _every_state_absorbs(chain: AbsorbingChain) -> None:
+    # I - B is singular exactly when a transient state cannot reach an
+    # absorbing one by moves of positive probability.  Rows ascend and
+    # down-moves go lower, so on a lattice the first pass marks them all.
+    na = len(chain.space.absorbing)
+    absorbs, size = set(range(na)), -1
+    while size < len(absorbs):
+        size = len(absorbs)
+        absorbs.update(na + r for r, moves in enumerate(chain.rows)
+                       if any(num and t in absorbs for t, num in moves))
+    for j, x in enumerate(chain.space.states):
+        if j not in absorbs:
+            raise ChainError(f"transient state {x} never reaches an absorbing state")
 
 
 @dataclass(frozen=True)
@@ -180,9 +188,6 @@ class AbsorptionResult:
     absorbing_states: tuple[Fraction, ...]
     probabilities: tuple[float, ...]
     expected_steps: float
-
-    def as_dict(self) -> Mapping[Fraction, float]:
-        return dict(zip(self.absorbing_states, self.probabilities))
 
     def probability_of(self, state) -> float:
         state = _exact(state, "state")
@@ -201,9 +206,8 @@ def absorption_probabilities(chain: AbsorbingChain, start) -> AbsorptionResult:
         return AbsorptionResult(start, space.absorbing, probs, 0.0)
     if start not in space.transient:
         raise ValueError(f"{start} is not a state of this chain")
-    B = chain.b_matrix()
-    A = chain.a_matrix()
-    _spectral_radius_below_one(B)
+    B, A = chain.b_matrix(), chain.a_matrix()
+    _every_state_absorbs(chain)
     M = np.eye(B.shape[0]) - B
     X = np.linalg.solve(M, A)
     steps = np.linalg.solve(M, np.ones(B.shape[0]))
@@ -226,14 +230,9 @@ def transient_mass(chain: AbsorbingChain, start, steps: int) -> float:
     B = chain.b_matrix()
     v = np.ones(B.shape[0])
     for _ in range(steps):
+        # Dense on purpose: BLAS dgemv fuses multiply-adds, so a two-move
+        # sparse product rounds differently.  B @ 0 == 0, so stop at zero.
         v = B @ v
+        if not v.any():
+            break
     return float(v[i])
-
-
-def verify_bifurcation(dist: ScoreDistribution, policy: ThresholdPolicy,
-                       params: DynamicsParams, horizon: int, seed: int) -> float:
-    """Fraction of agents still strictly inside (beta, 1) after `horizon` steps."""
-    beta = policy.beta_for(dist.group)
-    final = simulate_group(dist, beta, params.k, params.c_for(dist.group),
-                           horizon, seed)
-    return float(np.mean((final > beta) & (final < 1.0)))

@@ -39,6 +39,42 @@ def exact_absorption(chain):
             for i, start in enumerate(trans)}
 
 
+def reference_chain(pi0: F, step: RationalStep, beta: F):
+    """The chain built over Fractions alone: state sets, then dense blocks.
+
+    Returns (transient, absorbing, B, A): both state tuples ascending, B and
+    A as tuples of Fraction rows over them.  Clamped scores 0 and 1 absorb
+    whatever beta is, since 0 never repays and 1 never slips.
+    """
+    def absorbing(x):
+        return x < beta or x == 0 or x == 1
+
+    def moves(x):
+        return ((min(x + step.up, F(1)), x), (max(x - step.down, F(0)), 1 - x))
+
+    seen, frontier = {pi0}, [pi0]
+    while frontier:
+        x = frontier.pop()
+        if not absorbing(x):
+            for nxt, _ in moves(x):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    trans = tuple(sorted(x for x in seen if not absorbing(x)))
+    sinks = tuple(sorted(x for x in seen if absorbing(x)))
+    t_index = {s: i for i, s in enumerate(trans)}
+    a_index = {s: i for i, s in enumerate(sinks)}
+    B = [[F(0)] * len(trans) for _ in trans]
+    A = [[F(0)] * len(sinks) for _ in trans]
+    for i, x in enumerate(trans):
+        for target, prob in moves(x):
+            if target in t_index:
+                B[i][t_index[target]] += prob
+            else:
+                A[i][a_index[target]] += prob
+    return trans, sinks, tuple(map(tuple, B)), tuple(map(tuple, A))
+
+
 def mc_absorption(pi0: F, step: RationalStep, beta: F,
                   n_walks: int, seed: int, record_at=()):
     """Vectorized integer-lattice walk; exact comparisons, no float drift."""

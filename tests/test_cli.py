@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import math
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -121,6 +123,48 @@ class TestAnalyzeMarkov:
                            "7/20", "--k", "1/10", "--c", "1")
         assert code == 2
         assert "rational" in err
+
+    def test_fine_lattice_fails_fast(self, capsys):
+        # 26,135 transient states without the cap: several GB of dense blocks
+        t0 = time.monotonic()
+        code, _, err = run(capsys, "analyze-markov", "--pi0", "1/2", "--beta",
+                           "1/3", "--up", "1/197", "--down", "1/199")
+        assert code == 1
+        assert "more than 4096 transient states" in err
+        assert time.monotonic() - t0 < 2.0
+
+    def test_lattice_under_the_cap_still_solves(self, capsys):
+        payload = run_json(capsys, "analyze-markov", "--pi0", "1/2", "--beta",
+                           "1/3", "--up", "1/73", "--down", "1/71")
+        assert len(payload["transient"]) == 3455
+        assert math.fsum(payload["probabilities"].values()) == pytest.approx(
+            1.0, abs=1e-10)
+
+    # sha256 of markov.json from the dense-Fraction chain that the integer
+    # lattice replaced.  The 1/13 and 1/37 cases report masses whose last
+    # bits differ if B @ v is replaced by the two-move sparse product.
+    @pytest.mark.parametrize("args, digest", [
+        (("--pi0", "1/2", "--beta", "7/20", "--k", "1/10", "--c", "1",
+          "--horizon", "100"),
+         "20f6f9fc2e88025887d4d22d96cfcf6d643c0b5223c8be85417b04f8b3f7a071"),
+        (("--pi0", "1/2", "--beta", "7/20", "--k", "1/10", "--c", "1",
+          "--start", "9/10"),
+         "6151ceb29e32357af798cd37dac05972a27dd33efd13ebaf179579fadeb4c57a"),
+        (("--pi0", "1/2", "--beta", "1/3", "--up", "1/13", "--down", "1/11",
+          "--horizon", "1000"),
+         "a652fe5883a5752deeb53028dbb684c5e2a8ce59e44ebc110ba60cfe3fc6fc36"),
+        (("--pi0", "0.6", "--beta", "0.25", "--k", "0.05", "--c", "1.5",
+          "--horizon", "500"),
+         "dab113912aac9ad3867c82e9fce60da643700ac047b301aa61d70ed7ef4db64a"),
+        (("--pi0", "1/2", "--beta", "1/3", "--up", "1/37", "--down", "1/31",
+          "--horizon", "10000"),
+         "0a55eb10f565b954d258e0a60fcf7e79044554877579eeed6ceb053115c5bcd1"),
+    ])
+    def test_markov_json_is_pinned(self, capsys, tmp_path, args, digest):
+        code, _, err = run(capsys, "analyze-markov", *args, "--out-dir", tmp_path)
+        assert code == 0, err
+        assert hashlib.sha256((tmp_path / "markov.json").read_bytes()).hexdigest() \
+            == digest
 
 
 class TestDominanceCheck:

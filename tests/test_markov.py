@@ -2,15 +2,18 @@
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from lendingdyn import (ChainError, RationalStep, absorption_probabilities,
-                        build_chain, enumerate_states, transient_mass)
+from lendingdyn import (AbsorbingChain, ChainError, RationalStep, StateSpace,
+                        absorption_probabilities, build_chain,
+                        enumerate_states, transient_mass)
+from lendingdyn import markov
 
-from oracles import exact_absorption, mc_absorption
+from oracles import exact_absorption, mc_absorption, reference_chain
 
 F = Fraction
 
@@ -83,6 +86,14 @@ class TestWorkedExample:
         assert all(m2 < m1 for m1, m2 in zip(masses, masses[1:]))
         assert masses[-1] < 1e-12
 
+    def test_transient_mass_stops_once_it_underflows(self):
+        # the mass reaches exactly 0.0 after a few thousand steps, and every
+        # later step keeps it there, so a huge horizon costs nothing more
+        chain = worked_chain()
+        t0 = time.perf_counter()
+        assert transient_mass(chain, F(1, 2), 10**9) == 0.0
+        assert time.perf_counter() - t0 < 1.0
+
     def test_transient_mass_matches_walks(self):
         chain = worked_chain()
         n = 100_000
@@ -132,10 +143,54 @@ class TestChainStructure:
             enumerate_states(0.5, RationalStep(up=F(1, 10), down=F(1, 10)),
                              F(1, 4))
 
+    def test_float_blocks_are_shared_and_read_only(self):
+        chain = worked_chain()
+        assert chain.b_matrix() is chain.b_matrix()
+        assert chain.b_matrix().flags.c_contiguous
+        assert chain.a_matrix().flags.c_contiguous
+        with pytest.raises(ValueError):
+            chain.b_matrix()[0, 1] = 0.5
+
+    @staticmethod
+    def hand_built(rows):
+        # states (0, 1/4, 1/2) on the 1/4 lattice; 0 is the only sink
+        space = StateSpace(pi0=F(1, 4), step=RationalStep(up=F(1, 4), down=F(1, 4)),
+                           beta=F(0), den=4, transient=(F(1, 4), F(1, 2)),
+                           absorbing=(F(0),))
+        return AbsorbingChain(space, rows=rows)
+
+    def test_transient_cycle_that_never_absorbs_is_rejected(self):
+        # 1/4 and 1/2 swap with certainty; their moves to 0 have numerator 0
+        chain = self.hand_built((((2, 4), (0, 0)), ((1, 4), (0, 0))))
+        with pytest.raises(ChainError, match="never reaches an absorbing state"):
+            absorption_probabilities(chain, F(1, 4))
+
+    def test_cycle_with_one_exit_absorbs(self):
+        chain = self.hand_built((((2, 4), (0, 0)), ((1, 3), (0, 1))))
+        # t(1/4) = 1 + t(1/2) and t(1/2) = 1 + 3/4 t(1/4), so t(1/4) = 8
+        result = absorption_probabilities(chain, F(1, 4))
+        assert result.probability_of(F(0)) == pytest.approx(1.0, abs=1e-12)
+        assert result.expected_steps == pytest.approx(8.0, abs=1e-12)
+
     def test_string_rationals_accepted(self):
         step = RationalStep(up="1/10", down="1/10")
         space = enumerate_states("1/2", step, "7/20")
         assert space.absorbing == (F(3, 10), F(1))
+
+
+class TestStateCap:
+    def test_fine_lattice_is_refused_with_the_count(self):
+        with pytest.raises(ChainError, match="more than 4096 transient states"):
+            enumerate_states(F(1, 2), RationalStep(up=F(1, 197), down=F(1, 199)),
+                             F(1, 3))
+
+    def test_cap_is_inclusive(self, monkeypatch):
+        step = RationalStep.from_gain_penalty(F(1, 10), F(1))
+        monkeypatch.setattr(markov, "MAX_TRANSIENT_STATES", 6)
+        assert len(enumerate_states(F(1, 2), step, F(7, 20)).transient) == 6
+        monkeypatch.setattr(markov, "MAX_TRANSIENT_STATES", 5)
+        with pytest.raises(ChainError, match="more than 5 transient states"):
+            enumerate_states(F(1, 2), step, F(7, 20))
 
 
 class TestEdgeCases:
@@ -175,6 +230,56 @@ class TestEdgeCases:
         step = RationalStep.from_gain_penalty(F(1, 10), F(3))
         assert step.up == F(1, 10)
         assert step.down == F(3, 10)
+
+
+def assert_matches_reference(pi0, step, beta):
+    """Lattice chain against the all-Fraction build, block by block."""
+    chain = build_chain(enumerate_states(pi0, step, beta))
+    trans, sinks, B, A = reference_chain(F(pi0), step, F(beta))
+    assert chain.space.transient == trans
+    assert chain.space.absorbing == sinks
+    assert chain.transient_block == B
+    assert chain.absorbing_block == A
+    for got, exact, width in ((chain.b_matrix(), B, len(trans)),
+                              (chain.a_matrix(), A, len(sinks))):
+        want = np.array([[float(p) for p in row] for row in exact],
+                        dtype=float).reshape(len(trans), width)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+class TestReferenceChain:
+    def test_worked_chain(self):
+        assert_matches_reference(F(1, 2), RationalStep.from_gain_penalty(
+            F(1, 10), F(1)), F(7, 20))
+
+    def test_random_chains(self):
+        for pi0, up, down, beta in TestRandomChains().cases():
+            assert_matches_reference(pi0, RationalStep(up=up, down=down), beta)
+
+    def test_edge_lattices(self):
+        for pi0, up, down, beta in ((F(1, 4), F(1, 10), F(1, 10), F(1, 2)),
+                                    (F(1), F(1, 10), F(1, 10), F(1, 2)),
+                                    (F(1, 2), F(1, 2), F(1, 2), F(0)),
+                                    (F(0), F(1, 3), F(1, 5), F(0)),
+                                    (F(2, 3), F(5, 3), F(7, 2), F(1))):
+            assert_matches_reference(pi0, RationalStep(up=up, down=down), beta)
+
+    def test_property_over_small_lattices(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        unit = st.fractions(min_value=0, max_value=1, max_denominator=12)
+        steps = st.fractions(min_value=F(1, 6), max_value=F(3, 2),
+                             max_denominator=6)
+
+        @hypothesis.settings(max_examples=60, deadline=None)
+        @hypothesis.given(pi0=st.fractions(min_value=0, max_value=1,
+                                           max_denominator=6),
+                          up=steps, down=steps, beta=unit)
+        def check(pi0, up, down, beta):
+            assert_matches_reference(pi0, RationalStep(up=up, down=down), beta)
+
+        check()
 
 
 class TestRandomChains:

@@ -11,6 +11,17 @@ The exact one-step mean uses the expected next score
     g(pi) = pi * clamp(pi + k) + (1 - pi) * clamp(pi - c*k)
 
 evaluated agent by agent over both Bernoulli outcomes — no sampling.
+
+The dynamics absorb, and a walk stops where they have.  Before step t a
+group is settled when no possible draw can change any bit of any of its
+scores: every agent is denied (pi < beta), or every branch of
+`approved_step` it can reach returns its own bytes.  Since u lies in [0, 1),
+the up branch (u < pi) is reachable only if pi > 0 and the down branch only
+if pi < 1.  The comparison is of bytes, not `==`: at beta = 0 a score of -0.0
+still steps to +0.0.  A settled group stays settled, and step t of group
+slot j draws the stream (seed, t, j) alone, so `simulate` and
+`simulate_group` stop drawing for a group once it is settled and still return
+every byte of the full-horizon walk.
 """
 
 from __future__ import annotations
@@ -21,7 +32,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from ._random import step_uniforms, substream, TAG_STEP
+# substream is looked up in this module by perfbench/tracing.py.
+from ._random import step_uniforms, substream  # noqa: F401
 
 
 def clamp_unit(x: float) -> float:
@@ -173,6 +185,31 @@ def _advance_scores(scores: np.ndarray, u: np.ndarray, beta: float,
     return np.where(scores >= beta, approved_step(scores, u, k, c), scores)
 
 
+# u = 0 takes the up branch wherever pi > 0, and the largest double below 1
+# the down branch wherever pi < 1: together they reach every branch that some
+# u in [0, 1) reaches, and the result of a branch does not depend on u.
+_U_LAST = np.nextafter(1.0, 0.0)
+
+
+def _settled(scores: np.ndarray, beta: float, k: float, c: float) -> bool:
+    """True when no draw can change any bit of any score (module docstring)."""
+    bits = scores.view(np.int64)
+    return all(np.array_equal(
+        _advance_scores(scores, u, beta, k, c).view(np.int64), bits)
+        for u in (0.0, _U_LAST))
+
+
+def _walk(scores: np.ndarray, beta: float, k: float, c: float, horizon: int,
+          seed: int, slot: int):
+    """Yield one group's scores after each step, until it is settled."""
+    for t in range(horizon):
+        if _settled(scores, beta, k, c):
+            return
+        u = step_uniforms(seed, t, slot, scores.size)
+        scores = _advance_scores(scores, u, beta, k, c)
+        yield scores
+
+
 def step_population(dist: ScoreDistribution, policy: ThresholdPolicy,
                     params: DynamicsParams, rng: np.random.Generator) -> ScoreDistribution:
     """Advance every agent in one group by a single realized step."""
@@ -192,7 +229,11 @@ def step_mean(dist: ScoreDistribution, policy: ThresholdPolicy,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step snapshots of each group, horizon + 1 entries per group."""
+    """Per-step snapshots of each group, horizon + 1 entries per group.
+
+    Once a group is settled its remaining entries may all be one shared
+    ScoreDistribution object.
+    """
 
     snapshots: Mapping[str, tuple[ScoreDistribution, ...]]
     policy: ThresholdPolicy
@@ -221,18 +262,22 @@ class Trajectory:
         return self.snapshots[group][-1]
 
     def summary_rows(self) -> list[dict]:
+        # A settled tail repeats one object; summarise each object once.
+        stats: dict[tuple[str, int], dict] = {}
         rows = []
         for t in range(self.horizon + 1):
             for g in self.groups:
-                scores = self.snapshots[g][t].scores
-                beta = self.policy.beta_for(g)
-                rows.append({
-                    "step": t,
-                    "group": g,
-                    "mean": float(scores.mean()),
-                    "fraction_at_one": float(np.mean(scores == 1.0)),
-                    "fraction_below_beta": float(np.mean(scores < beta)),
-                })
+                dist = self.snapshots[g][t]
+                key = (g, id(dist))
+                if key not in stats:
+                    scores = dist.scores
+                    beta = self.policy.beta_for(g)
+                    stats[key] = {
+                        "mean": float(scores.mean()),
+                        "fraction_at_one": float(np.mean(scores == 1.0)),
+                        "fraction_below_beta": float(np.mean(scores < beta)),
+                    }
+                rows.append({"step": t, "group": g, **stats[key]})
         return rows
 
     def write_csv(self, path, per_agent_path=None) -> None:
@@ -263,32 +308,37 @@ def simulate(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     """Run both groups forward `horizon` steps under one seed.
 
     Group slots are positional (dist_a -> 0, dist_d -> 1): the stream an
-    agent consumes is fixed by (seed, step, slot, agent index) alone.
+    agent consumes is fixed by (seed, step, slot, agent index) alone.  Each
+    group stops drawing at the step at which it is settled (module
+    docstring); its remaining snapshots are that settled distribution, one
+    shared object, and every byte equals the full-horizon walk's.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
-    snaps: dict[str, list[ScoreDistribution]] = {dist_a.group: [dist_a],
-                                                 dist_d.group: [dist_d]}
-    current = {dist_a.group: dist_a, dist_d.group: dist_d}
-    slots = {dist_a.group: 0, dist_d.group: 1}
-    for t in range(horizon):
-        for g, dist in current.items():
-            rng = substream(seed, TAG_STEP, t, slots[g])
-            current[g] = step_population(dist, policy, params, rng)
-            snaps[g].append(current[g])
-    return Trajectory(snapshots={g: tuple(v) for g, v in snaps.items()},
-                      policy=policy, params=params, seed=seed)
+    snaps = {}
+    for slot, dist in enumerate((dist_a, dist_d)):
+        steps = [dist]
+        for scores in _walk(dist.scores, policy.beta_for(dist.group), params.k,
+                            params.c_for(dist.group), horizon, seed, slot):
+            steps.append(dist.replace_scores(scores))
+        steps += [steps[-1]] * (horizon + 1 - len(steps))
+        snaps[dist.group] = steps
+    return Trajectory(snapshots=snaps, policy=policy, params=params, seed=seed)
 
 
 def simulate_group(dist: ScoreDistribution, beta: float, k: float, c: float,
                    horizon: int, seed: int, group_slot: int = 0) -> np.ndarray:
-    """Single-group fast path; returns the final score array."""
+    """Single-group fast path; returns the final score array.
+
+    The walk stops at the step at which the group is settled (module
+    docstring), so a horizon past absorption costs nothing; the scores are
+    those of the full-horizon walk, byte for byte.
+    """
     scores = dist.scores
-    for t in range(horizon):
-        u = step_uniforms(seed, t, group_slot, dist.n)
-        scores = _advance_scores(scores, u, beta, k, c)
+    for scores in _walk(dist.scores, beta, k, c, horizon, seed, group_slot):
+        pass
     return scores
 
 

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from lendingdyn import RationalStep
+from lendingdyn._random import step_uniforms
 
 
 def exact_absorption(chain):
@@ -131,3 +132,41 @@ def reference_mean_curves(scores0, k, c, betas, blocks):
         moved = np.clip(S + np.where(u < S, k, -c * k), 0.0, 1.0)
         S = np.where(S >= b, moved, S)
     return S.mean(axis=2)
+
+
+def reference_walk(scores0, beta, k, c, horizon, seed, slot):
+    """The full-horizon population walk: every step draws and updates.
+
+    Returns the horizon + 1 score arrays, the initial one first.
+    """
+    walk = [np.asarray(scores0, dtype=float)]
+    for t in range(horizon):
+        s = walk[-1]
+        u = step_uniforms(seed, t, slot, s.size)
+        moved = np.clip(s + np.where(u < s, k, -c * k), 0.0, 1.0)
+        walk.append(np.where(s >= beta, moved, s))
+    return walk
+
+
+def reference_settled(scores, beta, k, c):
+    """Agent by agent: denied, or each reachable branch keeps its bytes.
+
+    With u in [0, 1), the up branch (u < s) needs s > 0 and the down branch
+    (u >= s) needs s < 1.
+    """
+    for s in np.asarray(scores, dtype=float):
+        if s < beta:
+            continue
+        one = np.array([s])
+        up = np.clip(one + k, 0.0, 1.0)
+        down = np.clip(one + -c * k, 0.0, 1.0)
+        if ((s > 0 and up.tobytes() != one.tobytes())
+                or (s < 1 and down.tobytes() != one.tobytes())):
+            return False
+    return True
+
+
+def reference_settled_step(walk, beta, k, c):
+    """First step of a reference walk at which the group is settled."""
+    return next((t for t, s in enumerate(walk[:-1])
+                 if reference_settled(s, beta, k, c)), len(walk) - 1)

@@ -10,9 +10,11 @@ import time
 import numpy as np
 import pytest
 
-from lendingdyn.cli import main
+from lendingdyn import optimal_threshold
+from lendingdyn.cli import main, parse_distribution
 
 from conftest import make_loan_rows, write_loan_csv
+from oracles import reference_settled, reference_walk
 
 
 def run(capsys, *args):
@@ -220,6 +222,30 @@ class TestSimulate:
         assert "config=" not in cfg
         assert "beta=0.4" in cfg
 
+    # sha256 of the artifacts of the full-horizon walk that the settled stop
+    # replaced.  Every group is settled well before step 30, so the tail of
+    # both files comes from shared snapshots.
+    @pytest.mark.parametrize("flags, trajectory, agents", [
+        (("--c", 1),
+         "388030e3cdbc90e186f9ff6594a83fca5ab455440d6b8d216382baa042736007",
+         "6e54daf7e0d3a7b5caa535f8bbfdd3671dd2547ccbbb4c971c64c52bcd208a98"),
+        (("--c-a", 0.5, "--c-d", 2),
+         "3791a2ee44ac39f0b71434225ea9e8c4c2f51b5c5aef779eaadc046d22ec47eb",
+         "bb9a7dd517cda286bef81e47909c0fc173e0aad7f6b8c6cf520dea9b8f0f48e9"),
+    ], ids=["common-c", "per-group-c"])
+    def test_artifacts_are_pinned(self, capsys, tmp_path, flags, trajectory,
+                                  agents):
+        out = tmp_path / "sim"
+        code, _, err = run(capsys, "simulate", "--dist-a", "beta:8,3",
+                           "--dist-b", "beta:7,3", "--n", 60, "--k", 0.1,
+                           "--beta", 0.5, *flags, "--horizon", 30,
+                           "--seed", 5, "--dump-agents", "--out-dir", out)
+        assert code == 0, err
+        for name, digest in (("trajectory.csv", trajectory),
+                             ("agents.csv", agents)):
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
+                == digest, name
+
     def test_config_round_trip(self, capsys, tmp_path):
         first = tmp_path / "r1"
         run(capsys, *self.args(first))
@@ -407,6 +433,42 @@ class TestMaxMeanCurve:
         assert [r[0] for r in rows] == [0.5, 1.0, 1.5, 2.0]
         for _, a, d in rows:
             assert a >= d
+
+    ARGS = ("max-mean-curve", "--dist-a", "beta:8,3", "--dist-b", "beta:7,3",
+            "--k", 0.1, "--c-min", 0.5, "--c-max", 3, "--c-step", 0.5)
+
+    def test_max_mean_csv_is_pinned(self, capsys, tmp_path):
+        # sha256 from the full-horizon walk that the settled stop replaced
+        out = tmp_path / "mm"
+        code, _, err = run(capsys, *self.ARGS, "--n", 200, "--seed", 5,
+                           "--horizon", 40, "--out-dir", out)
+        assert code == 0, err
+        assert hashlib.sha256((out / "max_mean.csv").read_bytes()).hexdigest() \
+            == "a70af1a997366ef9bcf35dbed90c607195d29b221faa7bc25cd7781a6dcbcfda"
+
+    def test_horizon_past_absorption_costs_nothing(self, capsys, tmp_path):
+        settled_by = 40
+        dists = [parse_distribution(lit, g, 1000, 0, slot) for slot, (lit, g)
+                 in enumerate((("beta:8,3", "A"), ("beta:7,3", "D")))]
+        for c in np.arange(0.5, 3.01, 0.5):
+            beta = optimal_threshold(0.1, c).beta_hat
+            for slot, d in enumerate(dists):
+                walk = reference_walk(d.scores, beta, 0.1, c, settled_by, 0,
+                                      slot)
+                assert reference_settled(walk[-1], beta, 0.1, c), (c, slot)
+
+        near, far = tmp_path / "near", tmp_path / "far"
+        code, _, err = run(capsys, *self.ARGS, "--horizon", settled_by,
+                           "--out-dir", near)
+        assert code == 0, err
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, *self.ARGS, "--horizon", 1_000_000,
+                           "--out-dir", far)
+        elapsed = time.perf_counter() - t0
+        assert code == 0, err
+        assert elapsed < 2.0
+        assert (far / "max_mean.csv").read_text().splitlines() == \
+            (near / "max_mean.csv").read_text().splitlines()
 
 
 class TestReproduceFigure:

@@ -1,14 +1,16 @@
 """Single-step update, exact step mean, and trajectory bookkeeping."""
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from lendingdyn import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
-                        clamp_unit, expected_next_score, population_mean,
-                        simulate, simulate_group, step_agent, step_mean,
-                        step_population)
+                        clamp_unit, dynamics, expected_next_score,
+                        population_mean, simulate, simulate_group, step_agent,
+                        step_mean, step_population)
+from oracles import reference_settled_step, reference_walk
 
 
 def dist(scores, group="A"):
@@ -181,6 +183,114 @@ class TestSimulate:
             avg_a += traj.means("A")
             avg_d += traj.means("D")
         assert np.all(avg_a / 30 >= avg_d / 30 - 1e-9)
+
+
+_MIXED = np.random.default_rng(11).uniform(0.0, 1.0, 40)
+
+# name: (scores A, scores D, beta, k, c)
+STOP_CASES = {
+    "k0": (_MIXED[:20], _MIXED[20:], 0.4, 0.0, 1.0),
+    "c0": (_MIXED[:20], _MIXED[20:], 0.4, 0.1, 0.0),
+    "beta0_signed_zeros": ([-0.0, 0.0, 1.0], [0.0, 1.0], 0.0, 0.1, 1.0),
+    "beta0_signed_zeros_walking": ([-0.0, 0.3, 1.0], [-0.0, 0.0, 0.6],
+                                   0.0, 0.1, 1.0),
+    "beta0_signed_zeros_c0": ([-0.0, 0.0, 1.0], [-0.0, 0.5], 0.0, 0.1, 0.0),
+    "beta1": ([0.2, 0.999, 1.0], [1.0, 1.0], 1.0, 0.1, 1.0),
+    "at_one_and_at_beta": ([0.4, 1.0, 1.0], [0.4, 0.7, 1.0], 0.4, 0.1, 2.0),
+    "tiny_k": (_MIXED[:20], _MIXED[20:], 0.4, 1e-300, 1.0),
+    # 0.75 + k rounds back to 0.75, but 0.75 - 3k is one ulp lower
+    "up_keeps_bytes_down_does_not": ([0.75, 1.0], [0.75], 0.5, 2.0**-55, 3.0),
+    "settled_next_to_walking": ([1.0, 1.0, 0.1], _MIXED[20:], 0.35, 0.1, 1.0),
+}
+
+
+def _run_recording_draws(fn, *args):
+    """fn(*args) and the (step, slot) of every uniform block it drew."""
+    with mock.patch.object(dynamics, "step_uniforms",
+                           wraps=dynamics.step_uniforms) as spy:
+        out = fn(*args)
+    return out, [(call.args[1], call.args[2]) for call in spy.call_args_list]
+
+
+def _check_against_reference(scores_a, scores_d, beta, k, c, horizon, seed):
+    """simulate and simulate_group against the full-horizon walk, by bytes.
+
+    Each group must draw exactly the steps before the one at which the
+    reference walk is settled, and pad the rest with one shared snapshot.
+    Returns the per-group stop steps.
+    """
+    dist_a, dist_d = dist(scores_a, "A"), dist(scores_d, "D")
+    policy = ThresholdPolicy.uniform(beta, ("A", "D"))
+    params = DynamicsParams.uniform(k, c, ("A", "D"))
+    traj, draws = _run_recording_draws(simulate, dist_a, dist_d, policy,
+                                       params, horizon, seed)
+    stops = []
+    for slot, d in enumerate((dist_a, dist_d)):
+        walk = reference_walk(d.scores, beta, k, c, horizon, seed, slot)
+        stop = reference_settled_step(walk, beta, k, c)
+        stops.append(stop)
+        snaps = traj.snapshots[d.group]
+        assert [s.scores.tobytes() for s in snaps] == \
+            [w.tobytes() for w in walk]
+        assert all(s is snaps[stop] for s in snaps[stop:])
+        assert sorted(t for t, j in draws if j == slot) == list(range(stop))
+
+        final, own = _run_recording_draws(simulate_group, d, beta, k, c,
+                                          horizon, seed, slot)
+        assert final.tobytes() == walk[-1].tobytes()
+        assert own == [(t, slot) for t in range(stop)]
+    return stops
+
+
+class TestSettledStop:
+    @pytest.mark.parametrize("horizon", [0, 1, 40])
+    @pytest.mark.parametrize("case", STOP_CASES)
+    def test_matches_the_full_horizon_walk(self, case, horizon):
+        for seed in (0, 5):
+            _check_against_reference(*STOP_CASES[case], horizon, seed)
+
+    @pytest.mark.parametrize("case, stops", [
+        ("k0", [0, 0]),
+        ("tiny_k", [0, 0]),
+        ("beta1", [0, 0]),
+        # -0.0 at beta = 0 is approved; its down branch gives +0.0 ...
+        ("beta0_signed_zeros", [1, 0]),
+        # ... unless c*k == 0, where it gives -0.0 again
+        ("beta0_signed_zeros_c0", [0, None]),
+    ])
+    def test_stop_steps_counted_by_hand(self, case, stops):
+        got = _check_against_reference(*STOP_CASES[case], 40, 0)
+        for want, stop in zip(stops, got):
+            assert want is None or stop == want
+
+    def test_property_against_the_full_horizon_walk(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @st.composite
+        def populations(draw):
+            beta = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                                  st.floats(0.0, 1.0)))
+            score = st.one_of(st.sampled_from([0.0, -0.0, 1.0, beta]),
+                              st.floats(0.0, 1.0))
+            scores_a = draw(st.lists(score, min_size=1, max_size=6))
+            scores_d = draw(st.lists(score, min_size=1, max_size=6))
+            return scores_a, scores_d, beta
+
+        @hypothesis.settings(max_examples=80, deadline=None)
+        @hypothesis.given(pop=populations(),
+                          k=st.one_of(st.sampled_from([0.0, 1e-300, 2.0**-55,
+                                                       0.1]),
+                                      st.floats(0.0, 0.5)),
+                          c=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                          horizon=st.integers(0, 12),
+                          seed=st.integers(0, 2**32))
+        def check(pop, k, c, horizon, seed):
+            scores_a, scores_d, beta = pop
+            _check_against_reference(scores_a, scores_d, beta, k, c, horizon,
+                                     seed)
+
+        check()
 
 
 class TestTrajectoryCsv:

@@ -1,13 +1,14 @@
 """Command-line front end.
 
 Every run resolves its settings from three layers: command-line flags win
-over `--config` file entries, which win over built-in defaults.  Commands
-that write into an output directory drop two records next to their
+over `--config` file entries, which win over built-in defaults.  `main`
+runs each command inside one envelope: it times the run, and after a
+command given `--out-dir` succeeds it drops two records next to the
 artifacts: `run.cfg`, the effective settings that determine the results
 (execution-only settings like thread count are excluded, so equivalent
-runs compare byte for byte), and `manifest.json` with versions and wall
-time.  Rerunning any command with `--config` pointed at a previous
-run.cfg reproduces the artifacts exactly.
+runs compare byte for byte), and `manifest.json` with the command name,
+versions and wall time.  Rerunning any command with `--config` pointed at
+a previous run.cfg reproduces the artifacts exactly.
 
 Exit codes: 0 success, 1 computation failure, 2 invalid input or settings.
 """
@@ -20,6 +21,7 @@ import json
 import platform
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -165,10 +167,10 @@ def _out_dir(values: dict) -> Path:
     return out
 
 
-def _finalize(command: str, values: dict, out: Path, t0: float) -> None:
+def _finalize(command: str, values: dict, t0: float) -> None:
     lines = [f"{k}={_cfg_text(v)}" for k, v in sorted(values.items())
              if k not in EXECUTION_KEYS and v is not None]
-    (out / "run.cfg").write_text("\n".join(lines) + "\n")
+    (_out_dir(values) / "run.cfg").write_text("\n".join(lines) + "\n")
     manifest = {
         "command": command,
         "config": {k: _cfg_text(v) for k, v in sorted(values.items())
@@ -180,8 +182,7 @@ def _finalize(command: str, values: dict, out: Path, t0: float) -> None:
         },
         "wall_time_seconds": time.monotonic() - t0,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _emit_json(manifest, values, "manifest.json")
 
 
 def _emit_json(payload: dict, values: dict, name: str) -> None:
@@ -274,6 +275,19 @@ def _span(values: dict, prefix: str) -> tuple[float, ...]:
     return tuple(round(lo + i * step, 10) for i in range(count + 1))
 
 
+# Options that several command tables list with the same settings.
+_N = Option("n", "int", default=1000)
+_SEED = Option("seed", "int", default=0)
+_K = Option("k", "float", default=0.1)
+_HORIZON = Option("horizon", "int", default=20)
+_BETA_STEP = Option("beta_step", "float", default=0.01)
+_OUT_DIR = Option("out_dir", "str", required=True)
+_OPTIONAL_OUT_DIR = Option("out_dir", "str")
+_KEEP_PURPOSE = Option("keep_purpose", "str", default="purchase",
+                       choices=("purchase", "refinance", "other", "all"))
+_REJECTS = Option("rejects", "str",
+                  help="optional CSV of rejected rows and reasons")
+
 _DIST_OPTS = (
     Option("dist_a", "str", required=True,
            help="group A (advantaged) scores: beta:a,b or file:path"),
@@ -301,20 +315,18 @@ _R_GRID_OPTS = (
 SAMPLE_OPTS = _COMMON + (
     Option("a", "float", required=True, help="Beta shape a"),
     Option("b", "float", required=True, help="Beta shape b"),
-    Option("n", "int", default=1000),
-    Option("seed", "int", default=0),
+    _N, _SEED,
     Option("group", "str", default="A", help="group label for the sample"),
     Option("out", "str", required=True, help="one-column CSV to write"),
 )
 
 
-def cmd_sample(values: dict) -> int:
+def cmd_sample(values: dict) -> None:
     spec = BetaSpec(a=values["a"], b=values["b"], n=values["n"],
                     seed=values["seed"])
     dist = sample_beta(spec, group=values["group"])
     write_score_csv(values["out"], dist)
     print(f"wrote {dist.n} scores, mean {dist.mean():.6f}")
-    return 0
 
 
 # -------------------------------------------------------------- simulate
@@ -327,19 +339,18 @@ SIMULATE_OPTS = _COMMON + _DIST_OPTS + (
     Option("c", "float", help="penalty ratio for both groups (default 1)"),
     Option("c_a", "float", help="group A penalty ratio (with --c-d)"),
     Option("c_d", "float", help="group D penalty ratio (with --c-a)"),
-    Option("horizon", "int", default=20),
+    _HORIZON,
     Option("dump_agents", "bool", default=False,
            help="also write every agent's score at every step"),
-    Option("out_dir", "str", required=True),
+    _OUT_DIR,
 )
 
 
-def cmd_simulate(values: dict) -> int:
-    t0 = time.monotonic()
+def cmd_simulate(values: dict) -> None:
     beta_a, beta_d = _pair_option(values, "beta", "beta_a", "beta_d",
                                   "a threshold")
     if values["c"] is None and values["c_a"] is None and values["c_d"] is None:
-        values = dict(values, c=1.0)
+        values["c"] = 1.0       # in place, so run.cfg records it
     c_a, c_d = _pair_option(values, "c", "c_a", "c_d", "a penalty ratio")
     dist_a, dist_d = _load_pair(values)
     policy = ThresholdPolicy(beta_by_group={"A": beta_a, "D": beta_d})
@@ -349,12 +360,10 @@ def cmd_simulate(values: dict) -> int:
     out = _out_dir(values)
     agents = out / "agents.csv" if values["dump_agents"] else None
     traj.write_csv(out / "trajectory.csv", per_agent_path=agents)
-    _finalize("simulate", values, out, t0)
     final_a = traj.final("A").mean()
     final_d = traj.final("D").mean()
     print(f"final means: A {final_a:.6f}, D {final_d:.6f}, "
           f"gap {final_a - final_d:+.6f}")
-    return 0
 
 
 # ---------------------------------------------------- optimize-threshold
@@ -365,14 +374,11 @@ OPTIMIZE_OPTS = _COMMON + (
     Option("resolution", "float", default=1e-3,
            help="grid step for the sampled cross-check (needs --dist)"),
     Option("dist", "str", help="optional scores to cross-check by grid search"),
-    Option("n", "int", default=1000),
-    Option("seed", "int", default=0),
-    Option("out_dir", "str"),
+    _N, _SEED, _OPTIONAL_OUT_DIR,
 )
 
 
-def cmd_optimize_threshold(values: dict) -> int:
-    t0 = time.monotonic()
+def cmd_optimize_threshold(values: dict) -> None:
     result = optimal_threshold(values["k"], values["c"])
     payload = {"beta_hat": result.beta_hat,
                "crossing_point": result.crossing_point}
@@ -385,9 +391,6 @@ def cmd_optimize_threshold(values: dict) -> int:
         payload["grid_beta"] = grid_beta
         payload["grid_gap"] = abs(grid_beta - result.beta_hat)
     _emit_json(payload, values, "threshold.json")
-    if values.get("out_dir"):
-        _finalize("optimize-threshold", values, _out_dir(values), t0)
-    return 0
 
 
 # ------------------------------------------------------------- recommend
@@ -397,48 +400,47 @@ RECOMMEND_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + _R_GRID_OPTS + (
            help="weight on the inequality term of the utility"),
     Option("mode", "str", default="signed", choices=("signed", "literal"),
            help="efficiency term: signed gains or absolute deviations"),
-    Option("k", "float", default=0.1),
-    Option("horizon", "int", default=20),
+    _K, _HORIZON,
     Option("seeds", "int", default=10, help="Monte Carlo replicates per cell"),
     Option("per_group_beta", "bool", default=False,
            help="search thresholds per group instead of one shared value"),
-    Option("beta_step", "float", default=0.01),
+    _BETA_STEP,
     Option("threads", "int", default=1),
-    Option("out_dir", "str", required=True),
+    _OUT_DIR,
 )
 
 
-def cmd_recommend(values: dict) -> int:
-    t0 = time.monotonic()
+def _grids(values: dict, alphas):
+    """Yield (alpha, grid) per utility weight, all on one (c, r) grid and
+    one pair of groups."""
     c_grid = _span(values, "c")
     r_grid = _span(values, "r")
     dist_a, dist_d = _load_pair(values)
-    weights = UtilityWeights(alpha=values["alpha"], mode=values["mode"])
-    grid = recommend_grid(dist_a, dist_d, c_grid, r_grid, weights,
-                          values["k"], horizon=values["horizon"],
-                          n_seeds=values["seeds"], seed=values["seed"],
-                          threads=values["threads"],
-                          per_group_beta=values["per_group_beta"],
-                          beta_step=values["beta_step"])
-    out = _out_dir(values)
-    _write_grid(grid, out, "grid")
-    _finalize("recommend", values, out, t0)
-    counts = {}
-    for cell in grid.cells:
-        counts[cell.best.value] = counts.get(cell.best.value, 0) + 1
-    print("best-policy counts: " +
-          ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
-    return 0
+    for alpha in alphas:
+        weights = UtilityWeights(alpha=alpha, mode=values["mode"])
+        yield alpha, recommend_grid(
+            dist_a, dist_d, c_grid, r_grid, weights, values["k"],
+            horizon=values["horizon"], n_seeds=values["seeds"],
+            seed=values["seed"], threads=values["threads"],
+            per_group_beta=values.get("per_group_beta", False),
+            beta_step=values["beta_step"])
 
 
 _GRID_FIELDS = ["c", "r", "best", "utility_beta_only", "utility_group_blind",
                 "utility_group_conscious", "marginal"]
 
 
-def _write_grid(grid, out: Path, stem: str) -> None:
-    _write_rows(out / f"{stem}.csv", _GRID_FIELDS, grid_rows(grid))
-    (out / f"{stem}.json").write_text(
-        json.dumps(grid_as_dict(grid), indent=2, sort_keys=True) + "\n")
+def _write_grid(grid, values: dict, stem: str) -> None:
+    _write_rows(_out_dir(values) / f"{stem}.csv", _GRID_FIELDS, grid_rows(grid))
+    _emit_json(grid_as_dict(grid), values, f"{stem}.json")
+
+
+def cmd_recommend(values: dict) -> None:
+    [(_, grid)] = _grids(values, [values["alpha"]])
+    _write_grid(grid, values, "grid")
+    counts = Counter(cell.best.value for cell in grid.cells)
+    print("best-policy counts: " +
+          ", ".join(f"{k} {v}" for k, v in sorted(counts.items())))
 
 
 # -------------------------------------------------------- analyze-markov
@@ -452,12 +454,11 @@ MARKOV_OPTS = _COMMON + (
     Option("down", "str", help="downward step, rational (with --up)"),
     Option("start", "str", help="state to analyze from (default: pi0)"),
     Option("horizon", "int", help="also report transient mass after this many steps"),
-    Option("out_dir", "str"),
+    _OPTIONAL_OUT_DIR,
 )
 
 
-def cmd_analyze_markov(values: dict) -> int:
-    t0 = time.monotonic()
+def cmd_analyze_markov(values: dict) -> None:
     has_steps = values["up"] is not None and values["down"] is not None
     has_kc = values["k"] is not None and values["c"] is not None
     if has_steps == has_kc:
@@ -493,9 +494,6 @@ def cmd_analyze_markov(values: dict) -> int:
             "mass": transient_mass(chain, start, values["horizon"]),
         }
     _emit_json(payload, values, "markov.json")
-    if values.get("out_dir"):
-        _finalize("analyze-markov", values, _out_dir(values), t0)
-    return 0
 
 
 # ------------------------------------------------------- dominance-check
@@ -504,12 +502,11 @@ DOMINANCE_OPTS = _COMMON + (
     Option("file_a", "str", required=True, help="one-column score CSV, group A"),
     Option("file_b", "str", required=True, help="one-column score CSV, group D"),
     Option("step", "float", default=0.01, help="evaluation grid step"),
-    Option("out_dir", "str"),
+    _OPTIONAL_OUT_DIR,
 )
 
 
-def cmd_dominance_check(values: dict) -> int:
-    t0 = time.monotonic()
+def cmd_dominance_check(values: dict) -> None:
     dist_a = read_score_csv(values["file_a"], group="A")
     dist_d = read_score_csv(values["file_b"], group="D")
     report = check_dominance(dist_a, dist_d, step=values["step"])
@@ -521,9 +518,6 @@ def cmd_dominance_check(values: dict) -> int:
                        for x, fa, fd in report.violations[:100]],
     }
     _emit_json(payload, values, "dominance.json")
-    if values.get("out_dir"):
-        _finalize("dominance-check", values, _out_dir(values), t0)
-    return 0
 
 
 # ------------------------------------------------------------ train-risk
@@ -532,11 +526,10 @@ TRAIN_OPTS = _COMMON + (
     Option("in_path", "str", required=True, flag="--in", help="training CSV"),
     Option("out_model", "str", required=True, help="model JSON to write"),
     Option("ridge", "float", default=0.0, help="L2 penalty, intercept excluded"),
-    Option("keep_purpose", "str", default="purchase",
-           choices=("purchase", "refinance", "other", "all")),
+    _KEEP_PURPOSE,
     Option("tol", "float", default=1e-8, help="gradient max-norm to stop at"),
     Option("max_iter", "int", default=100),
-    Option("rejects", "str", help="optional CSV of rejected rows and reasons"),
+    _REJECTS,
 )
 
 
@@ -550,7 +543,7 @@ def _write_rejects(path, rejects) -> None:
                     [{"line": r.line, "reason": r.reason} for r in rejects])
 
 
-def cmd_train_risk(values: dict) -> int:
+def cmd_train_risk(values: dict) -> None:
     loaded = load_records(values["in_path"], schema="training",
                           keep_purpose=_keep(values))
     model = fit_logistic(loaded.records, tol=values["tol"],
@@ -561,7 +554,6 @@ def cmd_train_risk(values: dict) -> int:
     print(f"fit {len(loaded.records)} records ({len(loaded.rejects)} rejected): "
           f"converged={d.converged} iterations={d.iterations} "
           f"log_likelihood={d.final_log_likelihood:.4f}")
-    return 0
 
 
 # ---------------------------------------------------------- predict-risk
@@ -571,13 +563,11 @@ PREDICT_OPTS = _COMMON + (
     Option("in_path", "str", required=True, flag="--in", help="application CSV"),
     Option("out_scores", "str", required=True,
            help="directory for one-column score CSVs, one per group"),
-    Option("keep_purpose", "str", default="purchase",
-           choices=("purchase", "refinance", "other", "all")),
-    Option("rejects", "str", help="optional CSV of rejected rows and reasons"),
+    _KEEP_PURPOSE, _REJECTS,
 )
 
 
-def cmd_predict_risk(values: dict) -> int:
+def cmd_predict_risk(values: dict) -> None:
     model = RiskModel.load(values["model"])
     loaded = load_records(values["in_path"], schema="application",
                           keep_purpose=_keep(values))
@@ -590,7 +580,6 @@ def cmd_predict_risk(values: dict) -> int:
         write_score_csv(out / f"scores_{safe}.csv", dist)
         print(f"group {group}: {dist.n} scores, mean {dist.mean():.6f}")
     _write_rejects(values["rejects"], loaded.rejects)
-    return 0
 
 
 # -------------------------------------------------------- max-mean-curve
@@ -620,24 +609,17 @@ def emit_max_mean_curve(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     return rows
 
 
-MAXMEAN_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + (
-    Option("k", "float", default=0.1),
-    Option("horizon", "int", default=20),
-    Option("out_dir", "str", required=True),
-)
+MAXMEAN_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + (_K, _HORIZON, _OUT_DIR)
 
 
-def cmd_max_mean_curve(values: dict) -> int:
-    t0 = time.monotonic()
+def cmd_max_mean_curve(values: dict) -> None:
     c_grid = _span(values, "c")
     dist_a, dist_d = _load_pair(values)
     params = DynamicsParams.uniform(values["k"], 1.0, ("A", "D"))
     rows = emit_max_mean_curve(dist_a, dist_d, params, c_grid,
                                values["horizon"], values["seed"])
-    out = _out_dir(values)
-    _write_rows(out / "max_mean.csv", ["c", "max_mean_a", "max_mean_d"], rows)
-    _finalize("max-mean-curve", values, out, t0)
-    return 0
+    _write_rows(_out_dir(values) / "max_mean.csv",
+                ["c", "max_mean_a", "max_mean_d"], rows)
 
 
 # ------------------------------------------------------ reproduce-figure
@@ -648,43 +630,23 @@ FIGURE_OPTS = _COMMON + _C_GRID_OPTS + _R_GRID_OPTS + (
            help="utility weights, one grid per value"),
     Option("dist_a", "str", default="beta:4,8"),
     Option("dist_b", "str", default="beta:3,8"),
-    Option("n", "int", default=1000),
-    Option("seed", "int", default=0),
+    _N, _SEED,
     Option("mode", "str", default="signed", choices=("signed", "literal")),
-    Option("k", "float", default=0.1),
-    Option("horizon", "int", default=20),
+    _K, _HORIZON,
     Option("seeds", "int", default=10),
-    Option("beta_step", "float", default=0.01),
+    _BETA_STEP,
     Option("threads", "int", default=1, help="worker threads for grid cells"),
-    Option("out_dir", "str", required=True),
+    _OUT_DIR,
 )
 
 
-def cmd_reproduce_figure(values: dict) -> int:
-    t0 = time.monotonic()
-    c_grid = _span(values, "c")
-    r_grid = _span(values, "r") if values["which"] == "grid" else ()
-    dist_a, dist_d = _load_pair(values)
-    out = _out_dir(values)
-    if values["which"] == "grid":
-        for alpha in values["alpha"]:
-            weights = UtilityWeights(alpha=alpha, mode=values["mode"])
-            grid = recommend_grid(dist_a, dist_d, c_grid, r_grid, weights,
-                                  values["k"], horizon=values["horizon"],
-                                  n_seeds=values["seeds"],
-                                  seed=values["seed"],
-                                  threads=values["threads"],
-                                  beta_step=values["beta_step"])
-            _write_grid(grid, out, f"grid_alpha{alpha:g}")
-            print(f"alpha {alpha:g}: grid written")
-    else:
-        params = DynamicsParams.uniform(values["k"], 1.0, ("A", "D"))
-        rows = emit_max_mean_curve(dist_a, dist_d, params, c_grid,
-                                   values["horizon"], values["seed"])
-        _write_rows(out / "max_mean.csv",
-                    ["c", "max_mean_a", "max_mean_d"], rows)
-    _finalize("reproduce-figure", values, out, t0)
-    return 0
+def cmd_reproduce_figure(values: dict) -> None:
+    if values["which"] == "max-mean":
+        cmd_max_mean_curve(values)
+        return
+    for alpha, grid in _grids(values, values["alpha"]):
+        _write_grid(grid, values, f"grid_alpha{alpha:g}")
+        print(f"alpha {alpha:g}: grid written")
 
 
 # ----------------------------------------------------------------- wiring
@@ -751,22 +713,18 @@ def main(argv=None) -> int:
     if spec is None:
         parser.print_help()
         return 2
+    t0 = time.monotonic()
     try:
         values = _resolve(args, spec.options)
-        return spec.run(values)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ChainError, SeparationError) as exc:
+        spec.run(values)
+        if values.get("out_dir"):
+            _finalize(spec.name, values, t0)
+        return 0
+    # ChainError and LinAlgError are ValueErrors, so this clause comes first.
+    except (ChainError, SeparationError, np.linalg.LinAlgError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
-    except np.linalg.LinAlgError as exc:
-        print(f"computation failed: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError) as exc:
+    except (CliError, FileNotFoundError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -123,10 +123,9 @@ class DynamicsParams:
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
-    """Approval thresholds; group_blind asserts all groups share one beta."""
+    """Approval thresholds, one per group."""
 
     beta_by_group: Mapping[str, float]
-    group_blind: bool = True
 
     def __post_init__(self):
         if not self.beta_by_group:
@@ -134,13 +133,11 @@ class ThresholdPolicy:
         for g, b in self.beta_by_group.items():
             if not (np.isfinite(b) and 0.0 <= b <= 1.0):
                 raise ValueError(f"beta for group {g!r} must lie in [0, 1], got {b!r}")
-        if self.group_blind and len(set(self.beta_by_group.values())) > 1:
-            raise ValueError("group_blind policy requires one common beta")
         object.__setattr__(self, "beta_by_group", dict(self.beta_by_group))
 
     @classmethod
     def uniform(cls, beta: float, groups: Iterable[str]) -> "ThresholdPolicy":
-        return cls(beta_by_group={g: beta for g in groups}, group_blind=True)
+        return cls(beta_by_group={g: beta for g in groups})
 
     def beta_for(self, group: str) -> float:
         try:

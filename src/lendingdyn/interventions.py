@@ -280,20 +280,18 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     ma, md = means
     base_a, base_d = bases
 
+    # Candidate (A, D) threshold indices in row-major order: the whole grid,
+    # or its diagonal when both groups share one beta.  Ties go to the last.
     if per_group_beta:
-        grid_u = _utility_values(ma[:, None], md[None, :], base_a, base_d, weights)
-        flat = grid_u.ravel()
-        best = np.flatnonzero(flat == flat.max())[-1]
-        ia, id_ = np.unravel_index(best, grid_u.shape)
-        beta_by_group = {dist_a.group: float(betas[ia]),
-                         dist_d.group: float(betas[id_])}
-        mean_a, mean_d = float(ma[ia]), float(md[id_])
+        cand_a, cand_d = np.indices((betas.size, betas.size)).reshape(2, -1)
     else:
-        u_vals = _utility_values(ma, md, base_a, base_d, weights)
-        best = np.flatnonzero(u_vals == u_vals.max())[-1]
-        beta_by_group = {dist_a.group: float(betas[best]),
-                         dist_d.group: float(betas[best])}
-        mean_a, mean_d = float(ma[best]), float(md[best])
+        cand_a = cand_d = np.arange(betas.size)
+    u_vals = _utility_values(ma[cand_a], md[cand_d], base_a, base_d, weights)
+    best = np.flatnonzero(u_vals == u_vals.max())[-1]
+    ia, id_ = cand_a[best], cand_d[best]
+    beta_by_group = {dist_a.group: float(betas[ia]),
+                     dist_d.group: float(betas[id_])}
+    mean_a, mean_d = float(ma[ia]), float(md[id_])
 
     return PolicyOutcome(
         kind=spec.kind, r=spec.r, baseline_c=spec.baseline_c, weights=weights,

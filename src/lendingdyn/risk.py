@@ -46,27 +46,21 @@ class LoanRecord:
     group: str | None = None
 
     def __post_init__(self):
-        problems = record_problems(self.balance, self.ltv, self.dti,
-                                   self.units, self.purpose)
+        # Every invariant the fields break, joined into one message;
+        # load_records reports it as the row's reject reason.
+        problems = []
+        if not (math.isfinite(self.balance) and self.balance >= 0):
+            problems.append(f"balance must be nonnegative, got {self.balance!r}")
+        if not (math.isfinite(self.ltv) and self.ltv >= 0):
+            problems.append(f"ltv must be nonnegative, got {self.ltv!r}")
+        if not math.isfinite(self.dti):
+            problems.append(f"dti must be finite, got {self.dti!r}")
+        if self.units < 1:
+            problems.append(f"units must be >= 1, got {self.units!r}")
+        if self.purpose not in PURPOSES:
+            problems.append(f"purpose must be one of {PURPOSES}, got {self.purpose!r}")
         if problems:
             raise ValueError("; ".join(problems))
-
-
-def record_problems(balance: float, ltv: float, dti: float, units: int,
-                    purpose: str) -> list[str]:
-    """The invariants a loan's fields break, as messages; empty if none."""
-    problems = []
-    if not (math.isfinite(balance) and balance >= 0):
-        problems.append(f"balance must be nonnegative, got {balance!r}")
-    if not (math.isfinite(ltv) and ltv >= 0):
-        problems.append(f"ltv must be nonnegative, got {ltv!r}")
-    if not math.isfinite(dti):
-        problems.append(f"dti must be finite, got {dti!r}")
-    if units < 1:
-        problems.append(f"units must be >= 1, got {units!r}")
-    if purpose not in PURPOSES:
-        problems.append(f"purpose must be one of {PURPOSES}, got {purpose!r}")
-    return problems
 
 
 @dataclass(frozen=True)
@@ -126,16 +120,17 @@ def load_records(path, schema: str = "training",
                 if not group:
                     rejects.append(RowReject(line, "empty group label"))
                     continue
-            problems = record_problems(balance, ltv, dti, units, purpose)
-            if problems:
-                rejects.append(RowReject(line, "; ".join(problems)))
+            try:
+                record = LoanRecord(balance=balance, ltv=ltv, dti=dti,
+                                    units=units, purpose=purpose,
+                                    late=late, group=group)
+            except ValueError as exc:
+                rejects.append(RowReject(line, str(exc)))
                 continue
             if keep_purpose is not None and purpose != keep_purpose:
                 rejects.append(RowReject(line, f"purpose {purpose!r} filtered out"))
                 continue
-            records.append(LoanRecord(balance=balance, ltv=ltv, dti=dti,
-                                      units=units, purpose=purpose,
-                                      late=late, group=group))
+            records.append(record)
     if not records:
         raise ValueError(f"{path}: no usable rows after validation and filtering")
     return LoadResult(records=tuple(records), rejects=tuple(rejects))
@@ -218,6 +213,16 @@ def _design_matrix(records: Sequence[LoanRecord]) -> np.ndarray:
     return X
 
 
+def _fit_terms(X, w, ridge: float) -> tuple[np.ndarray, np.ndarray]:
+    """Fitted probabilities and the (ridge-penalized) information matrix."""
+    p = 0.5 * (1.0 + np.tanh(0.5 * (X @ w)))
+    weights = p * (1.0 - p)
+    H = (X * weights[:, None]).T @ X
+    if ridge > 0:
+        H[1:, 1:] += ridge * np.eye(4)
+    return p, H
+
+
 def _log_likelihood(X, y, w, ridge: float) -> float:
     lp = X @ w
     ll = float(np.sum(y * lp - np.logaddexp(0.0, lp)))
@@ -253,8 +258,7 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        lp = X @ w
-        p = 0.5 * (1.0 + np.tanh(0.5 * lp))
+        p, H = _fit_terms(X, w, ridge)
         grad = X.T @ (y - p)
         if ridge > 0:
             grad[1:] -= ridge * w[1:]
@@ -263,10 +267,6 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
             converged = True
             iterations -= 1
             break
-        weights = p * (1.0 - p)
-        H = (X * weights[:, None]).T @ X
-        if ridge > 0:
-            H[1:, 1:] += ridge * np.eye(4)
         try:
             step = np.linalg.solve(H, grad)
         except np.linalg.LinAlgError:
@@ -300,12 +300,7 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
             "perfect separation: log-likelihood reached its supremum, "
             "no finite coefficient vector maximizes it")
 
-    lp = X @ w
-    p = 0.5 * (1.0 + np.tanh(0.5 * lp))
-    weights = p * (1.0 - p)
-    H = (X * weights[:, None]).T @ X
-    if ridge > 0:
-        H[1:, 1:] += ridge * np.eye(4)
+    _, H = _fit_terms(X, w, ridge)
     try:
         cov = np.linalg.inv(H)
         ses = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)))

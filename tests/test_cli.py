@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from lendingdyn import optimal_threshold
-from lendingdyn.cli import main, parse_distribution
+from lendingdyn.cli import COMMANDS, main, parse_distribution
 
 from conftest import make_loan_rows, write_loan_csv
 from oracles import reference_settled, reference_walk
@@ -113,12 +113,13 @@ class TestAnalyzeMarkov:
                            "7/20", "--k", "1/10", "--c", "1", "--up", "1/10",
                            "--down", "1/10")
         assert code == 2
-        assert "exactly one" in err
+        assert err.startswith("error:") and "exactly one" in err
 
     def test_zero_step_is_a_computation_failure(self, capsys):
         code, _, err = run(capsys, "analyze-markov", "--pi0", "1/2", "--beta",
                            "7/20", "--up", "0", "--down", "1/10")
         assert code == 1
+        assert err.startswith("computation failed:")
 
     def test_bad_rational_is_a_usage_error(self, capsys):
         code, _, err = run(capsys, "analyze-markov", "--pi0", "huh", "--beta",
@@ -189,10 +190,11 @@ class TestDominanceCheck:
             backward["violations"][0]["cdf_d"]
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "dominance-check", "--file-a",
-                         tmp_path / "nope.csv", "--file-b",
-                         tmp_path / "nope.csv")
+        code, _, err = run(capsys, "dominance-check", "--file-a",
+                           tmp_path / "nope.csv", "--file-b",
+                           tmp_path / "nope.csv")
         assert code == 2
+        assert err.startswith("error:")
 
 
 class TestSimulate:
@@ -245,6 +247,24 @@ class TestSimulate:
                              ("agents.csv", agents)):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
                 == digest, name
+
+    def test_per_group_thresholds(self, capsys, tmp_path):
+        # Groups draw from disjoint streams, so each group's rows equal those
+        # of a shared-threshold run at that group's threshold.
+        def rows(name, *thresholds):
+            out = tmp_path / name
+            code, _, err = run(capsys, "simulate", "--dist-a", "beta:4,8",
+                               "--dist-b", "beta:3,8", "--n", 50, *thresholds,
+                               "--horizon", 5, "--seed", 3, "--out-dir", out)
+            assert code == 0, err
+            lines = (out / "trajectory.csv").read_text().splitlines()[1:]
+            return {g: [ln for ln in lines if ln.split(",")[1] == g]
+                    for g in "AD"}
+
+        per_group = rows("ad", "--beta-a", 0.4, "--beta-d", 0.6)
+        low, high = rows("a", "--beta", 0.4), rows("d", "--beta", 0.6)
+        assert per_group["A"] == low["A"] != high["A"]
+        assert per_group["D"] == high["D"] != low["D"]
 
     def test_config_round_trip(self, capsys, tmp_path):
         first = tmp_path / "r1"
@@ -410,6 +430,7 @@ class TestRiskCommands:
         code, _, err = run(capsys, "train-risk", "--in", train,
                            "--out-model", tmp_path / "m.json")
         assert code == 1
+        assert err.startswith("computation failed:")
         assert "separat" in err.lower()
 
     def test_missing_input_file(self, capsys, tmp_path):
@@ -498,6 +519,114 @@ class TestReproduceFigure:
                            "--out-dir", tmp_path / "fig")
         assert code == 2
         assert "--which" in err
+
+
+_PAIR = ("--dist-a", "beta:4,8", "--dist-b", "beta:3,8", "--n", 30)
+_SMALL_C = ("--horizon", 3, "--c-min", 1, "--c-max", 2, "--c-step", 1)
+_SMALL_GRID = ("--horizon", 3, "--seeds", 1, "--c-min", 1, "--c-max", 1,
+               "--c-step", 1, "--r-min", 0.1, "--r-max", 0.5, "--r-step", 0.4)
+_MARKOV = ("analyze-markov", "--pi0", "1/2", "--beta", "7/20")
+
+
+@pytest.fixture
+def score_files(capsys, tmp_path):
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    fa, fd = inputs / "a.csv", inputs / "d.csv"
+    run(capsys, "sample", "--a", 4, "--b", 8, "--n", 50, "--seed", 1,
+        "--out", fa)
+    run(capsys, "sample", "--a", 3, "--b", 8, "--n", 50, "--seed", 2,
+        "--out", fd)
+    return fa, fd
+
+
+class TestRunEnvelope:
+    # One run per command that takes --out-dir; "A_CSV" and "D_CSV" stand
+    # for the score files.
+    RUNS = {
+        "simulate": ("simulate", *_PAIR, "--beta", 0.4, "--horizon", 3),
+        "optimize-threshold": ("optimize-threshold", "--k", 0.1, "--c", 1),
+        "recommend": ("recommend", "--alpha", 0.5, *_PAIR, *_SMALL_GRID),
+        "analyze-markov": (*_MARKOV, "--k", "1/10", "--c", "1"),
+        "dominance-check": ("dominance-check", "--file-a", "A_CSV",
+                            "--file-b", "D_CSV"),
+        "max-mean-curve": ("max-mean-curve", *_PAIR, *_SMALL_C),
+        "reproduce-figure-grid": ("reproduce-figure", "--which", "grid",
+                                  "--alpha", 0.5, "--n", 30, *_SMALL_GRID),
+        "reproduce-figure-max-mean": ("reproduce-figure", "--which",
+                                      "max-mean", "--n", 30, *_SMALL_C),
+    }
+
+    @staticmethod
+    def argv(name, score_files):
+        files = dict(zip(("A_CSV", "D_CSV"), score_files))
+        return [files.get(a, a) for a in TestRunEnvelope.RUNS[name]]
+
+    def test_every_out_dir_command_has_a_run(self):
+        takes_out_dir = {cmd.name for cmd in COMMANDS
+                         if any(o.key == "out_dir" for o in cmd.options)}
+        assert takes_out_dir == {argv[0] for argv in self.RUNS.values()}
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_records_every_run(self, capsys, tmp_path, score_files, name):
+        argv = self.argv(name, score_files)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--out-dir", out)
+        assert code == 0, err
+        cfg = (out / "run.cfg").read_text()
+        assert cfg.endswith("\n") and "out_dir" not in cfg
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        assert manifest["config"]["out_dir"] == str(out)
+        assert manifest["wall_time_seconds"] >= 0
+
+    @pytest.mark.parametrize("name", ["optimize-threshold", "analyze-markov",
+                                      "dominance-check"])
+    def test_no_out_dir_writes_no_files(self, capsys, tmp_path, score_files,
+                                        monkeypatch, name):
+        before = sorted(tmp_path.rglob("*"))
+        monkeypatch.chdir(tmp_path)
+        code, stdout, err = run(capsys, *self.argv(name, score_files))
+        assert code == 0, err
+        json.loads(stdout)
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_failed_run_is_not_recorded(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, *_MARKOV, "--up", "0", "--down", "1/10",
+                         "--out-dir", out)
+        assert code == 1
+        assert not out.exists()
+
+    def test_figure_max_mean_is_the_max_mean_curve(self, capsys, tmp_path):
+        settings = ("--dist-a", "beta:4,8", "--dist-b", "beta:3,8",
+                    "--n", 40, "--seed", 2, "--k", 0.1, *_SMALL_C)
+        curve, figure = tmp_path / "curve", tmp_path / "figure"
+        assert run(capsys, "max-mean-curve", *settings,
+                   "--out-dir", curve)[0] == 0
+        assert run(capsys, "reproduce-figure", "--which", "max-mean",
+                   *settings, "--out-dir", figure)[0] == 0
+        assert (figure / "max_mean.csv").read_bytes() == \
+            (curve / "max_mean.csv").read_bytes()
+
+
+class TestExitCodes:
+    """The branches of main() that no command test above reaches."""
+
+    def test_invalid_value(self, capsys):                      # ValueError
+        code, _, err = run(capsys, "optimize-threshold", "--k", -0.1,
+                           "--c", 1)
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_out_dir_naming_a_file(self, capsys, tmp_path):     # OSError
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, err = run(capsys, *TestRunEnvelope.RUNS["simulate"],
+                           "--out-dir", taken)
+        assert code == 1
+        assert err.startswith("computation failed:")
+        assert taken.read_text() == ""
 
 
 def test_no_subcommand_prints_help(capsys):

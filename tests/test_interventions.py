@@ -307,6 +307,12 @@ class TestEvaluatePolicy:
         hi = self.evaluate(small_pair, GC, r=0.9, alpha=0.2, horizon=10)
         assert hi.mean_d >= lo.mean_d - 0.02
 
+    @pytest.mark.parametrize("per_group", [False, True])
+    def test_ties_go_to_the_last_threshold(self, small_pair, per_group):
+        # With k = 0 no score moves, so every candidate has the same utility.
+        out = self.evaluate(small_pair, GC, k=0.0, per_group_beta=per_group)
+        assert out.beta_by_group == {"A": 1.0, "D": 1.0}
+
     def test_same_group_labels_rejected(self, small_pair):
         dist_a, _ = small_pair
         spec = InterventionSpec(kind=BO, r=0.0, baseline_c=1.0)

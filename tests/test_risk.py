@@ -9,6 +9,7 @@ from lendingdyn import (FitDiagnostics, LoanRecord, RiskModel,
                         SeparationError, fit_logistic, load_records,
                         predict_late_risk, predict_many,
                         to_score_distributions)
+from lendingdyn.risk import RowReject
 
 from conftest import (TRUE_DTI, TRUE_INTERCEPT, TRUE_LTV, TRUE_UNITS,
                       logistic, make_loan_rows, write_loan_csv)
@@ -54,6 +55,22 @@ class TestLoadRecords:
         assert [r.line for r in loaded.rejects] == [3, 4]
         assert "units" in loaded.rejects[0].reason
         assert "balance" in loaded.rejects[1].reason
+
+    def test_invalid_row_reason_names_every_problem_before_the_filter(
+            self, tmp_path):
+        rows = [
+            {"balance": "5.0", "ltv": "80.0", "dti": "3.0", "units": "1",
+             "purpose": "purchase", "late": "0"},
+            {"balance": "-2.0", "ltv": "80.0", "dti": "3.0", "units": "0",
+             "purpose": "refinance", "late": "1"},
+        ]
+        path = tmp_path / "t.csv"
+        write_loan_csv(path, rows)
+        loaded = load_records(path, schema="training",
+                              keep_purpose="purchase")
+        assert loaded.rejects == (RowReject(
+            3, "balance must be nonnegative, got -2.0; "
+               "units must be >= 1, got 0"),)
 
     def test_purpose_filter(self, tmp_path):
         rows = make_loan_rows(60, seed=1, purpose_mix=True)
@@ -189,6 +206,17 @@ class TestFitLogistic:
         free_norm = np.linalg.norm(model_free.coefficients()[1:])
         ridge_norm = np.linalg.norm(model_ridge.coefficients()[1:])
         assert ridge_norm < free_norm
+
+    @pytest.mark.parametrize("ridge", [0.0, 50.0])
+    def test_standard_errors_come_from_the_penalized_information(self, ridge):
+        model, records = self.fit_from_rows(2000, seed=25, ridge=ridge)
+        X = np.array([[1.0, r.balance, r.ltv, r.dti, r.units] for r in records])
+        p = 1.0 / (1.0 + np.exp(-(X @ model.coefficients())))
+        info = X.T @ (X * (p * (1.0 - p))[:, None])
+        info += ridge * np.diag([0.0, 1.0, 1.0, 1.0, 1.0])
+        expected = np.sqrt(np.diag(np.linalg.inv(info)))
+        assert np.allclose(model.diagnostics.standard_errors, expected,
+                           rtol=1e-8, atol=0.0)
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):

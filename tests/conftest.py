@@ -60,6 +60,34 @@ def write_loan_csv(path, rows: list[dict], columns=None) -> None:
         writer.writerows(rows)
 
 
+def write_risk_inputs(directory):
+    """A training and an application CSV that exercise every loader path.
+
+    Both mix refinance and free-text purposes into the purchase rows and
+    carry rows that break a field invariant; the application file also has
+    empty group labels, one of them on an invalid row.  Returns the paths.
+    """
+    train_rows = make_loan_rows(600, seed=31)
+    for i in (5, 77, 150):
+        train_rows[i]["units"] = "0"
+    train_rows[33]["balance"] = "-1.5"
+    train_rows[201]["dti"] = "inf"
+    train_rows[202]["ltv"] = " nan "
+    app_rows = make_loan_rows(300, seed=32)
+    for i, row in enumerate(app_rows):
+        del row["late"]
+        row["group"] = "AD"[i % 2]
+    app_rows[10]["group"] = ""
+    app_rows[11]["group"] = "  "
+    app_rows[40]["ltv"] = "-3.0"
+    app_rows[41]["units"] = "0"
+    app_rows[41]["group"] = ""
+    train, apps = directory / "train.csv", directory / "apps.csv"
+    write_loan_csv(train, train_rows)
+    write_loan_csv(apps, app_rows)
+    return train, apps
+
+
 @pytest.fixture
 def beta_pair():
     """A stochastically dominant pair with a visible mean gap."""

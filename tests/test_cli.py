@@ -13,7 +13,7 @@ import pytest
 from lendingdyn import optimal_threshold
 from lendingdyn.cli import COMMANDS, main, parse_distribution
 
-from conftest import make_loan_rows, write_loan_csv
+from conftest import make_loan_rows, write_loan_csv, write_risk_inputs
 from oracles import reference_settled, reference_walk
 
 
@@ -437,6 +437,41 @@ class TestRiskCommands:
         code, _, _ = run(capsys, "train-risk", "--in", tmp_path / "nope.csv",
                          "--out-model", tmp_path / "m.json")
         assert code == 2
+
+    # sha256 of the artifacts of the row-by-row DictReader loader that the
+    # columnar one replaced; the inputs carry no blank lines, so the reject
+    # line numbers are the same under either way of counting.
+    PINNED = {
+        "model_ridge_0.json":
+            "7d57422fc5706e17ff84392e07eb45780f264d8423209df5b64366a6b4c0ebb5",
+        "model_ridge_0.5.json":
+            "264c52e02d69aef325cc084e93fb3718a4bc0d2dd92dfb49f60e42e3b37ae0c4",
+        "train_rejects.csv":
+            "d6823a2aef9f58f138879be97bda4cfe3eed48d4fe83d6b7e6887c8f75256d39",
+        "scores/scores_A.csv":
+            "73c345169ff4bd010a5437a944c173f833a538cdcc3aa54b45b94b5e6b326208",
+        "scores/scores_D.csv":
+            "d341be7ac0d9e431f809408eea84ec5d61af6adbb6861899c0d20efdbb511165",
+        "app_rejects.csv":
+            "c483803036907d9e49c74eb2e11b3e43b51cb17b431fb97bfdd7a699ec4f2802",
+    }
+
+    def test_artifacts_are_pinned(self, capsys, tmp_path):
+        train, apps = write_risk_inputs(tmp_path)
+        for ridge in ("0", "0.5"):
+            code, _, err = run(capsys, "train-risk", "--in", train,
+                               "--ridge", ridge, "--out-model",
+                               tmp_path / f"model_ridge_{ridge}.json",
+                               "--rejects", tmp_path / "train_rejects.csv")
+            assert code == 0, err
+        code, _, err = run(capsys, "predict-risk",
+                           "--model", tmp_path / "model_ridge_0.json",
+                           "--in", apps, "--out-scores", tmp_path / "scores",
+                           "--rejects", tmp_path / "app_rejects.csv")
+        assert code == 0, err
+        for name, digest in self.PINNED.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() \
+                == digest, name
 
 
 class TestMaxMeanCurve:

@@ -27,9 +27,10 @@ from .interventions import (GridCell, InterventionKind, InterventionSpec,
 from .markov import (AbsorbingChain, AbsorptionResult, ChainError,
                      RationalStep, StateSpace, absorption_probabilities,
                      build_chain, enumerate_states, transient_mass)
-from .risk import (FitDiagnostics, LoanRecord, LoadResult, RiskModel,
-                   RowReject, SeparationError, fit_logistic, load_records,
-                   predict_late_risk, predict_many, to_score_distributions)
+from .risk import (FitDiagnostics, LoanRecord, LoanTable, LoadResult,
+                   RiskModel, RowReject, SeparationError, fit_logistic,
+                   load_records, predict_late_risk, predict_many,
+                   to_score_distributions)
 from .thresholds import (GainFunction, OptimalThreshold, gain,
                          grid_search_threshold, one_step_policy,
                          optimal_threshold)
@@ -39,10 +40,10 @@ __all__ = [
     "AbsorbingChain", "AbsorptionResult", "BetaSpec", "ChainError",
     "DominanceReport", "DynamicsParams", "FitDiagnostics", "GainFunction",
     "GridCell", "InterventionKind", "InterventionSpec", "LoadResult",
-    "LoanRecord", "OptimalThreshold", "PolicyOutcome", "RationalStep",
-    "RecommendationGrid", "RiskModel", "RowReject", "ScoreDistribution",
-    "SeparationError", "StateSpace", "ThresholdPolicy", "Trajectory",
-    "UtilityWeights",
+    "LoanRecord", "LoanTable", "OptimalThreshold", "PolicyOutcome",
+    "RationalStep", "RecommendationGrid", "RiskModel", "RowReject",
+    "ScoreDistribution", "SeparationError", "StateSpace", "ThresholdPolicy",
+    "Trajectory", "UtilityWeights",
     "absorption_probabilities", "apply_intervention", "baseline_outcome",
     "build_chain", "check_dominance", "clamp_unit", "derive_seed",
     "empirical_cdf", "enumerate_states", "evaluate_policy",

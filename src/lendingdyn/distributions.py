@@ -107,8 +107,7 @@ def read_score_csv(path, group: str = "A") -> ScoreDistribution:
 
 
 def write_score_csv(path, dist: ScoreDistribution) -> None:
+    # The bytes csv.writer wrote row by row: no repr of a float needs
+    # quoting, and each row ends in "\r\n".
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["score"])
-        for s in dist.scores:
-            writer.writerow([repr(float(s))])
+        fh.write("\r\n".join(["score", *map(repr, dist.scores.tolist())]) + "\r\n")

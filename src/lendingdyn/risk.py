@@ -8,7 +8,8 @@ into one ScoreDistribution per group label.
 
 Purpose filtering keeps purchase loans only.  Rows violating field
 invariants are rejected individually with reasons; structural problems
-(missing columns, unparseable numbers, an empty result) raise.
+(missing columns, unparseable numbers, an empty result) raise.  Loaded rows
+are held by column (LoanTable), and the model reads the columns.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,6 +36,25 @@ class SeparationError(RuntimeError):
     """Perfect separation: the likelihood has no finite maximizer."""
 
 
+# Field invariants, each written once: LoanRecord checks one record's values
+# with them and load_records whole columns.  (field, rule, holds)
+_INVARIANTS = (
+    ("balance", "must be nonnegative", lambda v: (v >= 0) & (v < math.inf)),
+    ("ltv", "must be nonnegative", lambda v: (v >= 0) & (v < math.inf)),
+    ("dti", "must be finite", lambda v: abs(v) < math.inf),
+    ("units", "must be >= 1", lambda v: v >= 1),
+    ("purpose", f"must be one of {PURPOSES}",
+     lambda v: (v == "purchase") | (v == "refinance") | (v == "other")),
+)
+
+
+def _problems(values) -> str:
+    """Every invariant one record's field values break, joined; '' if none."""
+    return "; ".join(f"{name} {rule}, got {values[name]!r}"
+                     for name, rule, holds in _INVARIANTS
+                     if not holds(values[name]))
+
+
 @dataclass(frozen=True)
 class LoanRecord:
     balance: float
@@ -46,21 +66,58 @@ class LoanRecord:
     group: str | None = None
 
     def __post_init__(self):
-        # Every invariant the fields break, joined into one message;
-        # load_records reports it as the row's reject reason.
-        problems = []
-        if not (math.isfinite(self.balance) and self.balance >= 0):
-            problems.append(f"balance must be nonnegative, got {self.balance!r}")
-        if not (math.isfinite(self.ltv) and self.ltv >= 0):
-            problems.append(f"ltv must be nonnegative, got {self.ltv!r}")
-        if not math.isfinite(self.dti):
-            problems.append(f"dti must be finite, got {self.dti!r}")
-        if self.units < 1:
-            problems.append(f"units must be >= 1, got {self.units!r}")
-        if self.purpose not in PURPOSES:
-            problems.append(f"purpose must be one of {PURPOSES}, got {self.purpose!r}")
+        # load_records reports the same message as the row's reject reason.
+        problems = _problems(vars(self))
         if problems:
-            raise ValueError("; ".join(problems))
+            raise ValueError(problems)
+
+
+@dataclass(frozen=True, eq=False)
+class LoanTable(Sequence[LoanRecord]):
+    """Loan rows held as columns, one numpy array per field.
+
+    Indexing and iteration build LoanRecords on demand; the risk functions
+    read the columns.  `late` is None unless every row has a label.  `group`
+    is None without a group column, and '' in it stands for a missing
+    label.  `line` holds each row's file line, or is None for a table built
+    from records.
+    """
+
+    balance: np.ndarray
+    ltv: np.ndarray
+    dti: np.ndarray
+    units: np.ndarray           # int64, or Python ints beyond its range
+    purpose: np.ndarray
+    late: np.ndarray | None = None
+    group: np.ndarray | None = None
+    line: np.ndarray | None = None
+
+    @classmethod
+    def from_records(cls, records: Sequence[LoanRecord]) -> "LoanTable":
+        """The columns of a sequence of records; a LoanTable is returned as is."""
+        if isinstance(records, LoanTable):
+            return records
+        late = [r.late for r in records]
+        return cls(balance=np.array([r.balance for r in records], dtype=float),
+                   ltv=np.array([r.ltv for r in records], dtype=float),
+                   dti=np.array([r.dti for r in records], dtype=float),
+                   units=np.array([r.units for r in records]),
+                   purpose=np.array([r.purpose for r in records], dtype=object),
+                   late=None if None in late else np.array(late, dtype=bool),
+                   group=np.array([r.group or "" for r in records], dtype=object))
+
+    def __len__(self) -> int:
+        return len(self.balance)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(len(self))))
+        return LoanRecord(
+            balance=float(self.balance[i]), ltv=float(self.ltv[i]),
+            dti=float(self.dti[i]), units=int(self.units[i]),
+            purpose=str(self.purpose[i]),
+            late=None if self.late is None else bool(self.late[i]),
+            group=None if self.group is None else self.group[i] or None)
 
 
 @dataclass(frozen=True)
@@ -71,20 +128,100 @@ class RowReject:
 
 @dataclass(frozen=True)
 class LoadResult:
-    records: tuple[LoanRecord, ...]
+    records: LoanTable
     rejects: tuple[RowReject, ...]
 
 
-def _parse_purpose(raw: str) -> str:
-    cleaned = raw.strip().lower()
-    if cleaned in ("purchase", "refinance"):
-        return cleaned
-    return "other"
+_CHUNK_ROWS = 1 << 12       # rows read, parsed and freed at a time
+_NUMBERS = (("balance", float), ("ltv", float), ("dti", float), ("units", int))
+_LATE = {"0": False, "1": True}
+_NAMED_PURPOSES = frozenset(("purchase", "refinance"))   # the rest are "other"
+
+
+def _raise_first_bad_row(path, cells: dict, lines: list[int]):
+    """Raise for the first row with an unparseable number or late label;
+    within a row the numbers fail first, in column order."""
+    for i, line in enumerate(lines):
+        for name, parse in _NUMBERS:
+            try:
+                parse(cells[name][i])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line}: unparseable numeric field: {exc}") from None
+        if "late" in cells:
+            raw_late = cells["late"][i].strip()
+            if raw_late not in _LATE:
+                raise ValueError(f"{path}:{line}: late must be 0 or 1, got {raw_late!r}")
+    raise AssertionError("a chunk failed to parse, but none of its rows does")
+
+
+def _parse_chunk(path, rows: list[list[str]], lines: list[int], index: dict,
+                 keep_purpose: str | None, rejects: list[RowReject]) -> LoanTable:
+    """The kept rows of one chunk; its rejects are appended in row order."""
+    width = max(index.values()) + 1
+    if min(map(len, rows)) < width:
+        # A short row's missing cells read None for a number and '' for
+        # text, as DictReader's None did in the row-by-row loader.
+        pad = [""] * width
+        for name, _ in _NUMBERS:
+            pad[index[name]] = None
+        rows = [row + pad[len(row):] if len(row) < width else row for row in rows]
+    columns = list(zip(*rows))
+    cells = {name: columns[j] for name, j in index.items()}
+    n = len(rows)
+    try:
+        values = {name: np.fromiter(map(float, cells[name]), float, n)
+                  for name in ("balance", "ltv", "dti")}
+        units = list(map(int, cells["units"]))
+        late = (np.fromiter(map(_LATE.__getitem__, map(str.strip, cells["late"])),
+                            bool, n) if "late" in cells else None)
+    except (KeyError, TypeError, ValueError):
+        _raise_first_bad_row(path, cells, lines)
+    try:
+        values["units"] = np.array(units, dtype=np.int64)
+    except OverflowError:
+        values["units"] = np.array(units, dtype=object)
+    purposes = map(str.lower, map(str.strip, cells["purpose"]))
+    values["purpose"] = np.array([p if p in _NAMED_PURPOSES else "other"
+                                  for p in purposes])
+    group = None
+    no_group = np.zeros(n, dtype=bool)
+    if "group" in cells:
+        group = np.array(list(map(str.strip, cells["group"])), dtype=object)
+        no_group = group == ""
+
+    invalid = np.zeros(n, dtype=bool)
+    for name, _, holds in _INVARIANTS:
+        invalid |= ~holds(values[name])
+    rejected = no_group | invalid
+    if keep_purpose is not None:
+        rejected |= values["purpose"] != keep_purpose
+    # Reasons are formatted for rejected rows only.
+    at = np.flatnonzero(invalid & ~no_group)
+    bad = {name: values[name][at].tolist() for name, _, _ in _INVARIANTS}
+    problems = {i: _problems({name: column[k] for name, column in bad.items()})
+                for k, i in enumerate(at.tolist())}
+    for i in np.flatnonzero(rejected).tolist():
+        if no_group[i]:
+            reason = "empty group label"
+        elif i in problems:
+            reason = problems[i]
+        else:
+            reason = f"purpose {str(values['purpose'][i])!r} filtered out"
+        rejects.append(RowReject(lines[i], reason))
+    kept = ~rejected
+    return LoanTable(**{name: column[kept] for name, column in values.items()},
+                     late=None if late is None else late[kept],
+                     group=None if group is None else group[kept],
+                     line=np.array(lines)[kept])
 
 
 def load_records(path, schema: str = "training",
                  keep_purpose: str | None = "purchase") -> LoadResult:
-    """Read a loan CSV, reject invalid rows, filter to the kept purpose."""
+    """Read a loan CSV, reject invalid rows, filter to the kept purpose.
+
+    Rows are read in chunks and parsed one column at a time.  A row's line,
+    in its reject or in an error, is the file line the row starts on.
+    """
     if schema == "training":
         required = TRAINING_COLUMNS
     elif schema == "application":
@@ -93,47 +230,37 @@ def load_records(path, schema: str = "training",
         raise ValueError(f"schema must be 'training' or 'application', got {schema!r}")
 
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
+        reader = csv.reader(fh)
+        header = next(reader, [])
         missing = [c for c in required if c not in header]
         if missing:
             raise ValueError(f"{path}: missing required columns {missing}")
-        records: list[LoanRecord] = []
+        # A repeated column name reads its last cell, as with DictReader.
+        position = {name: j for j, name in enumerate(header)}
+        index = {name: position[name] for name in required}
+        parts: list[LoanTable] = []
         rejects: list[RowReject] = []
-        for line, row in enumerate(reader, start=2):
-            try:
-                balance = float(row["balance"])
-                ltv = float(row["ltv"])
-                dti = float(row["dti"])
-                units = int(row["units"])
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{line}: unparseable numeric field: {exc}") from None
-            purpose = _parse_purpose(row["purpose"] or "")
-            late = group = None
-            if schema == "training":
-                raw_late = (row["late"] or "").strip()
-                if raw_late not in ("0", "1"):
-                    raise ValueError(f"{path}:{line}: late must be 0 or 1, got {raw_late!r}")
-                late = raw_late == "1"
-            else:
-                group = (row["group"] or "").strip()
-                if not group:
-                    rejects.append(RowReject(line, "empty group label"))
-                    continue
-            try:
-                record = LoanRecord(balance=balance, ltv=ltv, dti=dti,
-                                    units=units, purpose=purpose,
-                                    late=late, group=group)
-            except ValueError as exc:
-                rejects.append(RowReject(line, str(exc)))
-                continue
-            if keep_purpose is not None and purpose != keep_purpose:
-                rejects.append(RowReject(line, f"purpose {purpose!r} filtered out"))
-                continue
-            records.append(record)
-    if not records:
+        end = reader.line_num
+        while True:
+            # Rebinding rows frees the last chunk's strings before the next
+            # chunk is read.
+            rows, lines, read = [], [], 0
+            for read, row in zip(range(1, _CHUNK_ROWS + 1), reader):
+                if row:                     # a blank line holds no row
+                    rows.append(row)
+                    lines.append(end + 1)
+                end = reader.line_num
+            if rows:
+                parts.append(_parse_chunk(path, rows, lines, index,
+                                          keep_purpose, rejects))
+            if read < _CHUNK_ROWS:
+                break
+    if not sum(map(len, parts)):
         raise ValueError(f"{path}: no usable rows after validation and filtering")
-    return LoadResult(records=tuple(records), rejects=tuple(rejects))
+    table = LoanTable(**{name: None if column is None else
+                         np.concatenate([getattr(part, name) for part in parts])
+                         for name, column in vars(parts[0]).items()})
+    return LoadResult(records=table, rejects=tuple(rejects))
 
 
 @dataclass(frozen=True)
@@ -205,11 +332,11 @@ class RiskModel:
             return cls.from_json_dict(json.load(fh))
 
 
-def _design_matrix(records: Sequence[LoanRecord]) -> np.ndarray:
-    X = np.empty((len(records), 5))
+def _design_matrix(table: LoanTable) -> np.ndarray:
+    X = np.empty((len(table), 5))
     X[:, 0] = 1.0
     for j, name in enumerate(_FEATURES, start=1):
-        X[:, j] = [getattr(r, name) for r in records]
+        X[:, j] = getattr(table, name)
     return X
 
 
@@ -240,12 +367,13 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
     `singular` diagnostic.  The ridge penalty (default off) excludes the
     intercept.
     """
-    if len(records) < 2:
+    table = LoanTable.from_records(records)
+    if len(table) < 2:
         raise ValueError("at least 2 training records required")
-    if any(r.late is None for r in records):
+    if table.late is None:
         raise ValueError("every training record needs a late label")
-    X = _design_matrix(records)
-    y = np.array([1.0 if r.late else 0.0 for r in records])
+    X = _design_matrix(table)
+    y = table.late.astype(float)
     if y.min() == y.max():
         raise ValueError("both label classes must be present")
 
@@ -332,7 +460,7 @@ def predict_late_risk(model: RiskModel, record: LoanRecord) -> float:
 
 
 def predict_many(model: RiskModel, records: Sequence[LoanRecord]) -> np.ndarray:
-    X = _design_matrix(records)
+    X = _design_matrix(LoanTable.from_records(records))
     lp = X @ model.coefficients()
     p = 0.5 * (1.0 + np.tanh(0.5 * lp))
     return np.clip(p, _P_FLOOR, _P_CEIL)
@@ -343,17 +471,27 @@ def to_score_distributions(records: Sequence[LoanRecord],
                            allowed_groups: Iterable[str] | None = None,
                            ) -> dict[str, ScoreDistribution]:
     """Group records into lending-score samples, pi = 1 - late risk."""
-    if len(records) != len(risks):
+    table = LoanTable.from_records(records)
+    if len(table) != len(risks):
         raise ValueError("records and risks must align")
-    allowed = set(allowed_groups) if allowed_groups is not None else None
-    by_group: dict[str, list[float]] = {}
-    for rec, risk in zip(records, risks):
-        if not rec.group:
+    if not len(table):
+        return {}
+    groups = table.group
+    no_group = np.ones(len(table), dtype=bool) if groups is None else groups == ""
+    unknown = np.zeros(len(table), dtype=bool)
+    if allowed_groups is not None:
+        unknown = ~no_group & ~np.isin(groups, list(allowed_groups))
+    risk = np.asarray(risks, dtype=float)
+    improper = ~((risk > 0.0) & (risk < 1.0))
+    failed = no_group | unknown | improper
+    if failed.any():
+        # the first failing record, and its first failing check
+        i = int(np.argmax(failed))
+        if no_group[i]:
             raise ValueError("every record needs a group label")
-        if allowed is not None and rec.group not in allowed:
-            raise ValueError(f"unknown group label {rec.group!r}")
-        if not (0.0 < risk < 1.0):
-            raise ValueError(f"risk must lie strictly in (0, 1), got {risk!r}")
-        by_group.setdefault(rec.group, []).append(1.0 - risk)
-    return {g: ScoreDistribution(g, np.asarray(v))
-            for g, v in sorted(by_group.items())}
+        if unknown[i]:
+            raise ValueError(f"unknown group label {groups[i]!r}")
+        raise ValueError(f"risk must lie strictly in (0, 1), got {risks[i]!r}")
+    scores = 1.0 - risk
+    return {g: ScoreDistribution(g, scores[groups == g])
+            for g in sorted(set(groups.tolist()))}

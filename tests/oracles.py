@@ -1,5 +1,6 @@
 """Independent slow-path oracles shared by the module and acceptance tests."""
 
+import csv
 import math
 from fractions import Fraction as F
 
@@ -7,6 +8,8 @@ import numpy as np
 
 from lendingdyn import RationalStep
 from lendingdyn._random import step_uniforms
+from lendingdyn.risk import (APPLICATION_COLUMNS, TRAINING_COLUMNS, LoadResult,
+                             LoanRecord, RowReject)
 
 
 def exact_absorption(chain):
@@ -170,3 +173,88 @@ def reference_settled_step(walk, beta, k, c):
     """First step of a reference walk at which the group is settled."""
     return next((t for t, s in enumerate(walk[:-1])
                  if reference_settled(s, beta, k, c)), len(walk) - 1)
+
+
+class _StartLines:
+    """A csv.reader that remembers the file line its last row started on."""
+
+    def __init__(self, fh):
+        self.reader = csv.reader(fh)
+        self.start = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        self.start = self.reader.line_num + 1
+        return next(self.reader)
+
+    @property
+    def line_num(self):
+        return self.reader.line_num
+
+
+def _reference_purpose(raw: str) -> str:
+    cleaned = raw.strip().lower()
+    if cleaned in ("purchase", "refinance"):
+        return cleaned
+    return "other"
+
+
+def reference_load_records(path, schema="training", keep_purpose="purchase"):
+    """The row-by-row loader: one DictReader row, one LoanRecord at a time.
+
+    A row's line is the file line it starts on.  Returns a LoadResult whose
+    records are a tuple of LoanRecords.
+    """
+    if schema == "training":
+        required = TRAINING_COLUMNS
+    elif schema == "application":
+        required = APPLICATION_COLUMNS
+    else:
+        raise ValueError(f"schema must be 'training' or 'application', got {schema!r}")
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = reader.reader = _StartLines(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing required columns {missing}")
+        records: list[LoanRecord] = []
+        rejects: list[RowReject] = []
+        for row in reader:
+            line = rows.start
+            try:
+                balance = float(row["balance"])
+                ltv = float(row["ltv"])
+                dti = float(row["dti"])
+                units = int(row["units"])
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{line}: unparseable numeric field: {exc}") from None
+            purpose = _reference_purpose(row["purpose"] or "")
+            late = group = None
+            if schema == "training":
+                raw_late = (row["late"] or "").strip()
+                if raw_late not in ("0", "1"):
+                    raise ValueError(f"{path}:{line}: late must be 0 or 1, got {raw_late!r}")
+                late = raw_late == "1"
+            else:
+                group = (row["group"] or "").strip()
+                if not group:
+                    rejects.append(RowReject(line, "empty group label"))
+                    continue
+            try:
+                record = LoanRecord(balance=balance, ltv=ltv, dti=dti,
+                                    units=units, purpose=purpose,
+                                    late=late, group=group)
+            except ValueError as exc:
+                rejects.append(RowReject(line, str(exc)))
+                continue
+            if keep_purpose is not None and purpose != keep_purpose:
+                rejects.append(RowReject(line, f"purpose {purpose!r} filtered out"))
+                continue
+            records.append(record)
+    if not records:
+        raise ValueError(f"{path}: no usable rows after validation and filtering")
+    return LoadResult(records=tuple(records), rejects=tuple(rejects))

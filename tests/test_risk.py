@@ -1,5 +1,7 @@
 """Loan-record loading and the late-payment logistic model."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -9,10 +11,12 @@ from lendingdyn import (FitDiagnostics, LoanRecord, RiskModel,
                         SeparationError, fit_logistic, load_records,
                         predict_late_risk, predict_many,
                         to_score_distributions)
-from lendingdyn.risk import RowReject
+from lendingdyn import risk
+from lendingdyn.risk import LoanTable, RowReject
 
 from conftest import (TRUE_DTI, TRUE_INTERCEPT, TRUE_LTV, TRUE_UNITS,
                       logistic, make_loan_rows, write_loan_csv)
+from oracles import reference_load_records
 
 
 def record(balance=5.0, ltv=80.0, dti=3.0, units=1, purpose="purchase",
@@ -136,6 +140,265 @@ class TestLoadRecords:
         assert len(loaded.records) == 1
         assert loaded.records[0].group == "A"
         assert loaded.rejects[0].reason == "empty group label"
+
+
+    HEADER = "balance,ltv,dti,units,purpose,late\n"
+    GOOD = "5.0,80.0,3.0,1,purchase,0\n"
+
+    def test_reject_line_is_the_file_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(self.HEADER + self.GOOD + "\n"
+                        + "5.0,80.0,3.0,0,purchase,1\n")
+        loaded = load_records(path)
+        assert loaded.rejects == (RowReject(4, "units must be >= 1, got 0"),)
+        assert loaded.records.line.tolist() == [2]
+
+    def test_reject_line_is_the_file_line_after_a_quoted_newline(
+            self, tmp_path):
+        # the second row spans lines 3 and 4
+        path = tmp_path / "t.csv"
+        path.write_text(self.HEADER + self.GOOD
+                        + '5.0,80.0,3.0,1,"pur\nchase",1\n'
+                        + "5.0,80.0,3.0,0,purchase,1\n")
+        loaded = load_records(path, keep_purpose=None)
+        assert [r.line for r in loaded.rejects] == [5]
+        assert loaded.records.line.tolist() == [2, 3]
+        assert loaded.records[1].purpose == "other"
+
+    @pytest.mark.parametrize("bad, match", [
+        ("abc,80.0,3.0,1,purchase,0\n", "t.csv:4: unparseable numeric"),
+        ("5.0,80.0,3.0,1,purchase,yes\n", "t.csv:4: late must be 0 or 1"),
+    ])
+    def test_error_line_is_the_file_line(self, tmp_path, bad, match):
+        path = tmp_path / "t.csv"
+        path.write_text(self.HEADER + self.GOOD + "\n" + bad)
+        with pytest.raises(ValueError, match=match):
+            load_records(path)
+
+
+def _outcome(call):
+    """(repr of the result, None) or (None, the error's type and message)."""
+    try:
+        return repr(call()), None
+    except (ValueError, OverflowError, SeparationError) as exc:
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+def _fit_bytes(records):
+    model = fit_logistic(records)
+    d = model.diagnostics
+    return json.dumps(model.to_json_dict()) + repr(d.log_likelihood_path)
+
+
+def assert_matches_reference(path, schema, keep_purpose):
+    """Records, rejects, errors and model outputs equal the row-by-row
+    loader's, compared through their reprs."""
+    got, got_error = _outcome(lambda: load_records(path, schema, keep_purpose))
+    want, want_error = _outcome(
+        lambda: reference_load_records(path, schema, keep_purpose))
+    assert got_error == want_error
+    if want_error:
+        return
+    loaded = load_records(path, schema, keep_purpose)
+    reference = reference_load_records(path, schema, keep_purpose)
+    assert isinstance(loaded.records, LoanTable)
+    assert len(loaded.records) == len(reference.records)
+    assert repr(tuple(loaded.records)) == repr(reference.records)
+    assert repr(loaded.rejects) == repr(reference.rejects)
+    model = frozen_model()
+    assert _outcome(lambda: predict_many(model, loaded.records).tobytes()) \
+        == _outcome(lambda: predict_many(model, reference.records).tobytes())
+    if schema == "training":
+        assert _outcome(lambda: _fit_bytes(loaded.records)) \
+            == _outcome(lambda: _fit_bytes(reference.records))
+    else:
+        def scores(records):
+            risks = predict_many(model, records)
+            return {g: d.scores.tobytes() for g, d
+                    in to_score_distributions(records, risks).items()}
+        assert _outcome(lambda: scores(loaded.records)) \
+            == _outcome(lambda: scores(reference.records))
+
+
+_TRAINING = ("balance", "ltv", "dti", "units", "purpose", "late")
+_APPLICATION = ("balance", "ltv", "dti", "units", "purpose", "group")
+
+
+def _csv_text(header, rows):
+    with_commas = [",".join(header)]
+    for row in rows:
+        with_commas.append(",".join(row))
+    return "\n".join(with_commas) + "\n"
+
+
+# (name, schema, header, rows); every case runs under each keep_purpose
+EDGE_CASES = [
+    ("whitespace", "training", _TRAINING,
+     [[" 5.0", "80.0 ", " 3.0 ", " 2 ", " Purchase ", " 1 "],
+      ["\t4.0", "70.0", "2.0", "1", "REFINANCE\t", "0\t"],
+      ["6.0", "75.0", "1.0", "3", "cash out", "0"]]),
+    ("nan-inf-underscore", "training", _TRAINING,
+     [["nan", "80.0", "3.0", "1", "purchase", "0"],
+      ["5.0", "inf", "3.0", "1", "purchase", "1"],
+      ["5.0", "80.0", "-inf", "1", "purchase", "0"],
+      ["1_0", "8_0.5", "3.0", "1_0", "purchase", "1"],
+      ["2.0", "Infinity", "-0.0", "2", "purchase", "0"],
+      ["-0.0", "60.0", "1e-320", "4", "purchase", "1"],
+      ["3.0", "65.0", "2.0", "1", "purchase", "0"]]),
+    ("short-and-long-rows", "application", _APPLICATION,
+     [["5.0", "80.0", "3.0", "1", "purchase", "A", "extra", "cells"],
+      ["5.0", "80.0", "3.0", "1", "purchase"],
+      ["5.0", "80.0", "3.0", "2", "purchase", "D"],
+      ["4.0", "80.0", "3.0", "1"]]),
+    ("short-row-misses-a-number", "training", _TRAINING,
+     [["5.0", "80.0", "3.0", "1", "purchase", "0"], ["5.0", "80.0"]]),
+    ("short-row-misses-the-label", "training", _TRAINING,
+     [["5.0", "80.0", "3.0", "1", "purchase", "0"],
+      ["5.0", "80.0", "3.0", "1", "purchase"]]),
+    ("duplicate-header", "training", _TRAINING + ("balance", "purpose"),
+     [["5.0", "80.0", "3.0", "1", "purchase", "0", "-1.0", "refinance"],
+      ["5.0", "80.0", "3.0", "1", "other", "1", "2.0", "purchase"],
+      ["5.0", "80.0", "3.0", "1", "purchase", "1", "3.0"]]),
+    ("units-beyond-int64", "training", _TRAINING,
+     [["5.0", "80.0", "3.0", str(2**63 + 1), "purchase", "0"],
+      ["5.0", "70.0", "3.0", "1", "purchase", "1"],
+      ["5.0", "75.0", "3.0", str(2**70 + 12345), "purchase", "1"],
+      ["5.0", "60.0", "3.0", str(-2**64), "purchase", "0"],
+      ["5.0", "65.0", "3.0", "2", "purchase", "0"]]),
+    ("units-beyond-float", "training", _TRAINING,
+     [["5.0", "80.0", "3.0", "1" + "0" * 400, "purchase", "0"],
+      ["5.0", "70.0", "3.0", "1", "purchase", "1"],
+      ["5.0", "70.0", "3.0", "2", "purchase", "0"]]),
+    ("bad-label-then-bad-number", "training", _TRAINING,
+     [["5.0", "80.0", "3.0", "1", "purchase", "0"],
+      ["5.0", "80.0", "3.0", "1", "purchase", "2"],
+      ["5.0", "x", "3.0", "1", "purchase", "0"]]),
+    ("bad-number-then-bad-label", "training", _TRAINING,
+     [["5.0", "80.0", "3.0", "1.5", "purchase", "0"],
+      ["5.0", "80.0", "3.0", "1", "purchase", "no"]]),
+    ("bad-label-and-number-in-one-row", "training", _TRAINING,
+     [["5.0", "80.0", "3.0", "1", "purchase", "0"],
+      ["5.0", "80.0", "", "1", "purchase", "maybe"]]),
+    ("empty-group-on-an-invalid-row", "application", _APPLICATION,
+     [["-5.0", "80.0", "inf", "0", "purchase", " "],
+      ["-5.0", "80.0", "3.0", "1", "refinance", "A"],
+      ["5.0", "80.0", "3.0", "1", "refinance", ""],
+      ["5.0", "80.0", "3.0", "1", "purchase", "D"]]),
+    ("nothing-usable", "application", _APPLICATION,
+     [["5.0", "80.0", "3.0", "1", "purchase", ""]]),
+]
+
+
+class TestColumnarLoaderOracle:
+    @pytest.mark.parametrize("keep_purpose",
+                             ["purchase", "refinance", "other", None])
+    @pytest.mark.parametrize("name, schema, header, rows", EDGE_CASES,
+                             ids=[case[0] for case in EDGE_CASES])
+    def test_edge_cases(self, tmp_path, name, schema, header, rows,
+                        keep_purpose):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(_csv_text(header, rows))
+        assert_matches_reference(path, schema, keep_purpose)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("schema", ["training", "application"])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, chunk_rows,
+                              schema):
+        # blank lines, quoted newlines, invalid and filtered rows fall on
+        # both sides of every chunk boundary
+        rows = make_loan_rows(40, seed=9)
+        for i, row in enumerate(rows):
+            if schema == "application":
+                row["group"] = ("A", "D", "", "A ")[i % 4]
+            if i % 5 == 1:
+                row["units"] = "0"
+            if i % 7 == 3:
+                row["purpose"] = "pur\nchase"
+        path = tmp_path / "t.csv"
+        write_loan_csv(path, rows)
+        text = path.read_text()
+        lines = text.split("\n")
+        path.write_text("\n".join(line + "\n" * (i % 6 == 4)
+                                   for i, line in enumerate(lines)))
+        monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
+        for keep_purpose in ("purchase", "other", None):
+            assert_matches_reference(path, schema, keep_purpose)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3])
+    def test_an_error_in_a_later_chunk(self, tmp_path, monkeypatch,
+                                       chunk_rows):
+        rows = make_loan_rows(10, seed=4)
+        rows[7]["late"] = "?"
+        rows[8]["dti"] = "?"
+        path = tmp_path / "t.csv"
+        write_loan_csv(path, rows)
+        monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
+        assert_matches_reference(path, "training", "purchase")
+        with pytest.raises(ValueError, match=":9: late must be 0 or 1"):
+            load_records(path)
+
+    def test_property_against_the_row_by_row_loader(self, tmp_path,
+                                                    monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        number = st.sampled_from(
+            ["5.0", "0", "-1.5", " 2.5 ", "nan", "inf", "-inf", "1_0", "",
+             "abc", "1e3", "-0.0", "3", "1.5", str(2**64), "0x10"])
+        text = st.sampled_from(["purchase", " Refinance", "other", "cash",
+                                "", "a,b", "x\ny", " A", "D", "0", "1",
+                                " 1 ", "yes"])
+
+        @st.composite
+        def files(draw):
+            schema = draw(st.sampled_from(["training", "application"]))
+            header = list(_TRAINING if schema == "training" else _APPLICATION)
+            header = draw(st.permutations(header))
+            rows = []
+            for _ in range(draw(st.integers(0, 12))):
+                row = [draw(number) if name in ("balance", "ltv", "dti",
+                                                "units")
+                       else draw(text) for name in header]
+                cut = draw(st.sampled_from([None, None, None, 0, 3, 5, 7]))
+                rows.append(row if cut is None else (row + ["z"])[:cut])
+            return schema, header, rows
+
+        @hypothesis.settings(max_examples=150, deadline=None)
+        @hypothesis.given(case=files(),
+                          keep_purpose=st.sampled_from(
+                              ["purchase", "refinance", "other", None]),
+                          chunk_rows=st.sampled_from([1, 2, 5, 1 << 12]))
+        def check(case, keep_purpose, chunk_rows):
+            schema, header, rows = case
+            path = tmp_path / "property.csv"
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+            monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
+            assert_matches_reference(path, schema, keep_purpose)
+
+        check()
+
+
+class TestLoanTable:
+    def test_records_round_trip(self):
+        records = [record(late=True), record(balance=1.5, units=3, late=False)]
+        table = LoanTable.from_records(records)
+        assert list(table) == records
+        assert table[-1] == records[-1]
+        assert table[:1] == (records[0],)
+        assert LoanTable.from_records(table) is table
+
+    def test_a_missing_label_drops_the_late_column(self):
+        table = LoanTable.from_records([record(late=True), record()])
+        assert table.late is None
+        with pytest.raises(ValueError, match="late label"):
+            fit_logistic(table)
+
+    def test_missing_group_labels_read_empty(self):
+        table = LoanTable.from_records([record(group="A"), record()])
+        assert table.group.tolist() == ["A", ""]
+        assert [r.group for r in table] == ["A", None]
 
 
 class TestFitLogistic:

@@ -29,8 +29,6 @@ PURPOSES = ("purchase", "refinance", "other")
 TRAINING_COLUMNS = ("balance", "ltv", "dti", "units", "purpose", "late")
 APPLICATION_COLUMNS = ("balance", "ltv", "dti", "units", "purpose", "group")
 
-_FEATURES = ("balance", "ltv", "dti", "units")
-
 
 class SeparationError(RuntimeError):
     """Perfect separation: the likelihood has no finite maximizer."""
@@ -335,8 +333,10 @@ class RiskModel:
 def _design_matrix(table: LoanTable) -> np.ndarray:
     X = np.empty((len(table), 5))
     X[:, 0] = 1.0
-    for j, name in enumerate(_FEATURES, start=1):
-        X[:, j] = getattr(table, name)
+    X[:, 1] = table.balance
+    X[:, 2] = table.ltv
+    X[:, 3] = table.dti
+    X[:, 4] = table.units
     return X
 
 
@@ -474,8 +474,6 @@ def to_score_distributions(records: Sequence[LoanRecord],
     table = LoanTable.from_records(records)
     if len(table) != len(risks):
         raise ValueError("records and risks must align")
-    if not len(table):
-        return {}
     groups = table.group
     no_group = np.ones(len(table), dtype=bool) if groups is None else groups == ""
     unknown = np.zeros(len(table), dtype=bool)

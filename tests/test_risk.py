@@ -176,48 +176,46 @@ class TestLoadRecords:
             load_records(path)
 
 
-def _outcome(call):
-    """(repr of the result, None) or (None, the error's type and message)."""
+def _outcome(fn, *args):
+    """(fn's result, None), or (None, its error's type and message)."""
     try:
-        return repr(call()), None
+        return fn(*args), None
     except (ValueError, OverflowError, SeparationError) as exc:
         return None, f"{type(exc).__name__}: {exc}"
 
 
-def _fit_bytes(records):
+def _fit(records):
     model = fit_logistic(records)
-    d = model.diagnostics
-    return json.dumps(model.to_json_dict()) + repr(d.log_likelihood_path)
+    return (json.dumps(model.to_json_dict()),
+            repr(model.diagnostics.log_likelihood_path))
+
+
+def _predictions(records):
+    return predict_many(frozen_model(), records).tobytes()
+
+
+def _scores(records):
+    risks = predict_many(frozen_model(), records)
+    return {g: d.scores.tobytes()
+            for g, d in to_score_distributions(records, risks).items()}
 
 
 def assert_matches_reference(path, schema, keep_purpose):
     """Records, rejects, errors and model outputs equal the row-by-row
     loader's, compared through their reprs."""
-    got, got_error = _outcome(lambda: load_records(path, schema, keep_purpose))
-    want, want_error = _outcome(
-        lambda: reference_load_records(path, schema, keep_purpose))
-    assert got_error == want_error
-    if want_error:
+    loaded, error = _outcome(load_records, path, schema, keep_purpose)
+    reference, reference_error = _outcome(reference_load_records, path,
+                                          schema, keep_purpose)
+    assert error == reference_error
+    if reference_error:
         return
-    loaded = load_records(path, schema, keep_purpose)
-    reference = reference_load_records(path, schema, keep_purpose)
     assert isinstance(loaded.records, LoanTable)
-    assert len(loaded.records) == len(reference.records)
     assert repr(tuple(loaded.records)) == repr(reference.records)
     assert repr(loaded.rejects) == repr(reference.rejects)
-    model = frozen_model()
-    assert _outcome(lambda: predict_many(model, loaded.records).tobytes()) \
-        == _outcome(lambda: predict_many(model, reference.records).tobytes())
-    if schema == "training":
-        assert _outcome(lambda: _fit_bytes(loaded.records)) \
-            == _outcome(lambda: _fit_bytes(reference.records))
-    else:
-        def scores(records):
-            risks = predict_many(model, records)
-            return {g: d.scores.tobytes() for g, d
-                    in to_score_distributions(records, risks).items()}
-        assert _outcome(lambda: scores(loaded.records)) \
-            == _outcome(lambda: scores(reference.records))
+    consumers = [_predictions, _fit if schema == "training" else _scores]
+    for consumer in consumers:
+        assert _outcome(consumer, loaded.records) \
+            == _outcome(consumer, reference.records)
 
 
 _TRAINING = ("balance", "ltv", "dti", "units", "purpose", "late")
@@ -225,10 +223,7 @@ _APPLICATION = ("balance", "ltv", "dti", "units", "purpose", "group")
 
 
 def _csv_text(header, rows):
-    with_commas = [",".join(header)]
-    for row in rows:
-        with_commas.append(",".join(row))
-    return "\n".join(with_commas) + "\n"
+    return "".join(",".join(row) + "\n" for row in (header, *rows))
 
 
 # (name, schema, header, rows); every case runs under each keep_purpose

@@ -31,15 +31,13 @@ from .risk import (FitDiagnostics, LoanRecord, LoanTable, LoadResult,
                    RiskModel, RowReject, SeparationError, fit_logistic,
                    load_records, predict_late_risk, predict_many,
                    to_score_distributions)
-from .thresholds import (GainFunction, OptimalThreshold, gain,
-                         grid_search_threshold, one_step_policy,
-                         optimal_threshold)
+from .thresholds import (OptimalThreshold, grid_search_threshold,
+                         one_step_policy, optimal_threshold)
 
 __all__ = [
     "__version__",
     "AbsorbingChain", "AbsorptionResult", "BetaSpec", "ChainError",
-    "DominanceReport", "DynamicsParams", "FitDiagnostics", "GainFunction",
-    "GridCell", "InterventionKind", "InterventionSpec", "LoadResult",
+    "DominanceReport", "DynamicsParams", "FitDiagnostics", "GridCell", "InterventionKind", "InterventionSpec", "LoadResult",
     "LoanRecord", "LoanTable", "OptimalThreshold", "PolicyOutcome",
     "RationalStep", "RecommendationGrid", "RiskModel", "RowReject",
     "ScoreDistribution", "SeparationError", "StateSpace", "ThresholdPolicy",
@@ -47,7 +45,7 @@ __all__ = [
     "absorption_probabilities", "apply_intervention", "baseline_outcome",
     "build_chain", "check_dominance", "clamp_unit", "derive_seed",
     "empirical_cdf", "enumerate_states", "evaluate_policy",
-    "expected_next_score", "fit_logistic", "gain", "grid_as_dict",
+    "expected_next_score", "fit_logistic", "grid_as_dict",
     "grid_rows", "grid_search_threshold", "load_records",
     "one_step_policy", "optimal_threshold", "population_mean",
     "predict_late_risk", "predict_many", "read_score_csv", "recommend_grid",

@@ -13,13 +13,18 @@ the same streams more cheaply instead.  A fresh `Philox(SeedSequence(...))`
 is counter 0 and key `SeedSequence(...).generate_state(2, np.uint64)`, and
 that key is plain uint32 arithmetic over the entropy words
 [seed_lo, seed_hi, 0, 0, TAG_STEP, t, slot] with hash constants that do not
-depend on the data.  `_step_keys` mixes the words before t once, as Python
-ints, and the rest as arrays over t, giving every step's key in one pass;
-one Philox is then reset to (key, counter 0, empty buffer) for each row.
-Row t of a block is therefore byte for byte `step_uniforms(seed, t, slot, n)`.
+depend on the data.  `_step_keys` mixes the words of a whole set of seeds in
+one pass: the words before t as arrays over the seeds, then t and the slot
+as arrays over (seed, t), giving every (seed, step) key at once.
+`uniform_blocks` then resets one Philox to (key, counter 0, empty buffer)
+for each row of one preallocated (seeds, H, n) array.  Row t of block s is
+therefore byte for byte `step_uniforms(seeds[s], t, slot, n)`, and
+`uniform_block` is the one-seed case.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -103,18 +108,23 @@ def _successive(hash_const: int, count: int, mult: int = _MULT_A) -> np.ndarray:
 _OUTPUT_CONSTS = _successive(_INIT_B, _POOL_SIZE, _MULT_B)
 
 
-def _step_keys(seed: int, horizon: int, group_slot: int) -> np.ndarray:
+def _step_keys(seeds: Sequence[int], horizon: int,
+               group_slot: int) -> np.ndarray:
     """Philox keys of the streams (seed, TAG_STEP, t, group_slot), t < horizon.
 
-    Row t equals _seed_sequence(seed, (TAG_STEP, t, group_slot))
-    .generate_state(2, np.uint64).  The mixing is numpy's SeedSequence: the
-    words before t are mixed once as Python ints, t and the slot as arrays.
+    Shape (len(seeds), horizon, 2); entry [s, t] equals
+    _seed_sequence(seeds[s], (TAG_STEP, t, group_slot))
+    .generate_state(2, np.uint64).  The mixing is numpy's SeedSequence, with
+    its data-independent hash constants kept as Python ints: the words
+    before t are mixed as arrays over the seeds, t and the slot as arrays
+    over (seed, t).
     """
-    seed = int(seed) & _MASK64
+    seeds = np.array([int(s) & _MASK64 for s in seeds], dtype=np.uint64)
     # A seed below 2**64 fills one or two words; a spawn key pads the run
     # entropy with zeros to the pool size.
     pool, hash_const = [], _INIT_A
-    for word in (seed & _MASK32, seed >> 32, 0, 0):
+    for word in ((seeds & _MASK32).astype(np.uint32),
+                 (seeds >> 32).astype(np.uint32), 0, 0):
         word, hash_const = _hashmix(word, hash_const)
         pool.append(word)
     for src in range(_POOL_SIZE):
@@ -125,28 +135,32 @@ def _step_keys(seed: int, horizon: int, group_slot: int) -> np.ndarray:
     for dst in range(_POOL_SIZE):
         word, hash_const = _hashmix(TAG_STEP, hash_const)
         pool[dst] = _mix(pool[dst], word)
-    # From t on the pool is a (4, horizon) array, and each word is mixed
-    # into all four pool words at once, with four successive constants.
-    pool = np.array(pool, dtype=np.uint32)[:, None]
+    # From t on the pool is a (4, seeds, horizon) array, and each word is
+    # mixed into all four pool words at once, with four successive constants.
+    pool = np.array(pool, dtype=np.uint32)[:, :, None]
     for word in (np.arange(horizon, dtype=np.uint32), int(group_slot) & _MASK32):
         consts = _successive(hash_const, _POOL_SIZE + 1)
-        mixed, _ = _hashmix(word, consts[:-1])
+        mixed, _ = _hashmix(word, consts[:-1, None])
         pool = _mix(pool, mixed)
         hash_const = int(consts[-1, 0])
 
     # generate_state(2, np.uint64): the four pool words, hashed once more,
     # read as two little-endian uint64s.
-    state, _ = _hashmix(pool, _OUTPUT_CONSTS, _MULT_B)
-    return np.ascontiguousarray(state.T).view("<u8").astype(np.uint64)
+    state, _ = _hashmix(pool, _OUTPUT_CONSTS[:, None], _MULT_B)
+    return np.ascontiguousarray(state.transpose(1, 2, 0)).view("<u8").astype(
+        np.uint64)
 
 
-def uniform_block(seed: int, horizon: int, group_slot: int, n: int) -> np.ndarray:
-    """All update uniforms for one run, shape (horizon, n).
+def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
+                   n: int) -> np.ndarray:
+    """All update uniforms for one run per seed, shape (len(seeds), horizon, n).
 
-    Row t is byte for byte step_uniforms(seed, t, group_slot, n), from one
-    Philox generator reset to each step's key in turn.
+    Row t of block s is byte for byte step_uniforms(seeds[s], t, group_slot,
+    n), from one Philox generator reset to each (seed, step) key in turn.
     """
-    out = np.empty((horizon, n))
+    keys = _step_keys(seeds, horizon, group_slot)
+    out = np.empty(keys.shape[:2] + (n,))
+    rows = out.reshape(keys.shape[0] * horizon, n)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # A fresh stream: counter 0, empty buffer.  Plain lists keep the
@@ -155,8 +169,13 @@ def uniform_block(seed: int, horizon: int, group_slot: int, n: int) -> np.ndarra
              "state": {"counter": [0, 0, 0, 0], "key": None},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for t, key in enumerate(_step_keys(seed, horizon, group_slot).tolist()):
+    for row, key in enumerate(keys.reshape(-1, 2).tolist()):
         state["state"]["key"] = key
         bitgen.state = state
-        gen.random(out=out[t])
+        gen.random(out=rows[row])
     return out
+
+
+def uniform_block(seed: int, horizon: int, group_slot: int, n: int) -> np.ndarray:
+    """All update uniforms for one run, shape (horizon, n): one seed's block."""
+    return uniform_blocks([seed], horizon, group_slot, n)[0]

@@ -573,11 +573,21 @@ def cmd_predict_risk(values: dict) -> None:
                           keep_purpose=_keep(values))
     risks = predict_many(model, loaded.records)
     dists = to_score_distributions(loaded.records, risks)
+    # Path separators in a label become "_"; two labels that then share a
+    # file name are refused before any file is written.
+    names: dict[str, str] = {}
+    for group in dists:
+        safe = group.replace("/", "_").replace("\\", "_")
+        name = f"scores_{safe}.csv"
+        if name in names:
+            raise CliError(f"groups {names[name]!r} and {group!r} would both "
+                           f"write {name}")
+        names[name] = group
     out = Path(values["out_scores"])
     out.mkdir(parents=True, exist_ok=True)
-    for group, dist in dists.items():
-        safe = group.replace("/", "_").replace("\\", "_")
-        write_score_csv(out / f"scores_{safe}.csv", dist)
+    for name, group in names.items():
+        dist = dists[group]
+        write_score_csv(out / name, dist)
         print(f"group {group}: {dist.n} scores, mean {dist.mean():.6f}")
     _write_rejects(values["rejects"], loaded.rejects)
 

@@ -32,7 +32,8 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# substream is looked up in this module by perfbench/tracing.py.
+# Nothing here calls substream: perfbench/tracing.py wraps it at this name
+# and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import step_uniforms, substream  # noqa: F401
 
 

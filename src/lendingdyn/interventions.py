@@ -26,7 +26,8 @@ Every replicate's uniforms depend only on (seed, replicate, step, group
 slot, agent), so outcomes are coupled across policies, penalties, and
 thresholds that share a seed, and grid evaluation order cannot change any
 number.  Within one evaluation, a single uniform block per (replicate,
-group) drives every threshold of the sweep and the baseline.
+group) drives every threshold of the sweep and the baseline; the blocks of
+a group's replicates are built in one pass.
 """
 
 from __future__ import annotations
@@ -39,8 +40,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._random import derive_seed, uniform_block, TAG_CELL, TAG_REPLICATE
-from .dynamics import DynamicsParams, ScoreDistribution, approved_step
+from ._random import derive_seed, uniform_blocks, TAG_CELL, TAG_REPLICATE
+# Nothing here calls uniform_block: perfbench/tracing.py wraps it at this
+# name and tests/test_benchmark_contract.py checks that the name resolves.
+from ._random import uniform_block  # noqa: F401
+from .dynamics import (DynamicsParams, ScoreDistribution, _advance_scores,
+                       approved_step)
 from .thresholds import optimal_threshold
 
 
@@ -145,9 +150,11 @@ def _mean_curves(scores0: np.ndarray, k: float, c: float, betas: np.ndarray,
 
     The walk is built for all replicates at once; the rest (running minima,
     counts, gather, agent means) runs over chunks of whole replicates of at
-    most _CHUNK_CELLS (beta + 1, agent) cells, so a one-beta baseline is a
-    single chunk.  Replicates are independent and each chunk's finals are
-    C-ordered (replicates, betas, agents), so the chunking changes no bit.
+    most _CHUNK_CELLS (beta + 1, agent) cells.  Replicates are independent
+    and each chunk's finals are C-ordered (replicates, betas, agents), so
+    the chunking changes no bit.  It is built for whole threshold grids: the
+    post-intervention sweep and the long-run baseline search.  The beta-hat
+    baseline walks its one threshold directly (_baseline_means).
     """
     n_reps, horizon, n = blocks.shape
     nb = betas.size
@@ -184,12 +191,6 @@ def _mean_curves(scores0: np.ndarray, k: float, c: float, betas: np.ndarray,
     return out
 
 
-def _replicate_blocks(rep_seeds: Sequence[int], horizon: int, slot: int,
-                      n: int) -> np.ndarray:
-    """One uniform block per replicate, shape (replicates, horizon, n)."""
-    return np.stack([uniform_block(s, horizon, slot, n) for s in rep_seeds])
-
-
 def _beta_grid(step: float) -> np.ndarray:
     m = int(round(1.0 / step))
     return np.linspace(0.0, 1.0, m + 1)
@@ -202,11 +203,19 @@ def _baseline_means(scores0: np.ndarray, k: float, c: float,
 
     The threshold is the analytic one-step beta-hat, or with
     long_run_search the grid beta that maximizes each replicate's mean.
+    At beta-hat every replicate's population takes the frozen walk itself,
+    one update per step; entry r is simulate_group(..., beta-hat,
+    seed=rep_seed[r]).mean(), which the freeze identity makes equal, bit for
+    bit, to column 0 of _mean_curves(..., [beta-hat]).
     """
     if long_run_search:
         return _mean_curves(scores0, k, c, _beta_grid(beta_step), blocks).max(axis=1)
     bhat = optimal_threshold(k, c).beta_hat
-    return _mean_curves(scores0, k, c, np.array([bhat]), blocks)[:, 0]
+    n_reps, horizon, _ = blocks.shape
+    scores = np.repeat(scores0[None], n_reps, axis=0)
+    for t in range(horizon):
+        scores = _advance_scores(scores, blocks[:, t], bhat, k, c)
+    return scores.mean(axis=1)
 
 
 def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
@@ -220,7 +229,7 @@ def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     """
     out = {}
     for slot, dist in ((0, dist_a), (1, dist_d)):
-        blocks = _replicate_blocks([seed], horizon, slot, dist.n)
+        blocks = uniform_blocks([seed], horizon, slot, dist.n)
         means = _baseline_means(dist.scores, params.k, params.c_for(dist.group),
                                 blocks, long_run_search, beta_step)
         out[dist.group] = float(means[0])
@@ -253,9 +262,11 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                     long_run_baseline: bool = False) -> PolicyOutcome:
     """Apply one intervention and search the threshold grid for best utility.
 
-    Each group's uniform block per replicate is built once and drives every
-    threshold of the post-intervention sweep and the baseline (c-hat at the
-    pre-intervention optimum), so the curve and its baseline are coupled.
+    Each group's uniform blocks, one per replicate, are built in one pass
+    and drive every threshold of the post-intervention sweep (one walk per
+    replicate, _mean_curves) and the baseline (c-hat at the pre-intervention
+    optimum: the frozen walk at beta-hat, or with long_run_baseline a second
+    sweep), so the curve and its baseline are coupled.
     Replicate streams depend only on (seed, replicate), so evaluations that
     share a seed are coupled across kinds and r values too; recommend_grid
     does not share seeds: it gives every (cell, kind) its own.
@@ -270,7 +281,7 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
 
     means, bases = [], []
     for slot, dist in ((0, dist_a), (1, dist_d)):
-        blocks = _replicate_blocks(rep_seeds, horizon, slot, dist.n)
+        blocks = uniform_blocks(rep_seeds, horizon, slot, dist.n)
         curves = _mean_curves(dist.scores, k, post.c_for(dist.group), betas,
                               blocks)
         means.append(curves.mean(axis=0))

@@ -1,6 +1,7 @@
 """Optimal approval thresholds.
 
 The expected next score of an approved agent is the gain function
+(`dynamics.expected_next_score`)
 
     g(x) = x * clamp(x + k) + (1 - x) * clamp(x - c*k),
 
@@ -15,28 +16,11 @@ depend on the score distribution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .dynamics import DynamicsParams, ScoreDistribution, ThresholdPolicy, \
     expected_next_score
-
-
-def GainFunction(k: float, c: float):
-    """The gain function g = expected_next_score(., k, c) as a callable.
-
-    A thin alias kept for callers of the old class; k and c must be
-    nonnegative.
-    """
-    if k < 0 or c < 0:
-        raise ValueError("k and c must be nonnegative")
-    return partial(expected_next_score, k=k, c=c)
-
-
-def gain(g, x):
-    """Expected next score for an approved agent at score x: g(x)."""
-    return g(x)
 
 
 @dataclass(frozen=True)

@@ -420,6 +420,28 @@ class TestRiskCommands:
         values = np.array([float(v) for v in got_a[1:]])
         assert np.all((values > 0) & (values < 1))
 
+    def test_colliding_score_files_are_refused(self, capsys, tmp_path):
+        train = tmp_path / "train.csv"
+        write_loan_csv(train, make_loan_rows(800, seed=3))
+        model = tmp_path / "model.json"
+        assert run(capsys, "train-risk", "--in", train,
+                   "--out-model", model)[0] == 0
+        apps = tmp_path / "apps.csv"
+        rows = make_loan_rows(40, seed=4, purpose_mix=False)
+        for i, row in enumerate(rows):
+            row.pop("late")
+            row["group"] = "A/B" if i % 2 == 0 else "A_B"
+        write_loan_csv(apps, rows,
+                       columns=["balance", "ltv", "dti", "units", "purpose",
+                                "group"])
+        scores = tmp_path / "scores"
+        code, stdout, err = run(capsys, "predict-risk", "--model", model,
+                                "--in", apps, "--out-scores", scores)
+        assert code == 2
+        assert "'A/B'" in err and "'A_B'" in err
+        assert stdout == ""
+        assert not scores.exists()
+
     def test_separation_is_a_computation_failure(self, capsys, tmp_path):
         train = tmp_path / "sep.csv"
         rows = [{"balance": "5.0", "ltv": str(float(v)), "dti": "3.0",

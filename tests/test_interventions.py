@@ -9,8 +9,9 @@ from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind,
                         grid_rows, optimal_threshold, recommend_grid,
                         sample_beta, simulate_group, utility)
 from lendingdyn import interventions
-from lendingdyn._random import TAG_REPLICATE, derive_seed
-from lendingdyn.interventions import KIND_ORDER, _beta_grid, _mean_curves
+from lendingdyn._random import TAG_REPLICATE, derive_seed, uniform_blocks
+from lendingdyn.interventions import (KIND_ORDER, _baseline_means, _beta_grid,
+                                      _mean_curves)
 
 from oracles import reference_mean_curves
 
@@ -161,6 +162,47 @@ class TestMeanCurves:
         assert np.array_equal(got, want)
 
 
+class TestBaselineMeans:
+    """The beta-hat baseline's frozen walk against the per-threshold sweep."""
+
+    @pytest.mark.parametrize("horizon, n, n_reps, k, c", [
+        (20, 50, 10, 0.1, 1.0),
+        (0, 7, 3, 0.1, 1.0),
+        (1, 7, 3, 0.1, 2.0),
+        (20, 1, 4, 0.1, 1.5),     # one agent
+        (20, 30, 1, 0.1, 3.0),    # one replicate
+        (1, 1, 1, 0.1, 1.0),
+        (12, 30, 5, 0.0, 2.0),    # k = 0: beta-hat is 1
+        (12, 30, 5, 0.1, 0.0),    # c = 0: beta-hat is 0
+        (20, 500, 10, 0.1, 2.0),  # the recommendation grid's size
+    ])
+    def test_equals_the_reference_sweep_at_beta_hat(self, horizon, n, n_reps,
+                                                    k, c):
+        bhat = optimal_threshold(k, c).beta_hat
+        rng = np.random.default_rng([horizon, n, n_reps])
+        # half the agents start exactly at beta-hat (ties approve)
+        scores = np.where(rng.random(n) < 0.5, bhat, rng.random(n))
+        blocks = rng.random((n_reps, horizon, n))
+        got = _baseline_means(scores, k, c, blocks, False, 0.01)
+        want = reference_mean_curves(scores, k, c, np.array([bhat]),
+                                     blocks)[:, 0]
+        assert got.shape == (n_reps,)
+        assert got.tobytes() == want.tobytes()
+        assert np.mean(got).tobytes() == np.mean(want).tobytes()
+
+    def test_walks_that_land_on_beta_hat(self):
+        # Scores and steps share the lattice of quarters and beta-hat is
+        # 0.5, so agents step onto the threshold and off it again.
+        rng = np.random.default_rng(7)
+        scores = rng.choice(_beta_grid(0.25), 40)
+        blocks = rng.random((6, 9, 40))
+        assert optimal_threshold(0.25, 1.0).beta_hat == 0.5
+        got = _baseline_means(scores, 0.25, 1.0, blocks, False, 0.01)
+        want = reference_mean_curves(scores, 0.25, 1.0, np.array([0.5]),
+                                     blocks)[:, 0]
+        assert got.tobytes() == want.tobytes()
+
+
 @pytest.fixture
 def small_pair():
     dist_a = sample_beta(BetaSpec(a=4, b=8, n=120, seed=31), group="A")
@@ -277,17 +319,27 @@ class TestEvaluatePolicy:
         assert out.base_a == float(np.mean([b["A"] for b in bases]))
         assert out.base_d == float(np.mean([b["D"] for b in bases]))
 
+    def test_baseline_is_the_reference_sweep_at_beta_hat(self, small_pair):
+        out = self.evaluate(small_pair, GB)
+        rep_seeds = [derive_seed(17, TAG_REPLICATE, i) for i in range(3)]
+        bhat = np.array([optimal_threshold(0.1, 2.0).beta_hat])
+        for slot, dist, base in ((0, small_pair[0], out.base_a),
+                                 (1, small_pair[1], out.base_d)):
+            blocks = uniform_blocks(rep_seeds, 5, slot, dist.n)
+            want = reference_mean_curves(dist.scores, 0.1, 2.0, bhat, blocks)
+            assert base == float(np.mean(want[:, 0]))
+
     @pytest.mark.parametrize("long_run", [False, True])
     def test_one_uniform_block_per_replicate_and_group(self, small_pair,
                                                        monkeypatch, long_run):
         built = []
-        original = interventions.uniform_block
+        original = interventions.uniform_blocks
 
-        def counting(seed, horizon, group_slot, n):
-            built.append((seed, horizon, group_slot, n))
-            return original(seed, horizon, group_slot, n)
+        def counting(seeds, horizon, group_slot, n):
+            built.extend((seed, horizon, group_slot, n) for seed in seeds)
+            return original(seeds, horizon, group_slot, n)
 
-        monkeypatch.setattr(interventions, "uniform_block", counting)
+        monkeypatch.setattr(interventions, "uniform_blocks", counting)
         self.evaluate(small_pair, GC, long_run_baseline=long_run)
         assert len(built) == 2 * 3
         assert len(set(built)) == len(built)

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from lendingdyn._random import (TAG_STEP, _step_keys, step_uniforms,
-                                uniform_block)
+                                uniform_block, uniform_blocks)
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1)
 SLOTS = (0, 1, 2**32 + 1)
+# Mixed seed lists: every seed, reversed, repeats, one seed, none.
+SEED_LISTS = (SEEDS, SEEDS[::-1], (2**64 - 1, 0, 2**64 - 1, -1, 2**32),
+              (2**63,), ())
 
 
 def numpy_key(seed, step, slot):
@@ -20,10 +23,21 @@ def numpy_key(seed, step, slot):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("slot", SLOTS)
 def test_keys_match_seed_sequence(seed, slot):
-    keys = _step_keys(seed, 20, slot)
-    assert keys.shape == (20, 2) and keys.dtype == np.uint64
+    keys = _step_keys([seed], 20, slot)
+    assert keys.shape == (1, 20, 2) and keys.dtype == np.uint64
     for t in range(20):
-        assert np.array_equal(keys[t], numpy_key(seed, t, slot))
+        assert np.array_equal(keys[0, t], numpy_key(seed, t, slot))
+
+
+@pytest.mark.parametrize("seeds", SEED_LISTS)
+@pytest.mark.parametrize("slot", SLOTS)
+@pytest.mark.parametrize("horizon", (0, 1, 20))
+def test_keys_of_a_seed_list_match_seed_sequence(seeds, slot, horizon):
+    keys = _step_keys(list(seeds), horizon, slot)
+    assert keys.shape == (len(seeds), horizon, 2) and keys.dtype == np.uint64
+    for s, seed in enumerate(seeds):
+        for t in range(horizon):
+            assert np.array_equal(keys[s, t], numpy_key(seed, t, slot))
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -37,21 +51,38 @@ def test_block_rows_are_the_step_streams(seed, slot, horizon, n):
         assert block[t].tobytes() == step_uniforms(seed, t, slot, n).tobytes()
 
 
+@pytest.mark.parametrize("seeds", SEED_LISTS)
+@pytest.mark.parametrize("slot", SLOTS)
+@pytest.mark.parametrize("horizon", (0, 1, 20))
+@pytest.mark.parametrize("n", (1, 500))
+def test_blocks_of_a_seed_list_are_the_step_streams(seeds, slot, horizon, n):
+    blocks = uniform_blocks(list(seeds), horizon, slot, n)
+    assert blocks.shape == (len(seeds), horizon, n)
+    assert blocks.dtype == np.float64 and blocks.flags.c_contiguous
+    for s, seed in enumerate(seeds):
+        for t in range(horizon):
+            assert (blocks[s, t].tobytes()
+                    == step_uniforms(seed, t, slot, n).tobytes())
+
+
 def test_property_over_random_seeds():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
     @hypothesis.settings(max_examples=60, deadline=None)
-    @hypothesis.given(seed=st.integers(-2**64, 2**65),
+    @hypothesis.given(seeds=st.lists(st.integers(-2**64, 2**65), max_size=4),
                       slot=st.integers(0, 2**33),
                       horizon=st.integers(0, 6),
                       n=st.integers(1, 40))
-    def check(seed, slot, horizon, n):
-        keys = _step_keys(seed, horizon, slot)
-        block = uniform_block(seed, horizon, slot, n)
-        for t in range(horizon):
-            assert np.array_equal(keys[t], numpy_key(seed, t, slot))
-            assert (block[t].tobytes()
-                    == step_uniforms(seed, t, slot, n).tobytes())
+    def check(seeds, slot, horizon, n):
+        keys = _step_keys(seeds, horizon, slot)
+        blocks = uniform_blocks(seeds, horizon, slot, n)
+        assert keys.shape == (len(seeds), horizon, 2)
+        assert blocks.shape == (len(seeds), horizon, n)
+        for s, seed in enumerate(seeds):
+            for t in range(horizon):
+                assert np.array_equal(keys[s, t], numpy_key(seed, t, slot))
+                assert (blocks[s, t].tobytes()
+                        == step_uniforms(seed, t, slot, n).tobytes())
 
     check()

@@ -3,36 +3,32 @@
 import numpy as np
 import pytest
 
-from lendingdyn import (BetaSpec, DynamicsParams, GainFunction,
-                        ScoreDistribution, ThresholdPolicy, gain,
+from lendingdyn import (BetaSpec, DynamicsParams, ScoreDistribution,
+                        ThresholdPolicy, expected_next_score,
                         grid_search_threshold, one_step_policy,
                         optimal_threshold, sample_beta, step_mean)
 
 
 class TestGainFunction:
+    """The gain function g(x) = expected_next_score(x, k, c)."""
+
     def test_worked_values(self):
-        g = GainFunction(k=0.1, c=1.0)
+        def g(x):
+            return expected_next_score(x, k=0.1, c=1.0)
         assert g(0.5) == pytest.approx(0.5, abs=1e-15)
         assert g(0.8) == pytest.approx(0.86, abs=1e-15)
         # the up-move clamps at 1: 0.99 * 1.0 + 0.01 * 0.89
         assert g(0.99) == pytest.approx(0.9989, abs=1e-15)
 
     def test_fixed_points_at_ends(self):
-        g = GainFunction(k=0.2, c=2.0)
-        assert g(0.0) == 0.0
-        assert g(1.0) == 1.0
+        assert expected_next_score(0.0, k=0.2, c=2.0) == 0.0
+        assert expected_next_score(1.0, k=0.2, c=2.0) == 1.0
 
     def test_vectorized_matches_scalar(self):
-        g = GainFunction(k=0.1, c=3.0)
         xs = np.linspace(0, 1, 101)
-        vec = gain(g, xs)
-        assert np.allclose(vec, [g(float(x)) for x in xs], atol=1e-15)
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            GainFunction(k=-0.1, c=1.0)
-        with pytest.raises(ValueError):
-            GainFunction(k=0.1, c=-2.0)
+        vec = expected_next_score(xs, k=0.1, c=3.0)
+        assert np.allclose(vec, [expected_next_score(float(x), k=0.1, c=3.0)
+                                 for x in xs], atol=1e-15)
 
 
 class TestOptimalThreshold:

@@ -158,9 +158,10 @@ def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
     Row t of block s is byte for byte step_uniforms(seeds[s], t, group_slot,
     n), from one Philox generator reset to each (seed, step) key in turn.
     """
+    # Allocated before the keys so that a negative horizon raises here.
+    out = np.empty((len(seeds), horizon, n))
+    rows = out.reshape(len(seeds) * horizon, n)
     keys = _step_keys(seeds, horizon, group_slot)
-    out = np.empty(keys.shape[:2] + (n,))
-    rows = out.reshape(keys.shape[0] * horizon, n)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # A fresh stream: counter 0, empty buffer.  Plain lists keep the

@@ -273,6 +273,8 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     """
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
     pre = DynamicsParams.uniform(k, spec.baseline_c,
                                  (dist_a.group, dist_d.group))
     post = apply_intervention(pre, spec, disadvantaged=dist_d.group)

@@ -365,6 +365,15 @@ class TestEvaluatePolicy:
         out = self.evaluate(small_pair, GC, k=0.0, per_group_beta=per_group)
         assert out.beta_by_group == {"A": 1.0, "D": 1.0}
 
+    @pytest.mark.parametrize("bad, match", [
+        (dict(n_seeds=0), "n_seeds"),
+        (dict(n_seeds=-2), "n_seeds"),
+        (dict(horizon=-1), "negative"),
+    ])
+    def test_empty_or_negative_runs_rejected(self, small_pair, bad, match):
+        with pytest.raises(ValueError, match=match):
+            self.evaluate(small_pair, GC, **bad)
+
     def test_same_group_labels_rejected(self, small_pair):
         dist_a, _ = small_pair
         spec = InterventionSpec(kind=BO, r=0.0, baseline_c=1.0)

@@ -65,6 +65,13 @@ def test_blocks_of_a_seed_list_are_the_step_streams(seeds, slot, horizon, n):
                     == step_uniforms(seed, t, slot, n).tobytes())
 
 
+def test_negative_horizon_rejected():
+    with pytest.raises(ValueError, match="negative"):
+        uniform_blocks([0, 1], -1, 0, 5)
+    with pytest.raises(ValueError, match="negative"):
+        uniform_block(0, -1, 0, 5)
+
+
 def test_property_over_random_seeds():
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -87,23 +88,103 @@ def check_dominance(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                            violations=violations)
 
 
-def read_score_csv(path, group: str = "A") -> ScoreDistribution:
-    """One-column score CSV; an optional single header cell is skipped."""
+# Every byte a plain line may hold, its "\r\n" end aside: printable ASCII
+# except '"', plus tab, vertical tab, form feed and "\n".  np.loadtxt's
+# number parser skips \x1c-\x1f as whitespace, which float() refuses, so
+# those and the other control characters are not plain.
+_PLAIN_BYTES = bytes(b for b in range(128)
+                     if b in b"\t\x0b\x0c\n" or (32 <= b < 127 and b != 34))
+_CHUNK_ROWS = 1 << 12       # lines read, parsed and freed at a time
+
+
+class NotPlain(Exception):
+    """The input is one the C reader could read differently from csv."""
+
+
+def plain_chunks(fh, size: int):
+    """The rest of a file opened with newline="", in lists of `size` lines.
+
+    Each line of a plain file is one csv row, so np.loadtxt with
+    comments=None and quotechar=None reads its cells as the csv module does.
+    A line is plain when it is ASCII, holds no '"', no control character
+    other than tab, vertical tab and form feed, no '\r' outside a '\r\n'
+    end, is not blank, and is no longer than the csv field limit.  Raises
+    NotPlain at the first chunk holding a line that is not.
+    """
+    limit = csv.field_size_limit()
+    while lines := list(islice(fh, size)):
+        text = "".join(lines)
+        if not text.isascii():
+            raise NotPlain
+        raw = text.encode("ascii")
+        left = raw.translate(None, _PLAIN_BYTES)    # '\r' and what is not plain
+        if ((left and (left.strip(b"\r") or len(left) != raw.count(b"\r\n")))
+                or "\n" in lines or "\r\n" in lines
+                or (len(text) > limit and max(map(len, lines)) > limit)):
+            raise NotPlain
+        yield lines
+
+
+def _plain_scores(path) -> np.ndarray:
+    """The scores of a plain file, read by np.loadtxt; NotPlain otherwise,
+    also for a file that np.loadtxt refuses.
+
+    The first line is a header when its first cell does not parse, as in
+    _csv_scores.
+    """
+    parts = []
+    try:
+        with open(path, newline="") as fh:
+            for k, lines in enumerate(plain_chunks(fh, _CHUNK_ROWS)):
+                if k == 0:
+                    try:
+                        float(lines[0].split(",", 1)[0])
+                    except ValueError:
+                        del lines[0]
+                if lines:
+                    parts.append(np.loadtxt(lines, delimiter=",", comments=None,
+                                            quotechar=None, usecols=0, ndmin=1))
+    except ValueError:
+        raise NotPlain from None
+    return np.concatenate(parts) if parts else np.empty(0)
+
+
+def _csv_scores(path) -> np.ndarray:
+    """The scores of any file, read row by row by the csv module."""
     values = []
     with open(path, newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            cell = row[0].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if i > 0:
-                    raise ValueError(f"non-numeric score {cell!r} in {path}") from None
-                # header row
-    if not values:
+        reader = csv.reader(fh)
+        try:
+            for i, row in enumerate(reader):
+                if not row:
+                    continue
+                cell = row[0].strip()
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    if i > 0:
+                        raise ValueError(
+                            f"non-numeric score {cell!r} in {path}") from None
+                    # header row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    return np.array(values, dtype=float)
+
+
+def read_score_csv(path, group: str = "A") -> ScoreDistribution:
+    """One-column score CSV; an optional single header cell is skipped.
+
+    Only the first row may be a header; a blank row counts as a row.  A
+    plain file (see plain_chunks) is parsed by np.loadtxt, any other by the
+    csv module, which also words every error.
+    """
+    try:
+        scores = _plain_scores(path)
+    except NotPlain:
+        scores = _csv_scores(path)
+    if not scores.size:
         raise ValueError(f"no scores found in {path}")
-    return ScoreDistribution(group, np.asarray(values))
+    return ScoreDistribution(group, scores)
 
 
 def write_score_csv(path, dist: ScoreDistribution) -> None:

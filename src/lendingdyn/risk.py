@@ -9,7 +9,8 @@ into one ScoreDistribution per group label.
 Purpose filtering keeps purchase loans only.  Rows violating field
 invariants are rejected individually with reasons; structural problems
 (missing columns, unparseable numbers, an empty result) raise.  Loaded rows
-are held by column (LoanTable), and the model reads the columns.
+are held by column (LoanTable), and the model reads the columns.  np.loadtxt
+parses a plain CSV; the csv module reads any other and words every error.
 """
 
 from __future__ import annotations
@@ -18,10 +19,12 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Sequence
 
 import numpy as np
 
+from .distributions import NotPlain, plain_chunks
 from .dynamics import ScoreDistribution
 
 PURPOSES = ("purchase", "refinance", "other")
@@ -133,7 +136,18 @@ class LoadResult:
 _CHUNK_ROWS = 1 << 12       # rows read, parsed and freed at a time
 _NUMBERS = (("balance", float), ("ltv", float), ("dti", float), ("units", int))
 _LATE = {"0": False, "1": True}
-_NAMED_PURPOSES = frozenset(("purchase", "refinance"))   # the rest are "other"
+# A purpose's index in PURPOSES; every unnamed purpose is "other".
+_PURPOSE_CODE = {"purchase": 0, "refinance": 1}
+_PURPOSE_OBJECTS = np.array(PURPOSES, dtype=object)
+_FILTERED = np.array([f"purpose {p!r} filtered out" for p in PURPOSES],
+                     dtype=object)
+_LOADTXT_TYPES = {"balance": np.float64, "ltv": np.float64,
+                  "dti": np.float64, "units": np.int64}
+
+
+def _labels(cells, n: int) -> np.ndarray:
+    """The late column; KeyError on a cell that is not 0 or 1."""
+    return np.fromiter(map(_LATE.__getitem__, map(str.strip, cells)), bool, n)
 
 
 def _raise_first_bad_row(path, cells: dict, lines: list[int]):
@@ -152,73 +166,133 @@ def _raise_first_bad_row(path, cells: dict, lines: list[int]):
     raise AssertionError("a chunk failed to parse, but none of its rows does")
 
 
-def _parse_chunk(path, rows: list[list[str]], lines: list[int], index: dict,
-                 keep_purpose: str | None, rejects: list[RowReject]) -> LoanTable:
-    """The kept rows of one chunk; its rejects are appended in row order."""
+def _csv_columns(path, fh, reader, index: dict):
+    """Each chunk of rows as (numbers, purpose, group, late, lines), read by
+    the csv module: any file, with every error worded.  purpose and group
+    hold raw cell text; group is None without a group column.
+
+    A row's line is the file line it starts on, after quoted newlines and
+    blank lines.
+    """
     width = max(index.values()) + 1
-    if min(map(len, rows)) < width:
-        # A short row's missing cells read None for a number and '' for
-        # text, as DictReader's None did in the row-by-row loader.
-        pad = [""] * width
-        for name, _ in _NUMBERS:
-            pad[index[name]] = None
-        rows = [row + pad[len(row):] if len(row) < width else row for row in rows]
-    columns = list(zip(*rows))
-    cells = {name: columns[j] for name, j in index.items()}
-    n = len(rows)
+    # A short row's missing cells read None for a number and '' for text,
+    # as DictReader's None did in the row-by-row loader.
+    pad = [""] * width
+    for name, _ in _NUMBERS:
+        pad[index[name]] = None
+    end = reader.line_num
+    while True:
+        # Rebinding rows frees the last chunk's strings before the next
+        # chunk is read.
+        rows, lines, read = [], [], 0
+        try:
+            for read, row in zip(range(1, _CHUNK_ROWS + 1), reader):
+                if row:                     # a blank line holds no row
+                    rows.append(row)
+                    lines.append(end + 1)
+                end = reader.line_num
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        if rows:
+            if min(map(len, rows)) < width:
+                rows = [row + pad[len(row):] if len(row) < width else row
+                        for row in rows]
+            columns = list(zip(*rows))
+            cells = {name: columns[j] for name, j in index.items()}
+            n = len(rows)
+            try:
+                numbers = {name: np.fromiter(map(float, cells[name]), float, n)
+                           for name in ("balance", "ltv", "dti")}
+                units = list(map(int, cells["units"]))
+                late = _labels(cells["late"], n) if "late" in cells else None
+            except (KeyError, TypeError, ValueError):
+                _raise_first_bad_row(path, cells, lines)
+            try:
+                numbers["units"] = np.array(units, dtype=np.int64)
+            except OverflowError:
+                numbers["units"] = np.array(units, dtype=object)
+            yield (numbers, cells["purpose"], cells.get("group"), late,
+                   np.array(lines))
+        if read < _CHUNK_ROWS:
+            return
+
+
+def _plain_columns(path, fh, reader, index: dict):
+    """_csv_columns for a plain file, parsed by np.loadtxt.
+
+    Each line of a plain file holds one row.  Raises NotPlain on a chunk
+    that is not plain or that np.loadtxt or the late labels refuse;
+    _csv_columns then words the error.
+    """
+    dtype = [(name, _LOADTXT_TYPES.get(name, object)) for name in index]
+    usecols = list(index.values())
+    first = reader.line_num + 1
     try:
-        values = {name: np.fromiter(map(float, cells[name]), float, n)
-                  for name in ("balance", "ltv", "dti")}
-        units = list(map(int, cells["units"]))
-        late = (np.fromiter(map(_LATE.__getitem__, map(str.strip, cells["late"])),
-                            bool, n) if "late" in cells else None)
-    except (KeyError, TypeError, ValueError):
-        _raise_first_bad_row(path, cells, lines)
-    try:
-        values["units"] = np.array(units, dtype=np.int64)
-    except OverflowError:
-        values["units"] = np.array(units, dtype=object)
-    purposes = map(str.lower, map(str.strip, cells["purpose"]))
-    values["purpose"] = np.array([p if p in _NAMED_PURPOSES else "other"
-                                  for p in purposes])
-    group = None
+        for lines in plain_chunks(fh, _CHUNK_ROWS):
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                               comments=None, quotechar=None,
+                               usecols=usecols, ndmin=1)
+            n = len(lines)
+            late = _labels(table["late"], n) if "late" in index else None
+            yield ({name: table[name] for name in _LOADTXT_TYPES},
+                   table["purpose"],
+                   table["group"] if "group" in index else None,
+                   late, np.arange(first, first + n))
+            first += n
+    except (KeyError, ValueError):
+        raise NotPlain from None
+
+
+def _keep_valid(numbers: dict, purpose, group, late, lines: np.ndarray,
+                keep_purpose: str | None, rejects: list[RowReject]) -> LoanTable:
+    """The kept rows of one chunk; its rejects are appended in row order."""
+    n = len(lines)
+    codes = np.fromiter(map(_PURPOSE_CODE.get,
+                            map(str.lower, map(str.strip, purpose)),
+                            repeat(2)), np.intp, n)
     no_group = np.zeros(n, dtype=bool)
-    if "group" in cells:
-        group = np.array(list(map(str.strip, cells["group"])), dtype=object)
+    if group is not None:
+        group = np.fromiter(map(str.strip, group), object, n)
         no_group = group == ""
 
+    # Purposes are normalised into PURPOSES, so only the numbers can break
+    # an invariant.
     invalid = np.zeros(n, dtype=bool)
     for name, _, holds in _INVARIANTS:
-        invalid |= ~holds(values[name])
+        if name in numbers:
+            invalid |= ~holds(numbers[name])
     rejected = no_group | invalid
     if keep_purpose is not None:
-        rejected |= values["purpose"] != keep_purpose
-    # Reasons are formatted for rejected rows only.
-    at = np.flatnonzero(invalid & ~no_group)
-    bad = {name: values[name][at].tolist() for name, _, _ in _INVARIANTS}
-    problems = {i: _problems({name: column[k] for name, column in bad.items()})
-                for k, i in enumerate(at.tolist())}
-    for i in np.flatnonzero(rejected).tolist():
-        if no_group[i]:
-            reason = "empty group label"
-        elif i in problems:
-            reason = problems[i]
-        else:
-            reason = f"purpose {str(values['purpose'][i])!r} filtered out"
-        rejects.append(RowReject(lines[i], reason))
+        keep = PURPOSES.index(keep_purpose) if keep_purpose in PURPOSES else -1
+        rejected |= codes != keep
+    at = np.flatnonzero(rejected)
+    if at.size:
+        # A reject's reason is its missing group, else every invariant it
+        # breaks, else its filtered purpose.
+        reasons = _FILTERED[codes[at]]
+        bad = np.flatnonzero(invalid[at] & ~no_group[at])
+        values = {name: numbers[name][at[bad]].tolist() for name in numbers}
+        values["purpose"] = _PURPOSE_OBJECTS[codes[at[bad]]].tolist()
+        reasons[bad] = [_problems({name: column[k] for name, column in values.items()})
+                        for k in range(bad.size)]
+        reasons[no_group[at]] = "empty group label"
+        rejects.extend(map(RowReject, lines[at].tolist(), reasons.tolist()))
     kept = ~rejected
-    return LoanTable(**{name: column[kept] for name, column in values.items()},
+    return LoanTable(**{name: column[kept] for name, column in numbers.items()},
+                     purpose=_PURPOSE_OBJECTS[codes[kept]],
                      late=None if late is None else late[kept],
                      group=None if group is None else group[kept],
-                     line=np.array(lines)[kept])
+                     line=lines[kept])
 
 
 def load_records(path, schema: str = "training",
                  keep_purpose: str | None = "purchase") -> LoadResult:
     """Read a loan CSV, reject invalid rows, filter to the kept purpose.
 
-    Rows are read in chunks and parsed one column at a time.  A row's line,
-    in its reject or in an error, is the file line the row starts on.
+    Rows are read in chunks and parsed one column at a time: by np.loadtxt
+    when the file is plain (see distributions.plain_chunks), else by the
+    csv module.  A row's line, in its reject or in an error, is the file
+    line the row starts on.
     """
     if schema == "training":
         required = TRAINING_COLUMNS
@@ -226,39 +300,36 @@ def load_records(path, schema: str = "training",
         required = APPLICATION_COLUMNS
     else:
         raise ValueError(f"schema must be 'training' or 'application', got {schema!r}")
-
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing required columns {missing}")
-        # A repeated column name reads its last cell, as with DictReader.
-        position = {name: j for j, name in enumerate(header)}
-        index = {name: position[name] for name in required}
-        parts: list[LoanTable] = []
-        rejects: list[RowReject] = []
-        end = reader.line_num
-        while True:
-            # Rebinding rows frees the last chunk's strings before the next
-            # chunk is read.
-            rows, lines, read = [], [], 0
-            for read, row in zip(range(1, _CHUNK_ROWS + 1), reader):
-                if row:                     # a blank line holds no row
-                    rows.append(row)
-                    lines.append(end + 1)
-                end = reader.line_num
-            if rows:
-                parts.append(_parse_chunk(path, rows, lines, index,
-                                          keep_purpose, rejects))
-            if read < _CHUNK_ROWS:
-                break
+    try:
+        parts, rejects = _load(path, required, keep_purpose, _plain_columns)
+    except NotPlain:
+        parts, rejects = _load(path, required, keep_purpose, _csv_columns)
     if not sum(map(len, parts)):
         raise ValueError(f"{path}: no usable rows after validation and filtering")
     table = LoanTable(**{name: None if column is None else
                          np.concatenate([getattr(part, name) for part in parts])
                          for name, column in vars(parts[0]).items()})
     return LoadResult(records=table, rejects=tuple(rejects))
+
+
+def _load(path, required, keep_purpose, columns):
+    """The kept chunks and the rejects of one pass over the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, [])
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise ValueError(f"{path}: missing required columns {missing}")
+        # A repeated column name reads its last cell, as with DictReader.
+        position = {name: j for j, name in enumerate(header)}
+        index = {name: position[name] for name in required}
+        rejects: list[RowReject] = []
+        parts = [_keep_valid(*chunk, keep_purpose, rejects)
+                 for chunk in columns(path, fh, reader, index)]
+    return parts, rejects
 
 
 @dataclass(frozen=True)

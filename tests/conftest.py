@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import csv
+import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -86,6 +88,34 @@ def write_risk_inputs(directory):
     write_loan_csv(train, train_rows)
     write_loan_csv(apps, app_rows)
     return train, apps
+
+
+_PLAIN_LINE = re.compile(r"[\t\x0b\x0c !#-~]+(\r\n|\n)?")
+
+
+def plain_lines(text: str) -> bool:
+    """Whether each line of the text is one the C readers may parse: ASCII
+    without '"' or control characters other than tab, vertical tab and form
+    feed, not blank, ended by "\n", "\r\n" or the end of the text, and no
+    longer than the csv field limit.  Lines split as in a file opened with
+    newline="", so a lone "\r" ends a line."""
+    return all(_PLAIN_LINE.fullmatch(line)
+               and len(line) <= csv.field_size_limit()
+               for line in io.StringIO(text, newline="").readlines())
+
+
+def spy_calls(monkeypatch, module, name: str) -> list:
+    """Record each call of module.name, which still runs; returns the list
+    the calls' arguments are appended to."""
+    calls = []
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
 
 
 @pytest.fixture

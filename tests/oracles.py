@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from lendingdyn import RationalStep
+from lendingdyn import RationalStep, ScoreDistribution
 from lendingdyn._random import step_uniforms
 from lendingdyn.risk import (APPLICATION_COLUMNS, TRAINING_COLUMNS, LoadResult,
                              LoanRecord, RowReject)
@@ -258,3 +258,25 @@ def reference_load_records(path, schema="training", keep_purpose="purchase"):
     if not records:
         raise ValueError(f"{path}: no usable rows after validation and filtering")
     return LoadResult(records=tuple(records), rejects=tuple(rejects))
+
+
+def reference_read_score_csv(path, group="A"):
+    """The row-by-row score reader: csv.reader rows, one float() at a time.
+
+    Only row 0 may be a header; blank rows are skipped but still counted.
+    """
+    values = []
+    with open(path, newline="") as fh:
+        for i, row in enumerate(csv.reader(fh)):
+            if not row:
+                continue
+            cell = row[0].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                if i > 0:
+                    raise ValueError(f"non-numeric score {cell!r} in {path}") from None
+                # header row
+    if not values:
+        raise ValueError(f"no scores found in {path}")
+    return ScoreDistribution(group, np.asarray(values))

@@ -496,6 +496,57 @@ class TestRiskCommands:
                 == digest, name
 
 
+@pytest.mark.parametrize("huge", ['"' + "9" * 200_000 + '"', "9" * 200_000],
+                         ids=["quoted", "unquoted"])
+class TestOversizedCsvField:
+    """A field past the csv module's limit is a bad input file, also where
+    np.loadtxt could read it."""
+
+    def _loan_file(self, path, schema, huge):
+        rows = make_loan_rows(30, seed=8)
+        for i, row in enumerate(rows):
+            if schema == "application":
+                row["group"] = "AD"[i % 2]
+        rows[2]["purpose"] = huge
+        columns = list(rows[0])
+        with open(path, "w") as fh:
+            fh.write(",".join(columns) + "\n")
+            for row in rows:
+                fh.write(",".join(row[c] for c in columns) + "\n")
+
+    def test_train_risk(self, capsys, tmp_path, huge):
+        self._loan_file(tmp_path / "train.csv", "training", huge)
+        code, _, err = run(capsys, "train-risk", "--in", tmp_path / "train.csv",
+                           "--out-model", tmp_path / "m.json")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "train.csv:4: field larger than field limit" in err
+
+    def test_predict_risk(self, capsys, tmp_path, huge):
+        train = tmp_path / "train.csv"
+        write_loan_csv(train, make_loan_rows(800, seed=3))
+        model = tmp_path / "model.json"
+        assert run(capsys, "train-risk", "--in", train,
+                   "--out-model", model)[0] == 0
+        self._loan_file(tmp_path / "apps.csv", "application", huge)
+        code, _, err = run(capsys, "predict-risk", "--model", model,
+                           "--in", tmp_path / "apps.csv",
+                           "--out-scores", tmp_path / "scores")
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "apps.csv:4: field larger than field limit" in err
+
+    def test_dominance_check(self, capsys, tmp_path, huge):
+        good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+        good.write_text("score\n0.25\n0.5\n")
+        bad.write_text("score\n0.25\n" + huge + "\n0.5\n")
+        code, _, err = run(capsys, "dominance-check", "--file-a", good,
+                           "--file-b", bad)
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "bad.csv:3: field larger than field limit" in err
+
+
 class TestMaxMeanCurve:
     def test_writes_coupled_curve(self, capsys, tmp_path):
         out = tmp_path / "mm"

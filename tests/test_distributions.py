@@ -1,4 +1,4 @@
-"""Beta sampling, empirical CDFs, and the dominance check."""
+"""Beta sampling, empirical CDFs, the dominance check and score CSVs."""
 
 import numpy as np
 import pytest
@@ -7,6 +7,10 @@ from scipy import stats
 from lendingdyn import (BetaSpec, ScoreDistribution, check_dominance,
                         empirical_cdf, read_score_csv, sample_beta,
                         write_score_csv)
+from lendingdyn import distributions
+
+from conftest import plain_lines, spy_calls
+from oracles import reference_read_score_csv
 
 
 class TestSampleBeta:
@@ -136,3 +140,114 @@ class TestScoreCsv:
         path.write_text("score\n1.5\n")
         with pytest.raises(ValueError):
             read_score_csv(path)
+
+
+def _read_outcome(fn, path):
+    """(group, score bytes), or the error's type and message."""
+    try:
+        dist = fn(path, group="D")
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return dist.group, dist.scores.tobytes()
+
+
+# (name, file bytes, the reader that decides: "plain" for np.loadtxt alone,
+# "csv" when the csv module reads the file after the plain attempt)
+SCORE_CASES = [
+    ("header-lf", b"score\n0.25\n0.5\n", "plain"),
+    ("header-crlf", b"score\r\n0.25\r\n0.5\r\n", "plain"),
+    ("header-lone-cr", b"score\r0.25\r0.5\r", "csv"),
+    ("headerless", b"0.25\n0.5\n0.75", "plain"),
+    ("numeric-header-is-a-score", b"0.125,score\n0.25\n", "plain"),
+    ("extra-cells", b"score,note\n0.25,a\n 0.5 ,\n\t0.75\x0b,x,y\n", "plain"),
+    ("empty-header-cell", b",score\n0.25\n", "plain"),
+    ("quoted-cells", b'"score"\n"0.25"\n0.5\n', "csv"),
+    ("quoted-comma", b'"s,core"\n"0.25",x\n', "csv"),
+    ("quoted-newline", b'"sc\nore"\n0.25\n', "csv"),
+    ("blank-row-in-body", b"score\n0.25\n\n0.5\n", "csv"),
+    ("blank-row-0-then-header", b"\nscore\n0.5\n", "csv"),
+    ("blank-crlf-row", b"score\r\n\r\n0.5\r\n", "csv"),
+    ("underscore", b"score\n1_0e-1\n0.5\n", "csv"),
+    ("underscore-in-row-0", b"0_5e-1\n0.25\n", "csv"),
+    ("non-ascii-digits", "score\n\u0660.\u0665\n".encode(), "csv"),
+    ("info-separator", b"score\n\x1c0.25\n", "csv"),
+    ("nul", b"score\n0.25\x00\n", "csv"),
+    ("later-non-numeric", b"score\n0.25\noops\n", "csv"),
+    ("second-header", b"score\nlabel\n0.5\n", "csv"),
+    ("whitespace-row", b"score\n0.25\n \n", "csv"),
+    ("out-of-range", b"score\n1.5\n", "plain"),
+    ("nan", b"score\nnan\n", "plain"),
+    ("empty", b"", "plain"),
+    ("header-only", b"score\n", "plain"),
+    ("header-only-crlf", b"score\r\n", "plain"),
+]
+
+
+class TestScoreCsvOracle:
+    """read_score_csv against the row-by-row reader it replaced."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 1 << 12])
+    @pytest.mark.parametrize("name, data, reader", SCORE_CASES,
+                             ids=[case[0] for case in SCORE_CASES])
+    def test_edge_cases(self, tmp_path, monkeypatch, name, data, reader,
+                        chunk_rows):
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(data)
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_scores")
+        assert _read_outcome(read_score_csv, path) \
+            == _read_outcome(reference_read_score_csv, path)
+        assert len(fallbacks) == (reader == "csv")
+
+    def test_later_non_numeric_row_message(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("score\n0.25\n0.5\n oops \n")
+        with pytest.raises(ValueError,
+                           match=r"^non-numeric score 'oops' in .*bad\.csv$"):
+            read_score_csv(path)
+
+    def test_a_field_past_the_csv_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        path.write_text('score\n0.5\n"' + "9" * 200_000 + '"\n')
+        with pytest.raises(ValueError, match=r"huge\.csv:3: field larger"):
+            read_score_csv(path)
+
+    def test_property_against_the_row_by_row_reader(self, tmp_path,
+                                                    monkeypatch):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        cell = st.sampled_from(
+            ["0.25", " 0.5 ", "1", "0", "1e-3", "nan", "-0.0", "1_0e-1",
+             "1.5", "score", "", "x", '"0.75"', '"a,b"', "\t0.125\x0b",
+             "\x1f0.5", "\u0660.\u0665"])
+
+        @st.composite
+        def files(draw):
+            end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+            rows = [",".join(draw(st.lists(cell, min_size=1, max_size=3)))
+                    for _ in range(draw(st.integers(0, 8)))]
+            text = "".join(row + end for row in rows)
+            if rows and draw(st.booleans()):
+                text = text[:-len(end)]
+            return text
+
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_scores")
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(text=files(),
+                          chunk_rows=st.sampled_from([1, 2, 3, 1 << 12]))
+        def check(text, chunk_rows):
+            path = tmp_path / "property.csv"
+            path.write_bytes(text.encode())
+            monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
+            fallbacks.clear()
+            expected = _read_outcome(reference_read_score_csv, path)
+            assert _read_outcome(read_score_csv, path) == expected
+            # np.loadtxt alone reads exactly the plain files whose scores
+            # it parses: all but those with an underscore or a bad score.
+            assert fallbacks or plain_lines(text)
+            if (plain_lines(text) and "_" not in text
+                    and "non-numeric" not in str(expected)):
+                assert not fallbacks
+
+        check()

@@ -15,7 +15,8 @@ from lendingdyn import risk
 from lendingdyn.risk import LoanTable, RowReject
 
 from conftest import (TRUE_DTI, TRUE_INTERCEPT, TRUE_LTV, TRUE_UNITS,
-                      logistic, make_loan_rows, write_loan_csv)
+                      logistic, make_loan_rows, plain_lines, spy_calls,
+                      write_loan_csv)
 from oracles import reference_load_records
 
 
@@ -299,8 +300,22 @@ class TestColumnarLoaderOracle:
     @pytest.mark.parametrize("schema", ["training", "application"])
     def test_chunk_boundaries(self, tmp_path, monkeypatch, chunk_rows,
                               schema):
-        # blank lines, quoted newlines, invalid and filtered rows fall on
-        # both sides of every chunk boundary
+        self.check_chunk_boundaries(tmp_path, monkeypatch, chunk_rows,
+                                    schema, plain=False)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("schema", ["training", "application"])
+    def test_chunk_boundaries_of_a_plain_file(self, tmp_path, monkeypatch,
+                                              chunk_rows, schema):
+        self.check_chunk_boundaries(tmp_path, monkeypatch, chunk_rows,
+                                    schema, plain=True)
+
+    @staticmethod
+    def check_chunk_boundaries(tmp_path, monkeypatch, chunk_rows, schema,
+                               plain):
+        # invalid and filtered rows fall on both sides of every chunk
+        # boundary; so do blank lines and quoted newlines unless the file
+        # is plain, which np.loadtxt alone then reads
         rows = make_loan_rows(40, seed=9)
         for i, row in enumerate(rows):
             if schema == "application":
@@ -308,16 +323,62 @@ class TestColumnarLoaderOracle:
             if i % 5 == 1:
                 row["units"] = "0"
             if i % 7 == 3:
-                row["purpose"] = "pur\nchase"
+                row["purpose"] = "cash" if plain else "pur\nchase"
         path = tmp_path / "t.csv"
         write_loan_csv(path, rows)
-        text = path.read_text()
-        lines = text.split("\n")
-        path.write_text("\n".join(line + "\n" * (i % 6 == 4)
-                                   for i, line in enumerate(lines)))
+        if not plain:
+            lines = path.read_text().split("\n")
+            path.write_text("\n".join(line + "\n" * (i % 6 == 4)
+                                       for i, line in enumerate(lines)))
         monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
+        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
         for keep_purpose in ("purchase", "other", None):
             assert_matches_reference(path, schema, keep_purpose)
+        assert bool(fallbacks) == (not plain)
+
+    # (column, cell, the reader that decides: "plain" for np.loadtxt alone,
+    # "csv" when the csv module reads the file after the plain attempt)
+    GRAMMAR_EDGES = [
+        ("units", "1.0", "csv"),
+        ("units", "3_0", "csv"),
+        ("units", str(2**63), "csv"),
+        ("units", str(2**63 - 1), "plain"),
+        ("units", " +3 ", "plain"),
+        ("units", "\x0b2\x0c", "plain"),
+        ("balance", "1_0", "csv"),
+        ("balance", "\u0663", "csv"),
+        ("balance", "\x1c3", "csv"),
+        ("ltv", " +1.5e1 ", "plain"),
+        ("ltv", "1e400", "plain"),
+        ("dti", "-Infinity", "plain"),
+        ("dti", "0x10", "csv"),
+        ("late", " 1 ", "plain"),
+        ("late", "+1", "csv"),
+    ]
+
+    @pytest.mark.parametrize("column, cell, reader", GRAMMAR_EDGES)
+    def test_number_grammar_edges(self, tmp_path, monkeypatch, column, cell,
+                                  reader):
+        rows = make_loan_rows(6, seed=2, purpose_mix=False)
+        rows[3][column] = cell
+        path = tmp_path / "t.csv"
+        write_loan_csv(path, rows)
+        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
+        assert_matches_reference(path, "training", "purchase")
+        assert len(fallbacks) == (reader == "csv")
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_line_ends(self, tmp_path, monkeypatch, end):
+        rows = make_loan_rows(12, seed=6)
+        rows[4]["units"] = "0"
+        path = tmp_path / "t.csv"
+        path.write_text("".join(",".join(row) + end for row in
+                                [list(rows[0]), *map(dict.values, rows)]),
+                        newline="")
+        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
+        assert_matches_reference(path, "training", None)
+        assert bool(fallbacks) == (end == "\r")
+        assert load_records(path, keep_purpose=None).rejects[0].line == 6
 
     @pytest.mark.parametrize("chunk_rows", [1, 3])
     def test_an_error_in_a_later_chunk(self, tmp_path, monkeypatch,
@@ -342,20 +403,38 @@ class TestColumnarLoaderOracle:
         text = st.sampled_from(["purchase", " Refinance", "other", "cash",
                                 "", "a,b", "x\ny", " A", "D", "0", "1",
                                 " 1 ", "yes"])
+        # cells that both np.loadtxt and the row-by-row loader read
+        plain_cells = {
+            "balance": st.sampled_from(["5.0", "0", "-1.5", " 2.5 ", "nan",
+                                        "inf", "1e3", "-0.0", "3"]),
+            "units": st.sampled_from(["0", "3", " 2 ", "-1", "+4"]),
+            "late": st.sampled_from(["0", "1", " 1 "]),
+            "group": st.sampled_from(["A", " D ", ""]),
+            "purpose": st.sampled_from(["purchase", " Refinance", "other",
+                                        "cash", ""]),
+        }
+        plain_cells["ltv"] = plain_cells["dti"] = plain_cells["balance"]
 
         @st.composite
         def files(draw):
             schema = draw(st.sampled_from(["training", "application"]))
             header = list(_TRAINING if schema == "training" else _APPLICATION)
             header = draw(st.permutations(header))
+            plain = draw(st.booleans())
             rows = []
             for _ in range(draw(st.integers(0, 12))):
+                if plain:
+                    rows.append([draw(plain_cells[name]) for name in header])
+                    continue
                 row = [draw(number) if name in ("balance", "ltv", "dti",
                                                 "units")
                        else draw(text) for name in header]
                 cut = draw(st.sampled_from([None, None, None, 0, 3, 5, 7]))
                 rows.append(row if cut is None else (row + ["z"])[:cut])
-            return schema, header, rows
+            end = draw(st.sampled_from(["\n", "\r\n"]))
+            return schema, header, rows, end, plain
+
+        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
 
         @hypothesis.settings(max_examples=150, deadline=None)
         @hypothesis.given(case=files(),
@@ -363,14 +442,18 @@ class TestColumnarLoaderOracle:
                               ["purchase", "refinance", "other", None]),
                           chunk_rows=st.sampled_from([1, 2, 5, 1 << 12]))
         def check(case, keep_purpose, chunk_rows):
-            schema, header, rows = case
+            schema, header, rows, end, plain = case
             path = tmp_path / "property.csv"
             with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
+                writer = csv.writer(fh, lineterminator=end)
                 writer.writerow(header)
                 writer.writerows(rows)
             monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
+            fallbacks.clear()
             assert_matches_reference(path, schema, keep_purpose)
+            # plain rows are read by np.loadtxt alone, and nothing else is
+            assert not (plain and fallbacks)
+            assert fallbacks or plain_lines(path.read_bytes().decode())
 
         check()
 

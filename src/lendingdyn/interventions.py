@@ -28,6 +28,13 @@ thresholds that share a seed, and grid evaluation order cannot change any
 number.  Within one evaluation, a single uniform block per (replicate,
 group) drives every threshold of the sweep and the baseline; the blocks of
 a group's replicates are built in one pass.
+
+recommend_grid evaluates each cell once, for all three kinds: per group,
+one pass builds the blocks of every kind's replicates and one step loop
+walks them all, each row at its kind's post-intervention penalty, with the
+baseline at the shared c-hat.  Every kind keeps its own seed
+(seed, cell, kind) and its own replicates, so its outcome is evaluate_policy
+under that seed, bit for bit; evaluate_policy is the one-kind case.
 """
 
 from __future__ import annotations
@@ -130,92 +137,113 @@ def _replicate_seeds(seed: int, n_seeds: int) -> list[int]:
     return [derive_seed(seed, TAG_REPLICATE, r) for r in range(n_seeds)]
 
 
-# Most (replicate, beta + 1, agent) cells the sweep's tail handles at once,
-# so that its counts and indices stay in cache.
+# Most (row, beta + 1, agent) cells the sweep's tail handles at once, so
+# that its temporaries stay in cache.
 _CHUNK_CELLS = 1 << 17
 
-
-def _mean_curves(scores0: np.ndarray, k: float, c: float, betas: np.ndarray,
-                 blocks: np.ndarray) -> np.ndarray:
-    """Horizon-end group means, shape (replicates, len(betas)).
-
-    blocks: uniforms of shape (replicates, horizon, n); betas ascending.
-    Column j of replicate r equals simulate_group(..., betas[j],
-    seed=rep_seed[r]).mean() bit for bit, by the freeze identity: under
-    shared uniforms, an agent with threshold b follows the always-approved
-    walk X until its running minimum first drops below b, and stays frozen
-    from then on.  So its final score is X[tau(b)] with
-    tau(b) = #{t < horizon : min(X_0..X_t) >= b}, and one walk per
-    replicate answers every threshold.
-
-    The walk is built for all replicates at once; the rest (running minima,
-    counts, gather, agent means) runs over chunks of whole replicates of at
-    most _CHUNK_CELLS (beta + 1, agent) cells.  Replicates are independent
-    and each chunk's finals are C-ordered (replicates, betas, agents), so
-    the chunking changes no bit.  It is built for whole threshold grids: the
-    post-intervention sweep and the long-run baseline search.  The beta-hat
-    baseline walks its one threshold directly (_baseline_means).
-    """
-    n_reps, horizon, n = blocks.shape
-    nb = betas.size
-    X = np.empty((horizon + 1, n_reps, n))
-    X[0] = scores0
-    for t in range(horizon):
-        X[t + 1] = approved_step(X[t], blocks[:, t], k, c)
-    walks = X.ravel()
-    agent = np.arange(n)
-    out = np.empty((n_reps, nb))
-    chunk = max(1, _CHUNK_CELLS // ((nb + 1) * n))
-    for r0 in range(0, n_reps, chunk):
-        m = min(chunk, n_reps - r0)
-        # cleared[r, i, t]: how many betas agent i of replicate r0 + r still
-        # clears at step t (ties approve).  Each agent's keys lie together
-        # and descend, which speeds the search.
-        runmin = np.minimum.accumulate(np.ascontiguousarray(
-            X[:horizon, r0:r0 + m].transpose(1, 2, 0)), axis=2)
-        cleared = np.searchsorted(betas, runmin, side="right")
-        rep = np.arange(m)[:, None, None]
-        counts = np.bincount(
-            ((rep * (nb + 1) + cleared) * n + agent[:, None]).ravel(),
-            minlength=m * (nb + 1) * n)
-        # frozen[r, j, i] = #{t : cleared[r, i, t] <= j}, the steps agent i
-        # spends frozen under betas[j], so tau = horizon - frozen.  It
-        # becomes, in place, the flat index of X[tau, r0 + r, i].
-        index = np.cumsum(counts.reshape(m, nb + 1, n)[:, :nb], axis=1)
-        index *= -n_reps * n
-        index += (horizon * n_reps + r0 + rep) * n + agent
-        # finals must stay C-ordered (replicates, betas, agents) like the
-        # per-threshold sweep it replaces: the agent means of another
-        # memory layout sum in another order and change the last bits.
-        out[r0:r0 + m] = walks[index].mean(axis=2)
-    return out
+# Most steps of the threshold grid: it keeps the per-group candidate grid,
+# (steps + 1) ** 2 threshold pairs, near a million.
+_MAX_BETA_STEPS = 1000
 
 
 def _beta_grid(step: float) -> np.ndarray:
-    m = int(round(1.0 / step))
+    """The thresholds 0, step, ..., 1.
+
+    step must be finite, lie in (0, 1], and divide 1 into m steps: 1 / step
+    within 1e-9 of an integer m, with m at most _MAX_BETA_STEPS (1,000,
+    so step >= 0.001).
+    """
+    if not (np.isfinite(step) and 0.0 < step <= 1.0):
+        raise ValueError(f"beta_step must lie in (0, 1], got {step!r}")
+    m = round(1.0 / step)
+    if abs(1.0 / step - m) > 1e-9:
+        raise ValueError(f"beta_step must divide 1 into whole steps, got {step!r}")
+    if m > _MAX_BETA_STEPS:
+        raise ValueError(f"beta_step must be at least 1/{_MAX_BETA_STEPS}, "
+                         f"got {step!r}")
     return np.linspace(0.0, 1.0, m + 1)
 
 
-def _baseline_means(scores0: np.ndarray, k: float, c: float,
-                    blocks: np.ndarray, long_run_search: bool,
-                    beta_step: float) -> np.ndarray:
-    """Per-replicate baseline horizon means, shape (replicates,).
+def _sweep_tail(scores0: np.ndarray, betas: np.ndarray,
+                walks: np.ndarray) -> np.ndarray:
+    """Horizon-end means of every row's walk at every threshold.
 
-    The threshold is the analytic one-step beta-hat, or with
-    long_run_search the grid beta that maximizes each replicate's mean.
-    At beta-hat every replicate's population takes the frozen walk itself,
-    one update per step; entry r is simulate_group(..., beta-hat,
-    seed=rep_seed[r]).mean(), which the freeze identity makes equal, bit for
-    bit, to column 0 of _mean_curves(..., [beta-hat]).
+    walks[r, t] is row r's always-approved walk X[t + 1] (X[0] = scores0),
+    shape (rows, horizon, n); betas ascending.  Returns shape
+    (rows, len(betas)).  By the freeze identity, under shared uniforms an
+    agent with threshold b follows X until its running minimum first drops
+    below b, and stays frozen from then on, so its final score is X[tau(b)]
+    with tau(b) = #{t < horizon : min(X_0..X_t) >= b}.
+
+    Along the betas tau does not increase, so an agent's finals are
+    X[horizon], ..., X[0] in runs, one np.repeat of its reversed walk.  Rows
+    are handled in chunks of at most _CHUNK_CELLS (beta + 1, agent) cells;
+    they are independent, so the chunking changes no bit.
     """
-    if long_run_search:
-        return _mean_curves(scores0, k, c, _beta_grid(beta_step), blocks).max(axis=1)
-    bhat = optimal_threshold(k, c).beta_hat
-    n_reps, horizon, _ = blocks.shape
-    scores = np.repeat(scores0[None], n_reps, axis=0)
+    rows, horizon, n = walks.shape
+    nb = betas.size
+    out = np.empty((rows, nb))
+    chunk = max(1, _CHUNK_CELLS // ((nb + 1) * n))
+    for r0 in range(0, rows, chunk):
+        m = min(chunk, rows - r0)
+        # rev[r, i]: agent i's walk backwards, X[horizon], ..., X[0].
+        rev = np.empty((m, n, horizon + 1))
+        rev[:, :, :horizon] = walks[r0:r0 + m, ::-1].transpose(0, 2, 1)
+        rev[:, :, horizon] = scores0
+        # cleared[r, i, t]: how many betas agent i still clears at step t
+        # (ties approve).  Each agent's keys lie together and descend,
+        # which speeds the search.
+        runmin = np.minimum.accumulate(rev[:, :, :0:-1], axis=2)
+        cleared = np.searchsorted(betas, runmin, side="right")
+        # Under betas[j] the agent is approved while cleared > j, so along j
+        # it ends at X[horizon], ..., X[0] for as many betas as the gaps
+        # between 0, cleared[horizon - 1], ..., cleared[0], nb.
+        runs = np.diff(cleared[:, :, ::-1], axis=2, prepend=0, append=nb)
+        finals = np.repeat(rev.ravel(), runs.ravel()).reshape(m, n, nb)
+        # The agent means must sum a C-ordered (rows, betas, agents) array,
+        # like the per-threshold sweep: the means of another memory layout
+        # sum in another order and change the last bits.
+        out[r0:r0 + m] = np.ascontiguousarray(
+            finals.transpose(0, 2, 1)).mean(axis=2)
+    return out
+
+
+def _group_means(scores0: np.ndarray, k: float, c_rows, c_hat: float,
+                 betas: np.ndarray, blocks: np.ndarray,
+                 long_run_baseline: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Sweep curves and baseline means of one group's rows.
+
+    Row r draws the uniforms blocks[r], shape (horizon, n), and its curve
+    walks them at penalty c_rows[r]: curves[r, j] equals
+    simulate_group(..., betas[j], k, c_rows[r], ...).mean() for the seed
+    that built the row, bit for bit (_sweep_tail).  The baseline steps the
+    same uniforms at c_hat: at the one-step beta-hat, base[r] is the
+    population's frozen walk, one update per step; with long_run_baseline
+    it is the best mean of a sweep at c_hat, extra rows of the one walk.
+    Returns curves, shape (rows, len(betas)), and base, shape (rows,).
+
+    blocks is consumed: the walk overwrites each step's uniforms with the
+    scores they produce, after the baseline has read them.
+    """
+    rows, horizon, _ = blocks.shape
+    c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
+    if long_run_baseline:
+        blocks = np.concatenate([blocks, blocks])
+        c_col = np.concatenate([c_col, np.full((rows, 1), c_hat)])
+    else:
+        bhat = optimal_threshold(k, c_hat).beta_hat
+        base = np.repeat(scores0[None], rows, axis=0)
+    x = scores0
     for t in range(horizon):
-        scores = _advance_scores(scores, blocks[:, t], bhat, k, c)
-    return scores.mean(axis=1)
+        u = blocks[:, t]
+        if not long_run_baseline:
+            base = _advance_scores(base, u, bhat, k, c_hat)
+        u[...] = approved_step(x, u, k, c_col)
+        x = u
+    curves = _sweep_tail(scores0, betas, blocks)
+    if long_run_baseline:
+        return curves[:rows], curves[rows:].max(axis=1)
+    return curves, base.mean(axis=1)
 
 
 def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
@@ -227,12 +255,14 @@ def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     Default threshold is each group's analytic one-step beta-hat; with
     long_run_search the horizon mean itself is grid-searched per group.
     """
+    betas = _beta_grid(beta_step)
     out = {}
     for slot, dist in ((0, dist_a), (1, dist_d)):
+        c = params.c_for(dist.group)
         blocks = uniform_blocks([seed], horizon, slot, dist.n)
-        means = _baseline_means(dist.scores, params.k, params.c_for(dist.group),
-                                blocks, long_run_search, beta_step)
-        out[dist.group] = float(means[0])
+        _, base = _group_means(dist.scores, params.k, [c], c, betas, blocks,
+                               long_run_search)
+        out[dist.group] = float(base[0])
     return out
 
 
@@ -255,43 +285,41 @@ class PolicyOutcome:
         object.__setattr__(self, "beta_by_group", dict(self.beta_by_group))
 
 
-def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
-                    spec: InterventionSpec, weights: UtilityWeights, k: float,
-                    horizon: int = 20, n_seeds: int = 10, seed: int = 0,
-                    per_group_beta: bool = False, beta_step: float = 0.01,
-                    long_run_baseline: bool = False) -> PolicyOutcome:
-    """Apply one intervention and search the threshold grid for best utility.
+def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
+                   specs: Sequence[InterventionSpec], seeds: Sequence[int],
+                   weights: UtilityWeights, k: float, horizon: int,
+                   n_seeds: int, per_group_beta: bool, betas: np.ndarray,
+                   long_run_baseline: bool) -> list[PolicyOutcome]:
+    """Evaluate interventions that share one c-hat, specs[i] under seeds[i].
 
-    Each group's uniform blocks, one per replicate, are built in one pass
-    and drive every threshold of the post-intervention sweep (one walk per
-    replicate, _mean_curves) and the baseline (c-hat at the pre-intervention
-    optimum: the frozen walk at beta-hat, or with long_run_baseline a second
-    sweep), so the curve and its baseline are coupled.
-    Replicate streams depend only on (seed, replicate), so evaluations that
-    share a seed are coupled across kinds and r values too; recommend_grid
-    does not share seeds: it gives every (cell, kind) its own.
+    Outcome i is the same, bit for bit, as evaluating specs[i] alone under
+    seeds[i]: every spec keeps its own replicate seeds and its rows are
+    walked and averaged on their own.  Batching only shares the work: per
+    group, one uniform_blocks call builds the blocks of every spec's
+    replicates, and one walk (_group_means) steps all of them, each row at
+    its spec's post-intervention penalty, together with the baseline, which
+    every spec runs at the shared c-hat.
     """
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be positive, got {n_seeds}")
-    pre = DynamicsParams.uniform(k, spec.baseline_c,
-                                 (dist_a.group, dist_d.group))
-    post = apply_intervention(pre, spec, disadvantaged=dist_d.group)
-    betas = _beta_grid(beta_step)
-    rep_seeds = _replicate_seeds(seed, n_seeds)
+    c_hat = specs[0].baseline_c
+    pre = DynamicsParams.uniform(k, c_hat, (dist_a.group, dist_d.group))
+    posts = [apply_intervention(pre, spec, disadvantaged=dist_d.group)
+             for spec in specs]
+    rep_seeds = [s for seed in seeds for s in _replicate_seeds(seed, n_seeds)]
+    # spec i's replicates are rows i * n_seeds ... (i + 1) * n_seeds - 1
+    spans = [slice(i * n_seeds, (i + 1) * n_seeds) for i in range(len(specs))]
 
     means, bases = [], []
     for slot, dist in ((0, dist_a), (1, dist_d)):
         blocks = uniform_blocks(rep_seeds, horizon, slot, dist.n)
-        curves = _mean_curves(dist.scores, k, post.c_for(dist.group), betas,
-                              blocks)
-        means.append(curves.mean(axis=0))
-        bases.append(float(np.mean(_baseline_means(
-            dist.scores, k, pre.c_for(dist.group), blocks, long_run_baseline,
-            beta_step))))
-    ma, md = means
-    base_a, base_d = bases
+        c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
+        curves, base = _group_means(dist.scores, k, c_rows, c_hat, betas,
+                                    blocks, long_run_baseline)
+        means.append([curves[span].mean(axis=0) for span in spans])
+        bases.append([float(np.mean(base[span])) for span in spans])
 
     # Candidate (A, D) threshold indices in row-major order: the whole grid,
     # or its diagonal when both groups share one beta.  Ties go to the last.
@@ -299,18 +327,44 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
         cand_a, cand_d = np.indices((betas.size, betas.size)).reshape(2, -1)
     else:
         cand_a = cand_d = np.arange(betas.size)
-    u_vals = _utility_values(ma[cand_a], md[cand_d], base_a, base_d, weights)
-    best = np.flatnonzero(u_vals == u_vals.max())[-1]
-    ia, id_ = cand_a[best], cand_d[best]
-    beta_by_group = {dist_a.group: float(betas[ia]),
-                     dist_d.group: float(betas[id_])}
-    mean_a, mean_d = float(ma[ia]), float(md[id_])
+    outcomes = []
+    for spec, ma, md, base_a, base_d in zip(specs, *means, *bases):
+        u_vals = _utility_values(ma[cand_a], md[cand_d], base_a, base_d,
+                                 weights)
+        best = np.flatnonzero(u_vals == u_vals.max())[-1]
+        ia, id_ = cand_a[best], cand_d[best]
+        mean_a, mean_d = float(ma[ia]), float(md[id_])
+        outcomes.append(PolicyOutcome(
+            kind=spec.kind, r=spec.r, baseline_c=spec.baseline_c,
+            weights=weights,
+            beta_by_group={dist_a.group: float(betas[ia]),
+                           dist_d.group: float(betas[id_])},
+            mean_a=mean_a, mean_d=mean_d, base_a=base_a, base_d=base_d,
+            utility=utility(mean_a, mean_d, base_a, base_d, weights)))
+    return outcomes
 
-    return PolicyOutcome(
-        kind=spec.kind, r=spec.r, baseline_c=spec.baseline_c, weights=weights,
-        beta_by_group=beta_by_group, mean_a=mean_a, mean_d=mean_d,
-        base_a=base_a, base_d=base_d,
-        utility=utility(mean_a, mean_d, base_a, base_d, weights))
+
+def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
+                    spec: InterventionSpec, weights: UtilityWeights, k: float,
+                    horizon: int = 20, n_seeds: int = 10, seed: int = 0,
+                    per_group_beta: bool = False, beta_step: float = 0.01,
+                    long_run_baseline: bool = False) -> PolicyOutcome:
+    """Apply one intervention and search the threshold grid for best utility.
+
+    The one-spec case of the cell evaluation that recommend_grid runs.
+    Each group's uniform blocks, one per replicate, are built in one pass
+    and drive every threshold of the post-intervention sweep (one walk per
+    replicate) and the baseline (c-hat at the pre-intervention optimum: the
+    frozen walk at beta-hat, or with long_run_baseline a second sweep), so
+    the curve and its baseline are coupled.
+    Replicate streams depend only on (seed, replicate), so evaluations that
+    share a seed are coupled across kinds and r values too; recommend_grid
+    does not share seeds: it gives every (cell, kind) its own.  beta_step
+    must split [0, 1] into at most 1,000 whole steps (_beta_grid).
+    """
+    return _evaluate_cell(dist_a, dist_d, [spec], [seed], weights, k,
+                          horizon, n_seeds, per_group_beta,
+                          _beta_grid(beta_step), long_run_baseline)[0]
 
 
 @dataclass(frozen=True)
@@ -359,39 +413,35 @@ def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
 
     Cell (i, j) under policy kind p draws its seed from
     (seed, cell index, p) and its replicates from that, per the concurrency
-    contract; thread count can only change wall time, never a value.
+    contract; thread count can only change wall time, never a value.  Each
+    cell is one batched evaluation of its three kinds (one task per cell),
+    and each kind's outcome equals evaluate_policy under its seed.
     """
     c_values = tuple(float(c) for c in c_grid)
     r_values = tuple(float(r) for r in r_grid)
     if not c_values or not r_values:
         raise ValueError("c_grid and r_grid must be nonempty")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    betas = _beta_grid(beta_step)
+    n_cells = len(c_values) * len(r_values)
 
-    tasks = []
-    for cell_idx in range(len(c_values) * len(r_values)):
+    def run(cell_idx):
         c_hat = c_values[cell_idx // len(r_values)]
         r = r_values[cell_idx % len(r_values)]
-        for kind_idx, kind in enumerate(KIND_ORDER):
-            tasks.append((cell_idx, c_hat, r, kind_idx, kind))
-
-    def run(task):
-        cell_idx, c_hat, r, kind_idx, kind = task
-        spec = InterventionSpec(kind=kind, r=r, baseline_c=c_hat)
-        cell_seed = derive_seed(seed, TAG_CELL, cell_idx, kind_idx)
-        return evaluate_policy(dist_a, dist_d, spec, weights, k,
-                               horizon=horizon, n_seeds=n_seeds,
-                               seed=cell_seed, per_group_beta=per_group_beta,
-                               beta_step=beta_step)
+        specs = [InterventionSpec(kind=kind, r=r, baseline_c=c_hat)
+                 for kind in KIND_ORDER]
+        seeds = [derive_seed(seed, TAG_CELL, cell_idx, kind_idx)
+                 for kind_idx in range(len(KIND_ORDER))]
+        return dict(zip(KIND_ORDER, _evaluate_cell(
+            dist_a, dist_d, specs, seeds, weights, k, horizon, n_seeds,
+            per_group_beta, betas, long_run_baseline=False)))
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
+            by_cell = list(pool.map(run, range(n_cells)))
     else:
-        results = [run(t) for t in tasks]
-
-    by_cell: list[dict[InterventionKind, PolicyOutcome]] = [
-        {} for _ in range(len(c_values) * len(r_values))]
-    for (cell_idx, _, _, _, kind), outcome in zip(tasks, results):
-        by_cell[cell_idx][kind] = outcome
+        by_cell = [run(cell_idx) for cell_idx in range(n_cells)]
 
     raw_marginals = []
     for outcomes in by_cell:

@@ -189,7 +189,12 @@ def test_criterion_06_mild_penalties_make_recommendation_indifferent(capsys):
         # the criterion pins the pair, the grids, and the 0.05 bound but
         # neither alpha nor the utility mode; alpha=0.5 with the literal
         # (absolute-deviation) efficiency is the reading under which the
-        # stated property manifests, and it holds at every figure alpha
+        # stated property manifests, and it holds at every figure alpha.
+        # It passes for a degenerate reason: at seed 0 every kind in all
+        # five c = 0.5 cells picks beta = 1.0 for both groups, which no
+        # agent reaches, so nobody is approved and the kinds end at the
+        # same means; the marginals (4.3e-5 to 0.011) are gaps between
+        # independently seeded baselines.  Kept as stated.
         dist_a = sample_beta(BetaSpec(a=8, b=3, n=500, seed=2001), group="A")
         dist_d = sample_beta(BetaSpec(a=7, b=3, n=500, seed=2002), group="D")
         grid = recommend_grid(dist_a, dist_d, (0.5, 1.0, 1.5, 2.0, 2.5, 3.0),

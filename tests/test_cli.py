@@ -388,6 +388,33 @@ class TestRecommend:
         assert not target.exists()
 
 
+    # 0 divided by zero, 1e-9 asked for 149 GiB, 2 swept the single
+    # threshold 0.0, 0.03 swept a 1/33 grid, -0.01 failed inside numpy.
+    @pytest.mark.parametrize("step", ["0", "1e-9", "2", "0.03", "-0.01"])
+    @pytest.mark.parametrize("command", ["recommend", "figure"])
+    def test_bad_beta_step_is_a_usage_error(self, capsys, tmp_path, step,
+                                            command):
+        target = tmp_path / "never"
+        if command == "recommend":
+            args = self.args(target)
+        else:
+            args = ["reproduce-figure", "--which", "grid", *_SMALL_GRID,
+                    "--out-dir", target]
+        code, _, err = run(capsys, *args, "--beta-step", step)
+        assert code == 2
+        assert err.startswith("error:") and "beta_step" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_is_a_usage_error(self, capsys, tmp_path,
+                                                threads):
+        target = tmp_path / "never"
+        code, _, err = run(capsys, *self.args(target, threads=threads))
+        assert code == 2
+        assert "threads" in err
+        assert not target.exists()
+
+
 class TestRiskCommands:
     def test_train_then_predict(self, capsys, tmp_path):
         train = tmp_path / "train.csv"

@@ -9,9 +9,9 @@ from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind,
                         grid_rows, optimal_threshold, recommend_grid,
                         sample_beta, simulate_group, utility)
 from lendingdyn import interventions
-from lendingdyn._random import TAG_REPLICATE, derive_seed, uniform_blocks
-from lendingdyn.interventions import (KIND_ORDER, _baseline_means, _beta_grid,
-                                      _mean_curves)
+from lendingdyn._random import TAG_CELL, TAG_REPLICATE, derive_seed, uniform_blocks
+from lendingdyn.interventions import (KIND_ORDER, _beta_grid, _evaluate_cell,
+                                      _group_means)
 
 from oracles import reference_mean_curves
 
@@ -92,6 +92,19 @@ class TestApplyIntervention:
             InterventionSpec(kind=BO, r=0.5, baseline_c=-1.0)
 
 
+def _mean_curves(scores, k, c, betas, blocks):
+    """Sweep curves of rows that all walk at penalty c."""
+    c_rows = np.full(len(blocks), c)
+    return _group_means(scores, k, c_rows, c, betas, blocks.copy(), False)[0]
+
+
+def _baseline_means(scores, k, c, blocks):
+    """Beta-hat baseline means at penalty c."""
+    c_rows = np.full(len(blocks), c)
+    return _group_means(scores, k, c_rows, c, _beta_grid(0.01), blocks.copy(),
+                        False)[1]
+
+
 class TestMeanCurves:
     """The one-walk kernel against the per-threshold sweep it replaced."""
 
@@ -161,6 +174,47 @@ class TestMeanCurves:
         want = reference_mean_curves(scores, 0.1, 2.0, betas, blocks)
         assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("n_reps", [1, 7, 13])
+    def test_a_penalty_per_row(self, monkeypatch, n_reps):
+        # Chunks of 3 rows: one partial chunk, three with a remainder, five.
+        n, betas = 25, _beta_grid(0.02)
+        monkeypatch.setattr(interventions, "_CHUNK_CELLS",
+                            3 * (betas.size + 1) * n)
+        rng = np.random.default_rng([n_reps, 4])
+        scores = np.where(rng.random(n) < 0.3, rng.choice(betas, n),
+                          rng.random(n))
+        blocks = rng.random((n_reps, 12, n))
+        c_rows = rng.choice([0.0, 0.5, 1.0, 2.5, 3.0], n_reps)
+        got, _ = _group_means(scores, 0.1, c_rows, 1.0, betas, blocks.copy(),
+                              False)
+        want = np.vstack([reference_mean_curves(scores, 0.1, c, betas,
+                                                blocks[r:r + 1])
+                          for r, c in enumerate(c_rows)])
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k, c", [(0.1, 2.0), (0.25, 1.0), (0.3, 0.0)])
+    def test_betas_that_tie_walk_values(self, k, c):
+        # The grid ends 0.0 and 1.0 are where clamped walks land exactly,
+        # and every third agent starts on beta-hat.
+        bhat = optimal_threshold(k, c).beta_hat
+        betas = np.unique([0.0, bhat, 1.0])
+        rng = np.random.default_rng(11)
+        scores = rng.choice([0.0, bhat, 1.0, 0.05, 0.95], 60)
+        blocks = rng.random((5, 30, 60))
+        assert np.array_equal(
+            _mean_curves(scores, k, c, betas, blocks),
+            reference_mean_curves(scores, k, c, betas, blocks))
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    def test_scores0_is_not_mutated(self, long_run):
+        rng = np.random.default_rng(2)
+        scores = rng.random(40)
+        kept = scores.copy()
+        scores.flags.writeable = False
+        _group_means(scores, 0.1, [1.0, 2.0, 3.0], 2.0, _beta_grid(0.05),
+                     rng.random((3, 8, 40)), long_run)
+        assert scores.tobytes() == kept.tobytes()
+
 
 class TestBaselineMeans:
     """The beta-hat baseline's frozen walk against the per-threshold sweep."""
@@ -183,7 +237,7 @@ class TestBaselineMeans:
         # half the agents start exactly at beta-hat (ties approve)
         scores = np.where(rng.random(n) < 0.5, bhat, rng.random(n))
         blocks = rng.random((n_reps, horizon, n))
-        got = _baseline_means(scores, k, c, blocks, False, 0.01)
+        got = _baseline_means(scores, k, c, blocks)
         want = reference_mean_curves(scores, k, c, np.array([bhat]),
                                      blocks)[:, 0]
         assert got.shape == (n_reps,)
@@ -197,7 +251,7 @@ class TestBaselineMeans:
         scores = rng.choice(_beta_grid(0.25), 40)
         blocks = rng.random((6, 9, 40))
         assert optimal_threshold(0.25, 1.0).beta_hat == 0.5
-        got = _baseline_means(scores, 0.25, 1.0, blocks, False, 0.01)
+        got = _baseline_means(scores, 0.25, 1.0, blocks)
         want = reference_mean_curves(scores, 0.25, 1.0, np.array([0.5]),
                                      blocks)[:, 0]
         assert got.tobytes() == want.tobytes()
@@ -450,3 +504,117 @@ class TestRecommendGrid:
         with pytest.raises(ValueError):
             recommend_grid(small_pair[0], small_pair[1], (), (0.1,),
                            UtilityWeights(alpha=0.5), 0.1)
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, small_pair, threads):
+        with pytest.raises(ValueError, match="threads"):
+            self.grid(small_pair, threads=threads)
+
+    def test_one_uniform_block_call_per_cell_and_group(self, small_pair,
+                                                       monkeypatch):
+        calls = []
+        original = interventions.uniform_blocks
+
+        def counting(seeds, horizon, group_slot, n):
+            calls.append((tuple(seeds), group_slot))
+            return original(seeds, horizon, group_slot, n)
+
+        monkeypatch.setattr(interventions, "uniform_blocks", counting)
+        self.grid(small_pair)
+        assert len(calls) == 6 * 2
+        for seeds, _ in calls:
+            assert len(seeds) == len(KIND_ORDER) * 2
+
+
+def _bits(outcome):
+    """Every field of a PolicyOutcome, its floats as their bytes."""
+    floats = np.array([outcome.r, outcome.baseline_c, outcome.mean_a,
+                       outcome.mean_d, outcome.base_a, outcome.base_d,
+                       outcome.utility, *outcome.beta_by_group.values()])
+    return (outcome.kind, outcome.weights, tuple(outcome.beta_by_group),
+            floats.tobytes())
+
+
+@pytest.fixture
+def unequal_pair():
+    dist_a = sample_beta(BetaSpec(a=8, b=3, n=90, seed=41), group="A")
+    dist_d = sample_beta(BetaSpec(a=7, b=3, n=53, seed=42), group="D")
+    return dist_a, dist_d
+
+
+class TestCellEvaluation:
+    """The batched cell evaluation against one evaluate_policy per kind."""
+
+    @pytest.mark.parametrize("per_group", [False, True])
+    @pytest.mark.parametrize("horizon", [0, 9])
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_grid_cells_are_evaluate_policy(self, unequal_pair, per_group,
+                                            horizon, threads):
+        dist_a, dist_d = unequal_pair
+        weights = UtilityWeights(alpha=0.4, mode="literal")
+        c_grid, r_grid, seed = (0.5, 2.0, 3.0), (0.2, 0.8), 6
+        grid = recommend_grid(dist_a, dist_d, c_grid, r_grid, weights, 0.1,
+                              horizon=horizon, n_seeds=4, seed=seed,
+                              threads=threads, per_group_beta=per_group,
+                              beta_step=0.05)
+        for cell_idx, cell in enumerate(grid.cells):
+            for kind_idx, kind in enumerate(KIND_ORDER):
+                spec = InterventionSpec(kind=kind, r=cell.r, baseline_c=cell.c)
+                want = evaluate_policy(
+                    dist_a, dist_d, spec, weights, 0.1, horizon=horizon,
+                    n_seeds=4, seed=derive_seed(seed, TAG_CELL, cell_idx,
+                                                kind_idx),
+                    per_group_beta=per_group, beta_step=0.05)
+                assert _bits(cell.outcomes[kind]) == _bits(want)
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    @pytest.mark.parametrize("per_group", [False, True])
+    def test_batched_kinds_are_evaluate_policy(self, unequal_pair, long_run,
+                                               per_group):
+        dist_a, dist_d = unequal_pair
+        weights = UtilityWeights(alpha=0.6)
+        specs = [InterventionSpec(kind=kind, r=0.7, baseline_c=2.5)
+                 for kind in KIND_ORDER]
+        seeds = [11, 12, 13]
+        got = _evaluate_cell(dist_a, dist_d, specs, seeds, weights, 0.25,
+                             horizon=7, n_seeds=3, per_group_beta=per_group,
+                             betas=_beta_grid(0.1),
+                             long_run_baseline=long_run)
+        for spec, seed, outcome in zip(specs, seeds, got):
+            want = evaluate_policy(dist_a, dist_d, spec, weights, 0.25,
+                                   horizon=7, n_seeds=3, seed=seed,
+                                   per_group_beta=per_group, beta_step=0.1,
+                                   long_run_baseline=long_run)
+            assert _bits(outcome) == _bits(want)
+
+    def test_scores_are_not_mutated(self, unequal_pair):
+        kept = [dist.scores.tobytes() for dist in unequal_pair]
+        grid = recommend_grid(*unequal_pair, (1.0,), (0.5,),
+                              UtilityWeights(alpha=0.5), 0.1, horizon=5,
+                              n_seeds=2, beta_step=0.1)
+        assert len(grid.cells) == 1
+        assert [dist.scores.tobytes() for dist in unequal_pair] == kept
+
+
+class TestBetaGrid:
+    @pytest.mark.parametrize("step", [0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 1.0,
+                                      0.001])
+    def test_whole_steps_keep_their_grid(self, step):
+        m = int(round(1.0 / step))
+        assert _beta_grid(step).tobytes() == \
+            np.linspace(0.0, 1.0, m + 1).tobytes()
+
+    @pytest.mark.parametrize("step", [0.0, -0.01, 2.0, 1.5, 0.03, 0.3, 1e-9,
+                                      1 / 1001, float("nan"), float("inf")])
+    def test_other_steps_rejected(self, step):
+        with pytest.raises(ValueError, match="beta_step"):
+            _beta_grid(step)
+
+    def test_evaluations_refuse_a_bad_step(self, small_pair):
+        spec = InterventionSpec(kind=BO, r=0.5, baseline_c=1.0)
+        with pytest.raises(ValueError, match="beta_step"):
+            evaluate_policy(*small_pair, spec, UtilityWeights(alpha=0.5), 0.1,
+                            beta_step=0.03)
+        with pytest.raises(ValueError, match="beta_step"):
+            recommend_grid(*small_pair, (1.0,), (0.5,),
+                           UtilityWeights(alpha=0.5), 0.1, beta_step=0)

@@ -314,10 +314,13 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
 
     means, bases = [], []
     for slot, dist in ((0, dist_a), (1, dist_d)):
-        blocks = uniform_blocks(rep_seeds, horizon, slot, dist.n)
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
-        curves, base = _group_means(dist.scores, k, c_rows, c_hat, betas,
-                                    blocks, long_run_baseline)
+        # The blocks go straight in, so that group A's walk is freed before
+        # group D's blocks are built: holding both raised the peak RSS.
+        curves, base = _group_means(
+            dist.scores, k, c_rows, c_hat, betas,
+            uniform_blocks(rep_seeds, horizon, slot, dist.n),
+            long_run_baseline)
         means.append([curves[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
 

@@ -34,8 +34,8 @@ from .distributions import (BetaSpec, check_dominance, read_score_csv,
                             sample_beta, write_score_csv)
 from .dynamics import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                        simulate, simulate_group)
-from .interventions import (UtilityWeights, grid_as_dict, grid_rows,
-                            recommend_grid)
+from .interventions import (MAX_GRID_CELLS, MAX_SPAN_POINTS, UtilityWeights,
+                            grid_as_dict, grid_rows, recommend_grid)
 from .markov import (ChainError, RationalStep, absorption_probabilities,
                      build_chain, enumerate_states, transient_mass)
 from .risk import (RiskModel, SeparationError, fit_logistic, load_records,
@@ -262,17 +262,31 @@ def _rational(values: dict, key: str) -> Fraction:
                        f"got {values[key]!r}") from None
 
 
-def _span(values: dict, prefix: str) -> tuple[float, ...]:
-    """Inclusive lo..hi grid from --<prefix>-min/-max/-step settings."""
+def _span_count(values: dict, prefix: str) -> int:
+    """Points of the --<prefix>-min/-max/-step span, refused past
+    MAX_SPAN_POINTS before any point is built."""
     lo = values[f"{prefix}_min"]
     hi = values[f"{prefix}_max"]
     step = values[f"{prefix}_step"]
-    if step <= 0:
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise CliError(f"--{prefix}-min and --{prefix}-max must be finite")
+    if not step > 0:
         raise CliError(f"--{prefix}-step must be positive, got {step}")
     if hi < lo:
         raise CliError(f"--{prefix}-max must be at least --{prefix}-min")
-    count = int((hi - lo) / step + 1e-9)
-    return tuple(round(lo + i * step, 10) for i in range(count + 1))
+    gaps = (hi - lo) / step + 1e-9
+    if not gaps < MAX_SPAN_POINTS:
+        count = f"{int(gaps) + 1:,}" if np.isfinite(gaps) else "unbounded"
+        raise CliError(f"--{prefix}-step {step} gives {count} points, more "
+                       f"than the cap of {MAX_SPAN_POINTS:,}")
+    return int(gaps) + 1
+
+
+def _span(values: dict, prefix: str) -> tuple[float, ...]:
+    """Inclusive lo..hi grid from --<prefix>-min/-max/-step settings."""
+    lo, step = values[f"{prefix}_min"], values[f"{prefix}_step"]
+    return tuple(round(lo + i * step, 10)
+                 for i in range(_span_count(values, prefix)))
 
 
 # Options that several command tables list with the same settings.
@@ -412,7 +426,11 @@ RECOMMEND_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + _R_GRID_OPTS + (
 
 def _grids(values: dict, alphas):
     """Yield (alpha, grid) per utility weight, all on one (c, r) grid and
-    one pair of groups."""
+    one pair of groups.  Grids past MAX_GRID_CELLS are refused first."""
+    cells = _span_count(values, "c") * _span_count(values, "r")
+    if cells > MAX_GRID_CELLS:
+        raise CliError(f"--c-*/--r-* spans give {cells:,} grid cells, more "
+                       f"than the cap of {MAX_GRID_CELLS:,}")
     c_grid = _span(values, "c")
     r_grid = _span(values, "r")
     dist_a, dist_d = _load_pair(values)
@@ -739,6 +757,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("computation failed: out of memory", file=sys.stderr)
         return 1
 
 

@@ -29,6 +29,20 @@ number.  Within one evaluation, a single uniform block per (replicate,
 group) drives every threshold of the sweep and the baseline; the blocks of
 a group's replicates are built in one pass.
 
+The threshold search is bounded, and picks what a full sweep would pick,
+bit for bit.  Each replicate walks once on the always-approved path; under
+threshold b an agent freezes where its running minimum first drops below b
+(the freeze identity).  From that walk one weighted bincount per batch of
+steps gives every threshold's mean at once, to within a proven bound delta
+on the float error (_curve_error: about 2.6e-11 for a replicate mean at
+n = 500, horizon 20).  A utility moves by at most the moves of its two
+means, so only candidates whose approximate utility lies within
+2 * (delta_A + delta_D) of the best can be the exact best; exact means are
+read off the walk for those alone (1 to 6 of 101 thresholds on the
+benchmark grid), with the same pairwise agent sums and row-by-row replicate
+sums as the full sweep, and the last candidate of highest exact utility
+wins.  Where the bound is not small, every threshold survives.
+
 recommend_grid evaluates each cell once, for all three kinds: per group,
 one pass builds the blocks of every kind's replicates and one step loop
 walks them all, each row at its kind's post-intervention penalty, with the
@@ -51,8 +65,7 @@ from ._random import derive_seed, uniform_blocks, TAG_CELL, TAG_REPLICATE
 # Nothing here calls uniform_block: perfbench/tracing.py wraps it at this
 # name and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import uniform_block  # noqa: F401
-from .dynamics import (DynamicsParams, ScoreDistribution, _advance_scores,
-                       approved_step)
+from .dynamics import DynamicsParams, ScoreDistribution, approved_step
 from .thresholds import optimal_threshold
 
 
@@ -137,13 +150,22 @@ def _replicate_seeds(seed: int, n_seeds: int) -> list[int]:
     return [derive_seed(seed, TAG_REPLICATE, r) for r in range(n_seeds)]
 
 
-# Most (row, beta + 1, agent) cells the sweep's tail handles at once, so
-# that its temporaries stay in cache.
-_CHUNK_CELLS = 1 << 17
+# Most (row, step, agent) cells one batch of the threshold search handles
+# at once, so that its temporaries stay small.
+_BATCH_CELLS = 1 << 15
 
 # Most steps of the threshold grid: it keeps the per-group candidate grid,
 # (steps + 1) ** 2 threshold pairs, near a million.
 _MAX_BETA_STEPS = 1000
+
+# Most points of a c or r span, and most (c, r) cells of a grid, that the
+# command line accepts: the acceptance and benchmark spans have at most 6
+# points and 30 cells.  10,000 cells at the criterion-6 sizes take minutes.
+MAX_SPAN_POINTS = 1000
+MAX_GRID_CELLS = 10_000
+
+# Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
 
 
 def _beta_grid(step: float) -> np.ndarray:
@@ -164,86 +186,244 @@ def _beta_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, m + 1)
 
 
-def _sweep_tail(scores0: np.ndarray, betas: np.ndarray,
-                walks: np.ndarray) -> np.ndarray:
-    """Horizon-end means of every row's walk at every threshold.
+def _walk(scores0: np.ndarray, k: float, c_rows, blocks: np.ndarray,
+          bhat=None, c_hat=None):
+    """Step every row's always-approved walk, in place of its uniforms.
 
-    walks[r, t] is row r's always-approved walk X[t + 1] (X[0] = scores0),
-    shape (rows, horizon, n); betas ascending.  Returns shape
-    (rows, len(betas)).  By the freeze identity, under shared uniforms an
-    agent with threshold b follows X until its running minimum first drops
-    below b, and stays frozen from then on, so its final score is X[tau(b)]
-    with tau(b) = #{t < horizon : min(X_0..X_t) >= b}.
-
-    Along the betas tau does not increase, so an agent's finals are
-    X[horizon], ..., X[0] in runs, one np.repeat of its reversed walk.  Rows
-    are handled in chunks of at most _CHUNK_CELLS (beta + 1, agent) cells;
-    they are independent, so the chunking changes no bit.
+    Row r draws blocks[r], shape (horizon, n), at penalty c_rows[r]; after
+    the walk blocks[r, t] holds X[t + 1] (X[0] = scores0).  With bhat, the
+    beta-hat baseline at c_hat steps in the same approved_step call, its
+    frozen agents copied back, and the walk returns each row's baseline
+    mean: simulate_group(..., bhat, k, c_hat, ...).mean() for the row's
+    seed, bit for bit.
     """
-    rows, horizon, n = walks.shape
-    nb = betas.size
-    out = np.empty((rows, nb))
-    chunk = max(1, _CHUNK_CELLS // ((nb + 1) * n))
-    for r0 in range(0, rows, chunk):
-        m = min(chunk, rows - r0)
-        # rev[r, i]: agent i's walk backwards, X[horizon], ..., X[0].
-        rev = np.empty((m, n, horizon + 1))
-        rev[:, :, :horizon] = walks[r0:r0 + m, ::-1].transpose(0, 2, 1)
-        rev[:, :, horizon] = scores0
-        # cleared[r, i, t]: how many betas agent i still clears at step t
-        # (ties approve).  Each agent's keys lie together and descend,
-        # which speeds the search.
-        runmin = np.minimum.accumulate(rev[:, :, :0:-1], axis=2)
-        cleared = np.searchsorted(betas, runmin, side="right")
-        # Under betas[j] the agent is approved while cleared > j, so along j
-        # it ends at X[horizon], ..., X[0] for as many betas as the gaps
-        # between 0, cleared[horizon - 1], ..., cleared[0], nb.
-        runs = np.diff(cleared[:, :, ::-1], axis=2, prepend=0, append=nb)
-        finals = np.repeat(rev.ravel(), runs.ravel()).reshape(m, n, nb)
-        # The agent means must sum a C-ordered (rows, betas, agents) array,
-        # like the per-threshold sweep: the means of another memory layout
-        # sum in another order and change the last bits.
-        out[r0:r0 + m] = np.ascontiguousarray(
-            finals.transpose(0, 2, 1)).mean(axis=2)
+    rows, horizon, n = blocks.shape
+    c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
+    if bhat is None:
+        x = scores0
+        for t in range(horizon):
+            u = blocks[:, t]
+            u[...] = approved_step(x, u, k, c_col)
+            x = u
+        return None
+    # pair[0] is the walk, pair[1] the baseline; one call steps both.
+    pair = np.empty((2, rows, n))
+    pair[:] = scores0
+    c_pair = np.stack([c_col, np.full_like(c_col, c_hat)])
+    for t in range(horizon):
+        u = blocks[:, t]
+        nxt = approved_step(pair, u, k, c_pair)
+        np.copyto(nxt[1], pair[1], where=pair[1] < bhat)
+        u[...] = nxt[0]
+        pair = nxt
+    return pair[1].mean(axis=1)
+
+
+def _runmin_batches(scores0: np.ndarray, walk: np.ndarray):
+    """Yield (t0, t1, mins) over the steps t0 <= t < t1 of a walk.
+
+    mins[s] is the running minimum min(X[0], ..., X[t0 + s]), shape
+    (t1 - t0, rows, n): at most _BATCH_CELLS cells, and at least one step.
+    The batches share one buffer, so each is gone once the next comes.
+    """
+    rows, horizon, n = walk.shape
+    per = max(1, _BATCH_CELLS // max(1, rows * n))
+    buf = np.empty((min(per, horizon), rows, n))
+    low = scores0
+    for t0 in range(0, horizon, per):
+        t1 = min(horizon, t0 + per)
+        mins = buf[:t1 - t0]
+        for t in range(t0, t1):
+            low = np.minimum(low, walk[:, t - 1] if t else scores0,
+                             out=mins[t - t0])
+        yield t0, t1, mins
+
+
+def _lattice(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lookup table and the row shifts that _lattice_bins reads for the
+    thresholds linspace(0, 1, m + 1) and values of shape (..., rows, n)."""
+    betas = np.linspace(0.0, 1.0, m + 1)
+    table = np.tile(np.append(betas, np.inf), rows)
+    shift = np.arange(0.5, rows * (m + 2), m + 2).reshape(rows, 1)
+    return table, shift
+
+
+def _lattice_bins(values: np.ndarray, m: int, lattice, out=None,
+                  scratch=None) -> np.ndarray:
+    """searchsorted(linspace(0, 1, m + 1), v, "right") + r * (m + 2) for
+    each v of row r, values of shape (..., rows, n) in [0, 1]: the count
+    of thresholds at or below v, offset into row r's own m + 2 bins.
+
+    q = floor(v * m + 1/2) is the grid index nearest v.  The grid values
+    lie within a few ulps of j / m, so every one below index q is at or
+    below v and every one above it is above v: the count is q + 1 if
+    betas[q] <= v, else q.  The row offset, added before the floor, moves
+    v * m + 1/2 by rounding only, far less than the half step of slack.
+    out (intp) and scratch (float), shaped like values, spare allocations.
+    """
+    table, shift = lattice
+    scaled = np.multiply(values, m, out=scratch)
+    scaled += shift
+    if out is None:
+        out = scaled.astype(np.intp)
+    else:
+        np.copyto(out, scaled, casting="unsafe")
+    out += np.take(table, out, out=scaled) <= values
     return out
 
 
-def _group_means(scores0: np.ndarray, k: float, c_rows, c_hat: float,
-                 betas: np.ndarray, blocks: np.ndarray,
-                 long_run_baseline: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Sweep curves and baseline means of one group's rows.
+def _approx_curves(scores0: np.ndarray, walk: np.ndarray,
+                   m: int) -> np.ndarray:
+    """Every row's mean curve over the thresholds linspace(0, 1, m + 1),
+    to within _curve_error.
 
-    Row r draws the uniforms blocks[r], shape (horizon, n), and its curve
-    walks them at penalty c_rows[r]: curves[r, j] equals
-    simulate_group(..., betas[j], k, c_rows[r], ...).mean() for the seed
-    that built the row, bit for bit (_sweep_tail).  The baseline steps the
-    same uniforms at c_hat: at the one-step beta-hat, base[r] is the
-    population's frozen walk, one update per step; with long_run_baseline
-    it is the best mean of a sweep at c_hat, extra rows of the one walk.
-    Returns curves, shape (rows, len(betas)), and base, shape (rows,).
-
-    blocks is consumed: the walk overwrites each step's uniforms with the
-    scores they produce, after the baseline has read them.
+    Under threshold b an agent ends at X[tau], tau = #{t < horizon :
+    min(X[0..t]) >= b}, so its final score is X[horizon] plus X[t] - X[t+1]
+    for each step t whose running minimum lies below b.  With C[t] the
+    number of thresholds at or below that minimum (_lattice_bins), the
+    step's difference counts for betas[j] iff C[t] <= j: one weighted
+    bincount over (row, C[t]) per batch of steps, then a cumsum along j.
     """
-    rows, horizon, _ = blocks.shape
-    c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
-    if long_run_baseline:
-        blocks = np.concatenate([blocks, blocks])
-        c_col = np.concatenate([c_col, np.full((rows, 1), c_hat)])
+    rows, horizon, n = walk.shape
+    size = rows * (m + 2)
+    sums = np.zeros(size)
+    lattice = _lattice(m, rows)
+    bins = scratch = None
+    for t0, t1, mins in _runmin_batches(scores0, walk):
+        if bins is None:
+            bins = np.empty(mins.shape, dtype=np.intp)
+            scratch = np.empty(mins.shape)
+        b, diff = bins[:t1 - t0], scratch[:t1 - t0]
+        _lattice_bins(mins, m, lattice, b, diff)
+        # diff[s] = X[t] - X[t + 1] for t = t0 + s
+        steps = walk[:, t0:t1].transpose(1, 0, 2)
+        if t0:
+            np.subtract(walk[:, t0 - 1:t1 - 1].transpose(1, 0, 2), steps,
+                        out=diff)
+        else:
+            np.subtract(scores0, steps[0], out=diff[0])
+            np.subtract(steps[:-1], steps[1:], out=diff[1:])
+        sums += np.bincount(b.ravel(), diff.ravel(), size)
+    last = walk[:, -1] if horizon else np.broadcast_to(scores0, (rows, n))
+    curves = np.cumsum(sums.reshape(rows, m + 2)[:, :m + 1], axis=1)
+    curves += last.sum(axis=1, keepdims=True)
+    curves /= n
+    return curves
+
+
+def _gamma(count: int) -> float:
+    """Higham's gamma_count = count * u / (1 - count * u): the relative
+    error bound of a float sum of count + 1 terms in any order."""
+    cu = count * _U
+    return cu / (1.0 - cu) if cu < 0.5 else np.inf
+
+
+def _curve_error(n: int, horizon: int, n_betas: int, n_rows: int) -> float:
+    """Bound on |approximate - exact| for a mean of n_rows rows' curves.
+
+    A curve value is a sum of N = n * (horizon + 1) + n_betas + 1 terms,
+    each at most 1 in size (X[horizon] and the step differences), summed
+    in some order by _approx_curves and pairwise over n finals by the
+    exact read-out; both are then divided by n, and the row means summed
+    over n_rows and divided again.
+    """
+    terms = n * (horizon + 1) + n_betas + 1
+    return (_gamma(terms + 1) * (horizon + 2) + 2.0 * _gamma(n_rows)
+            + 4.0 * _U)
+
+
+def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
+                 js: np.ndarray) -> np.ndarray:
+    """Horizon-end means of every row of a walk at its own thresholds.
+
+    js has shape (rows, w): row r is read at betas[js[r]].  out[r, j]
+    equals simulate_group(..., betas[js[r, j]], ...).mean() for the seed
+    and penalty of the row, bit for bit.  One pass over the steps counts
+    tau, the steps whose running minimum clears each threshold (the freeze
+    identity, _approx_curves); X[tau] is gathered into a C-ordered (rows,
+    w, agents) array and averaged over the agents: the same pairwise sum
+    per (row, threshold) as simulate_group's mean.
+    """
+    rows, horizon, n = walk.shape
+    cols = betas[js][:, :, None]
+    tau = np.zeros(cols.shape[:2] + (n,), dtype=np.min_scalar_type(horizon))
+    approved = np.empty(tau.shape, dtype=bool)
+    for t0, t1, mins in _runmin_batches(scores0, walk):
+        for s in range(t1 - t0):
+            tau += np.greater_equal(mins[s, :, None], cols, out=approved)
+    if horizon:
+        # X[tau] = walk[r, tau - 1, i], at flat index (r * horizon + tau - 1)
+        # * n + i; tau = 0 wraps and is overwritten with X[0] below.
+        flat = tau.astype(np.intp)
+        flat += (np.arange(rows) * horizon - 1)[:, None, None]
+        flat *= n
+        flat += np.arange(n)
+        finals = np.take(walk.reshape(-1), flat, mode="clip")
     else:
-        bhat = optimal_threshold(k, c_hat).beta_hat
-        base = np.repeat(scores0[None], rows, axis=0)
-    x = scores0
-    for t in range(horizon):
-        u = blocks[:, t]
-        if not long_run_baseline:
-            base = _advance_scores(base, u, bhat, k, c_hat)
-        u[...] = approved_step(x, u, k, c_col)
-        x = u
-    curves = _sweep_tail(scores0, betas, blocks)
+        finals = np.empty(tau.shape)
+    np.copyto(finals, scores0, where=tau == 0)
+    return finals.mean(axis=2)
+
+
+def _replicate_means(means: np.ndarray) -> np.ndarray:
+    """Means over axis 1 of a (specs, replicates, thresholds) array, summed
+    replicate by replicate from zero, as numpy's axis-0 mean of a C-ordered
+    (replicates, thresholds) array sums them: another order changes the
+    last bits."""
+    total = np.zeros((len(means), means.shape[2]))
+    for s in range(means.shape[1]):
+        total += means[:, s]
+    return total / means.shape[1]
+
+
+def _padded(index_sets) -> np.ndarray:
+    """Stack index arrays into rows, each padded with its last entry."""
+    width = max(len(ix) for ix in index_sets)
+    return np.array([np.pad(ix, (0, width - len(ix)), mode="edge")
+                     for ix in index_sets])
+
+
+def _best_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
+                approx: np.ndarray) -> np.ndarray:
+    """Each row's largest exact mean over all thresholds.
+
+    Only thresholds whose approximate mean lies within twice the error
+    bound of the row's approximate maximum can hold the exact maximum;
+    the exact read-out runs at those alone.
+    """
+    rows, horizon, n = walk.shape
+    # The margin covers the rounding of the subtraction below.
+    slack = 2.0 * _curve_error(n, horizon, betas.size, 1) + 64.0 * _U
+    keep = approx >= approx.max(axis=1, keepdims=True) - slack
+    js = _padded([np.flatnonzero(row) for row in keep])
+    return _exact_means(scores0, betas, walk, js).max(axis=1)
+
+
+def _group_walk(scores0: np.ndarray, k: float, c_rows, c_hat: float,
+                betas: np.ndarray, blocks: np.ndarray,
+                long_run_baseline: bool):
+    """Walk one group's rows; return the walk, its approximate curves and
+    each row's baseline mean.
+
+    Row r draws the uniforms blocks[r], shape (horizon, n), at penalty
+    c_rows[r]; blocks is consumed and becomes the walk (_walk), and
+    approx[r] is _approx_curves of the row.  The baseline steps the same
+    uniforms at c_hat: at the one-step beta-hat, base[r] is the
+    population's frozen walk; with long_run_baseline it is the best exact
+    mean over the thresholds of an extra always-approved row at c_hat.
+    """
+    rows = len(blocks)
+    m = betas.size - 1
     if long_run_baseline:
-        return curves[:rows], curves[rows:].max(axis=1)
-    return curves, base.mean(axis=1)
+        walk = np.concatenate([blocks, blocks])
+        _walk(scores0, k, np.concatenate([np.ravel(c_rows),
+                                          np.full(rows, c_hat)]), walk)
+        approx = _approx_curves(scores0, walk, m)
+        base = _best_means(scores0, betas, walk[rows:], approx[rows:])
+        return walk[:rows], approx[:rows], base
+    bhat = optimal_threshold(k, c_hat).beta_hat
+    base = _walk(scores0, k, c_rows, blocks, bhat, c_hat)
+    return blocks, _approx_curves(scores0, blocks, m), base
 
 
 def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
@@ -260,8 +440,8 @@ def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     for slot, dist in ((0, dist_a), (1, dist_d)):
         c = params.c_for(dist.group)
         blocks = uniform_blocks([seed], horizon, slot, dist.n)
-        _, base = _group_means(dist.scores, params.k, [c], c, betas, blocks,
-                               long_run_search)
+        _, _, base = _group_walk(dist.scores, params.k, [c], c, betas, blocks,
+                                 long_run_search)
         out[dist.group] = float(base[0])
     return out
 
@@ -296,9 +476,19 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     seeds[i]: every spec keeps its own replicate seeds and its rows are
     walked and averaged on their own.  Batching only shares the work: per
     group, one uniform_blocks call builds the blocks of every spec's
-    replicates, and one walk (_group_means) steps all of them, each row at
+    replicates, and one walk (_group_walk) steps all of them, each row at
     its spec's post-intervention penalty, together with the baseline, which
     every spec runs at the shared c-hat.
+
+    The threshold search is bounded.  The walk yields approximate curves
+    whose replicate means lie within _curve_error (delta) of the exact
+    ones, and a utility moves by at most its two means' moves, so the
+    exact best candidate has an approximate utility within 2 * (delta_A +
+    delta_D) of the approximate best (plus a rounding margin).  Exact means
+    are read out at the candidates inside that slack only, and the last
+    candidate with the highest exact utility wins.  Those are the floats,
+    in the same order, that a full sweep of every threshold compares, so
+    the choice, its means and its utility do not change.
     """
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
@@ -312,36 +502,60 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     # spec i's replicates are rows i * n_seeds ... (i + 1) * n_seeds - 1
     spans = [slice(i * n_seeds, (i + 1) * n_seeds) for i in range(len(specs))]
 
-    means, bases = [], []
+    # The margin covers the rounding of the utilities, each a few float
+    # operations on values of size at most 4, and of the comparison.
+    walks, means, bases, slack = [], [], [], 1024.0 * _U
     for slot, dist in ((0, dist_a), (1, dist_d)):
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
-        # The blocks go straight in, so that group A's walk is freed before
-        # group D's blocks are built: holding both raised the peak RSS.
-        curves, base = _group_means(
+        # The blocks go straight in and become the walk.  Group A's walk
+        # lives on until both groups' curves have picked the candidates.
+        walk, approx, base = _group_walk(
             dist.scores, k, c_rows, c_hat, betas,
             uniform_blocks(rep_seeds, horizon, slot, dist.n),
             long_run_baseline)
-        means.append([curves[span].mean(axis=0) for span in spans])
+        walks.append(walk)
+        means.append([approx[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
+        slack += 2.0 * _curve_error(dist.n, horizon, betas.size, n_seeds)
 
     # Candidate (A, D) threshold indices in row-major order: the whole grid,
-    # or its diagonal when both groups share one beta.  Ties go to the last.
-    if per_group_beta:
-        cand_a, cand_d = np.indices((betas.size, betas.size)).reshape(2, -1)
-    else:
-        cand_a = cand_d = np.arange(betas.size)
+    # or its diagonal when both groups share one beta.  Keep those whose
+    # approximate utility is within the slack of the best.
+    plans = []
+    for ma, md, base_a, base_d in zip(*means, *bases):
+        if per_group_beta:
+            u_vals = _utility_values(ma[:, None], md, base_a, base_d,
+                                     weights).ravel()
+        else:
+            u_vals = _utility_values(ma, md, base_a, base_d, weights)
+        keep = np.flatnonzero(u_vals >= u_vals.max() - slack)
+        plans.append(divmod(keep, betas.size) if per_group_beta
+                     else (keep, keep))
+
+    # Exact replicate means at each group's surviving thresholds, one pass
+    # over each walk, mapped back onto the candidates.
+    exact = []
+    for side, dist in enumerate((dist_a, dist_d)):
+        js = [np.unique(plan[side]) for plan in plans]
+        rows = _exact_means(dist.scores, betas, walks[side],
+                            np.repeat(_padded(js), n_seeds, axis=0))
+        walks[side] = None
+        means = _replicate_means(rows.reshape(len(specs), n_seeds, -1))
+        exact.append([row[np.searchsorted(j, plan[side])]
+                      for row, j, plan in zip(means, js, plans)])
+
+    # Ties go to the last candidate.
     outcomes = []
-    for spec, ma, md, base_a, base_d in zip(specs, *means, *bases):
-        u_vals = _utility_values(ma[cand_a], md[cand_d], base_a, base_d,
-                                 weights)
+    for spec, (cand_a, cand_d), ma, md, base_a, base_d in zip(
+            specs, plans, *exact, *bases):
+        u_vals = _utility_values(ma, md, base_a, base_d, weights)
         best = np.flatnonzero(u_vals == u_vals.max())[-1]
-        ia, id_ = cand_a[best], cand_d[best]
-        mean_a, mean_d = float(ma[ia]), float(md[id_])
+        mean_a, mean_d = float(ma[best]), float(md[best])
         outcomes.append(PolicyOutcome(
             kind=spec.kind, r=spec.r, baseline_c=spec.baseline_c,
             weights=weights,
-            beta_by_group={dist_a.group: float(betas[ia]),
-                           dist_d.group: float(betas[id_])},
+            beta_by_group={dist_a.group: float(betas[cand_a[best]]),
+                           dist_d.group: float(betas[cand_d[best]])},
             mean_a=mean_a, mean_d=mean_d, base_a=base_a, base_d=base_d,
             utility=utility(mean_a, mean_d, base_a, base_d, weights)))
     return outcomes
@@ -359,7 +573,11 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     and drive every threshold of the post-intervention sweep (one walk per
     replicate) and the baseline (c-hat at the pre-intervention optimum: the
     frozen walk at beta-hat, or with long_run_baseline a second sweep), so
-    the curve and its baseline are coupled.
+    the curve and its baseline are coupled.  The search is bounded
+    (_evaluate_cell): approximate means within a proven float error bound
+    pick the candidate thresholds, and exact means, the floats a full sweep
+    computes, are read out at those only, so the outcome is the full
+    sweep's, bit for bit.
     Replicate streams depend only on (seed, replicate), so evaluations that
     share a seed are coupled across kinds and r values too; recommend_grid
     does not share seeds: it gives every (cell, kind) its own.  beta_step

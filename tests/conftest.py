@@ -5,12 +5,36 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 import re
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
 
 from lendingdyn import BetaSpec, sample_beta
+
+# Property tests run the same examples on every run and keep no example
+# database: a failure reproduces on the next run, and two runs of the suite
+# execute the same code.  Each test keeps its own max_examples.  The caches
+# hypothesis still writes go to a directory removed after the session, so
+# no .hypothesis/ appears in the tree.
+try:
+    import hypothesis
+except ImportError:      # the property tests skip themselves
+    hypothesis = None
+else:
+    hypothesis.settings.register_profile("tier1", derandomize=True,
+                                         database=None)
+    hypothesis.settings.load_profile("tier1")
+    _HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="lendingdyn-hypothesis-")
+    os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY", _HYPOTHESIS_HOME)
+
+
+def pytest_sessionfinish(session, exitstatus):
+    if hypothesis is not None:
+        shutil.rmtree(_HYPOTHESIS_HOME, ignore_errors=True)
 
 # Coefficients the synthetic loan generator writes into the late label.
 TRUE_INTERCEPT = -2.876

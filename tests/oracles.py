@@ -6,8 +6,12 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from lendingdyn import RationalStep, ScoreDistribution
-from lendingdyn._random import step_uniforms
+from lendingdyn import (DynamicsParams, PolicyOutcome, RationalStep,
+                        ScoreDistribution, apply_intervention,
+                        optimal_threshold, utility)
+from lendingdyn._random import step_uniforms, uniform_blocks
+from lendingdyn.dynamics import _advance_scores, approved_step
+from lendingdyn.interventions import _replicate_seeds, _utility_values
 from lendingdyn.risk import (APPLICATION_COLUMNS, TRAINING_COLUMNS, LoadResult,
                              LoanRecord, RowReject)
 
@@ -135,6 +139,112 @@ def reference_mean_curves(scores0, k, c, betas, blocks):
         moved = np.clip(S + np.where(u < S, k, -c * k), 0.0, 1.0)
         S = np.where(S >= b, moved, S)
     return S.mean(axis=2)
+
+
+def reference_sweep_tail(scores0, betas, walks):
+    """Horizon-end means of every row's walk at every threshold.
+
+    walks[r, t] is row r's always-approved walk X[t + 1] (X[0] = scores0),
+    shape (rows, horizon, n); betas ascending.  Returns shape
+    (rows, len(betas)).  By the freeze identity an agent with threshold b
+    ends at X[tau(b)], tau(b) = #{t < horizon : min(X_0..X_t) >= b}; along
+    the betas tau does not increase, so an agent's finals are X[horizon],
+    ..., X[0] in runs, one np.repeat of its reversed walk.  This is the
+    full sweep the bounded search replaced, kept as its reference.
+    """
+    rows, horizon, n = walks.shape
+    nb = betas.size
+    rev = np.empty((rows, n, horizon + 1))
+    rev[:, :, :horizon] = walks[:, ::-1].transpose(0, 2, 1)
+    rev[:, :, horizon] = scores0
+    runmin = np.minimum.accumulate(rev[:, :, :0:-1], axis=2)
+    cleared = np.searchsorted(betas, runmin, side="right")
+    runs = np.diff(cleared[:, :, ::-1], axis=2, prepend=0, append=nb)
+    finals = np.repeat(rev.ravel(), runs.ravel()).reshape(rows, n, nb)
+    # A C-ordered (rows, betas, agents) array, as simulate_group's mean.
+    return np.ascontiguousarray(finals.transpose(0, 2, 1)).mean(axis=2)
+
+
+def reference_group_means(scores0, k, c_rows, c_hat, betas, blocks,
+                          long_run_baseline):
+    """Every row's full sweep curve and its baseline mean: the sweep walk,
+    a separate beta-hat frozen walk, and the whole-grid tail.  Returns
+    curves, shape (rows, len(betas)), and base, shape (rows,)."""
+    blocks = np.array(blocks, dtype=float)
+    rows, horizon, _ = blocks.shape
+    c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
+    if long_run_baseline:
+        blocks = np.concatenate([blocks, blocks])
+        c_col = np.concatenate([c_col, np.full((rows, 1), c_hat)])
+    else:
+        bhat = optimal_threshold(k, c_hat).beta_hat
+        base = np.repeat(scores0[None], rows, axis=0)
+    x = scores0
+    for t in range(horizon):
+        u = blocks[:, t]
+        if not long_run_baseline:
+            base = _advance_scores(base, u, bhat, k, c_hat)
+        u[...] = approved_step(x, u, k, c_col)
+        x = u
+    curves = reference_sweep_tail(scores0, betas, blocks)
+    if long_run_baseline:
+        return curves[:rows], curves[rows:].max(axis=1)
+    return curves, base.mean(axis=1)
+
+
+def reference_evaluate_cell(dist_a, dist_d, specs, seeds, weights, k,
+                            horizon, n_seeds, per_group_beta, betas,
+                            long_run_baseline):
+    """Outcomes of the full threshold search: the utility of every
+    candidate from every threshold's exact replicate means, the last
+    maximum winning."""
+    c_hat = specs[0].baseline_c
+    pre = DynamicsParams.uniform(k, c_hat, (dist_a.group, dist_d.group))
+    posts = [apply_intervention(pre, spec, disadvantaged=dist_d.group)
+             for spec in specs]
+    rep_seeds = [s for seed in seeds for s in _replicate_seeds(seed, n_seeds)]
+    spans = [slice(i * n_seeds, (i + 1) * n_seeds) for i in range(len(specs))]
+    means, bases = [], []
+    for slot, dist in ((0, dist_a), (1, dist_d)):
+        c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
+        curves, base = reference_group_means(
+            dist.scores, k, c_rows, c_hat, betas,
+            uniform_blocks(rep_seeds, horizon, slot, dist.n),
+            long_run_baseline)
+        means.append([curves[span].mean(axis=0) for span in spans])
+        bases.append([float(np.mean(base[span])) for span in spans])
+    if per_group_beta:
+        cand_a, cand_d = np.indices((betas.size, betas.size)).reshape(2, -1)
+    else:
+        cand_a = cand_d = np.arange(betas.size)
+    outcomes = []
+    for spec, ma, md, base_a, base_d in zip(specs, *means, *bases):
+        u_vals = _utility_values(ma[cand_a], md[cand_d], base_a, base_d,
+                                 weights)
+        best = np.flatnonzero(u_vals == u_vals.max())[-1]
+        ia, id_ = cand_a[best], cand_d[best]
+        mean_a, mean_d = float(ma[ia]), float(md[id_])
+        outcomes.append(PolicyOutcome(
+            kind=spec.kind, r=spec.r, baseline_c=spec.baseline_c,
+            weights=weights,
+            beta_by_group={dist_a.group: float(betas[ia]),
+                           dist_d.group: float(betas[id_])},
+            mean_a=mean_a, mean_d=mean_d, base_a=base_a, base_d=base_d,
+            utility=utility(mean_a, mean_d, base_a, base_d, weights)))
+    return outcomes
+
+
+def reference_baseline_outcome(dist_a, dist_d, params, horizon, seed,
+                               long_run_search, betas):
+    """baseline_outcome through the full sweep."""
+    out = {}
+    for slot, dist in ((0, dist_a), (1, dist_d)):
+        c = params.c_for(dist.group)
+        _, base = reference_group_means(
+            dist.scores, params.k, [c], c, betas,
+            uniform_blocks([seed], horizon, slot, dist.n), long_run_search)
+        out[dist.group] = float(base[0])
+    return out
 
 
 def reference_walk(scores0, beta, k, c, horizon, seed, slot):

@@ -415,6 +415,96 @@ class TestRecommend:
         assert not target.exists()
 
 
+class _Ran(Exception):
+    """Raised by a spy in place of the work a refused input must not reach."""
+
+
+def _forbid(monkeypatch, *names):
+    from lendingdyn import cli
+
+    def ran(*args, **kwargs):
+        raise _Ran
+    for name in names:
+        monkeypatch.setattr(cli, name, ran)
+
+
+class TestGridCaps:
+    """Spans and grids past MAX_SPAN_POINTS / MAX_GRID_CELLS exit 2 before
+    any point is built or any cell runs."""
+
+    GRID = ["--dist-a", "beta:4,8", "--dist-b", "beta:3,8", "--n", 20,
+            "--c-min", 0.5, "--c-max", 3.0, "--c-step", 0.5,
+            "--r-min", 0.1, "--r-max", 0.9, "--r-step", 0.2]
+
+    def command(self, which, target, **flags):
+        if which == "recommend":
+            args = ["recommend", "--alpha", 0.5, *self.GRID]
+        elif which == "figure":
+            args = ["reproduce-figure", "--which", "grid", *self.GRID]
+        else:
+            args = ["max-mean-curve", *self.GRID[:12]]
+        for key, value in flags.items():
+            flag = "--" + key.replace("_", "-")
+            args[args.index(flag) + 1] = value
+        return [*args, "--out-dir", target]
+
+    # --r-step 1e-5 asked for 80,001 r values and a 480,006-cell grid,
+    # 1e-12 for a tuple of 8e11 floats, 1e-320 for an unbounded one.
+    @pytest.mark.parametrize("which", ["recommend", "figure"])
+    @pytest.mark.parametrize("flag, step, count", [
+        ("r_step", "1e-5", "80,001 points"),
+        ("r_step", "1e-12", "points"),
+        ("c_step", "1e-320", "unbounded points"),
+    ])
+    def test_long_span_is_refused(self, capsys, monkeypatch, tmp_path, which,
+                                  flag, step, count):
+        _forbid(monkeypatch, "recommend_grid")
+        target = tmp_path / "never"
+        start = time.perf_counter()
+        code, _, err = run(capsys, *self.command(which, target,
+                                                 **{flag: step}))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "--" + flag.replace("_", "-") in err
+        assert count in err and "cap of 1,000" in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("which", ["recommend", "figure"])
+    def test_large_grid_is_refused(self, capsys, monkeypatch, tmp_path, which):
+        _forbid(monkeypatch, "recommend_grid")
+        target = tmp_path / "never"
+        # 101 x 101 points: each span is under its cap, the grid is not
+        args = self.command(which, target, c_min=0, c_max=1, c_step=0.01,
+                            r_min=0, r_max=1, r_step=0.01)
+        start = time.perf_counter()
+        code, _, err = run(capsys, *args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "10,201 grid cells" in err and "cap of 10,000" in err
+        assert not target.exists()
+
+    def test_caps_are_inclusive(self, capsys, monkeypatch, tmp_path):
+        _forbid(monkeypatch, "recommend_grid")
+        # 1,000 r points and 10 x 1,000 cells reach the work
+        args = self.command("recommend", tmp_path / "out", c_min=0,
+                            c_max=0.9, c_step=0.1, r_min=0, r_max=0.999,
+                            r_step=0.001)
+        with pytest.raises(_Ran):
+            main([str(a) for a in args])
+
+    def test_long_c_span_is_refused_by_max_mean_curve(self, capsys,
+                                                      monkeypatch, tmp_path):
+        _forbid(monkeypatch, "simulate_group")
+        target = tmp_path / "never"
+        start = time.perf_counter()
+        code, _, err = run(capsys, *self.command("max-mean", target,
+                                                 c_step="1e-6"))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert "--c-step" in err and "2,500,001 points" in err
+        assert not target.exists()
+
+
 class TestRiskCommands:
     def test_train_then_predict(self, capsys, tmp_path):
         train = tmp_path / "train.csv"
@@ -753,6 +843,18 @@ class TestExitCodes:
                            "--c", 1)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_out_of_memory(self, capsys, monkeypatch, tmp_path):  # MemoryError
+        from lendingdyn import cli
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli, "recommend_grid", exhausted)
+        code, _, err = run(capsys, "recommend", "--alpha", 0.5,
+                           "--dist-a", "beta:4,8", "--dist-b", "beta:3,8",
+                           "--n", 20, "--out-dir", tmp_path / "rec")
+        assert code == 1
+        assert err == "computation failed: out of memory\n"
 
     def test_out_dir_naming_a_file(self, capsys, tmp_path):     # OSError
         taken = tmp_path / "taken"

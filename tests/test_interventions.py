@@ -3,17 +3,21 @@
 import numpy as np
 import pytest
 
-from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind,
+from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind, ScoreDistribution,
                         InterventionSpec, UtilityWeights, apply_intervention,
                         baseline_outcome, evaluate_policy, grid_as_dict,
                         grid_rows, optimal_threshold, recommend_grid,
                         sample_beta, simulate_group, utility)
 from lendingdyn import interventions
 from lendingdyn._random import TAG_CELL, TAG_REPLICATE, derive_seed, uniform_blocks
-from lendingdyn.interventions import (KIND_ORDER, _beta_grid, _evaluate_cell,
-                                      _group_means)
+from lendingdyn.interventions import (KIND_ORDER, _approx_curves, _beta_grid,
+                                      _curve_error, _evaluate_cell,
+                                      _exact_means, _group_walk, _lattice,
+                                      _lattice_bins, _walk)
 
-from oracles import reference_mean_curves
+from oracles import (reference_baseline_outcome, reference_evaluate_cell,
+                     reference_group_means, reference_mean_curves,
+                     reference_sweep_tail)
 
 BO = InterventionKind.BETA_ONLY
 GB = InterventionKind.GROUP_BLIND
@@ -92,21 +96,28 @@ class TestApplyIntervention:
             InterventionSpec(kind=BO, r=0.5, baseline_c=-1.0)
 
 
+def _row_curves(scores, k, c_rows, betas, blocks):
+    """Exact sweep curves of rows walked at their own penalties: the walk,
+    then the exact read-out at every threshold of every row."""
+    walk = blocks.copy()
+    _walk(scores, k, c_rows, walk)
+    js = np.tile(np.arange(betas.size), (len(walk), 1))
+    return _exact_means(scores, betas, walk, js)
+
+
 def _mean_curves(scores, k, c, betas, blocks):
     """Sweep curves of rows that all walk at penalty c."""
-    c_rows = np.full(len(blocks), c)
-    return _group_means(scores, k, c_rows, c, betas, blocks.copy(), False)[0]
+    return _row_curves(scores, k, np.full(len(blocks), c), betas, blocks)
 
 
 def _baseline_means(scores, k, c, blocks):
     """Beta-hat baseline means at penalty c."""
-    c_rows = np.full(len(blocks), c)
-    return _group_means(scores, k, c_rows, c, _beta_grid(0.01), blocks.copy(),
-                        False)[1]
+    bhat = optimal_threshold(k, c).beta_hat
+    return _walk(scores, k, np.full(len(blocks), c), blocks.copy(), bhat, c)
 
 
 class TestMeanCurves:
-    """The one-walk kernel against the per-threshold sweep it replaced."""
+    """The exact read-out of one walk against the per-threshold sweep."""
 
     @pytest.mark.parametrize("horizon, n, k, c", [
         (20, 50, 0.1, 1.5),
@@ -144,15 +155,15 @@ class TestMeanCurves:
                 _mean_curves(scores, 0.25, c, betas, blocks),
                 reference_mean_curves(scores, 0.25, c, betas, blocks))
 
-    @pytest.mark.parametrize("reps_per_chunk, n_reps", [
-        (0.5, 3),    # a chunk smaller than one replicate still takes one
-        (3, 10),     # 3 + 3 + 3 + 1
-        (4.5, 11),   # rounds down: 4 + 4 + 3
+    @pytest.mark.parametrize("steps_per_batch, n_reps", [
+        (0.5, 3),    # a batch smaller than one step still takes one
+        (3, 10),     # 3 + 3 + 3 + 3 + 3
+        (4.5, 11),   # rounds down: 4 + 4 + 4 + 3
     ])
-    def test_chunks_of_replicates(self, monkeypatch, reps_per_chunk, n_reps):
+    def test_chunks_of_replicates(self, monkeypatch, steps_per_batch, n_reps):
         n, betas = 30, _beta_grid(0.01)
-        monkeypatch.setattr(interventions, "_CHUNK_CELLS",
-                            int(reps_per_chunk * (betas.size + 1) * n))
+        monkeypatch.setattr(interventions, "_BATCH_CELLS",
+                            int(steps_per_batch * n_reps * n))
         rng = np.random.default_rng(n_reps)
         scores = rng.random(n)
         blocks = rng.random((n_reps, 15, n))
@@ -162,31 +173,30 @@ class TestMeanCurves:
         assert np.array_equal(got.mean(axis=0), want.mean(axis=0))
 
     def test_grid_size_spans_several_chunks(self):
-        # At the recommendation grid's size (101 betas, 500 agents) the
-        # default chunk holds fewer replicates than an evaluation has.
+        # At the recommendation grid's size (101 betas, 500 agents, three
+        # kinds of 10 replicates per group) the default batch holds fewer
+        # steps than the walk has.
         betas = _beta_grid(0.01)
-        n, n_reps = 500, 5
-        assert interventions._CHUNK_CELLS // ((betas.size + 1) * n) < n_reps
+        n, n_reps, horizon = 500, 30, 20
+        assert interventions._BATCH_CELLS // (n_reps * n) < horizon
         rng = np.random.default_rng(9)
         scores = rng.beta(8, 3, n)
-        blocks = rng.random((n_reps, 20, n))
+        blocks = rng.random((n_reps, horizon, n))
         got = _mean_curves(scores, 0.1, 2.0, betas, blocks)
         want = reference_mean_curves(scores, 0.1, 2.0, betas, blocks)
         assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("n_reps", [1, 7, 13])
     def test_a_penalty_per_row(self, monkeypatch, n_reps):
-        # Chunks of 3 rows: one partial chunk, three with a remainder, five.
+        # Batches of 3 steps over 12: four full batches.
         n, betas = 25, _beta_grid(0.02)
-        monkeypatch.setattr(interventions, "_CHUNK_CELLS",
-                            3 * (betas.size + 1) * n)
+        monkeypatch.setattr(interventions, "_BATCH_CELLS", 3 * n_reps * n)
         rng = np.random.default_rng([n_reps, 4])
         scores = np.where(rng.random(n) < 0.3, rng.choice(betas, n),
                           rng.random(n))
         blocks = rng.random((n_reps, 12, n))
         c_rows = rng.choice([0.0, 0.5, 1.0, 2.5, 3.0], n_reps)
-        got, _ = _group_means(scores, 0.1, c_rows, 1.0, betas, blocks.copy(),
-                              False)
+        got = _row_curves(scores, 0.1, c_rows, betas, blocks)
         want = np.vstack([reference_mean_curves(scores, 0.1, c, betas,
                                                 blocks[r:r + 1])
                           for r, c in enumerate(c_rows)])
@@ -211,8 +221,8 @@ class TestMeanCurves:
         scores = rng.random(40)
         kept = scores.copy()
         scores.flags.writeable = False
-        _group_means(scores, 0.1, [1.0, 2.0, 3.0], 2.0, _beta_grid(0.05),
-                     rng.random((3, 8, 40)), long_run)
+        _group_walk(scores, 0.1, [1.0, 2.0, 3.0], 2.0, _beta_grid(0.05),
+                    rng.random((3, 8, 40)), long_run)
         assert scores.tobytes() == kept.tobytes()
 
 
@@ -618,3 +628,261 @@ class TestBetaGrid:
         with pytest.raises(ValueError, match="beta_step"):
             recommend_grid(*small_pair, (1.0,), (0.5,),
                            UtilityWeights(alpha=0.5), 0.1, beta_step=0)
+
+
+def _adversarial_values(m, rng):
+    """Every grid value, both float neighbours of each, the ends (and
+    -0.0), and random values, all inside [-0.0, 1]."""
+    betas = np.linspace(0.0, 1.0, m + 1)
+    v = np.concatenate([betas, np.nextafter(betas, -1.0),
+                        np.nextafter(betas, 2.0), [0.0, -0.0, 1.0],
+                        rng.random(200)])
+    return np.clip(v, -0.0, 1.0)
+
+
+class TestLatticeBins:
+    def test_equal_searchsorted_for_every_grid_size(self):
+        rng = np.random.default_rng(0)
+        rows = 3
+        for m in range(1, 1001):
+            betas = np.linspace(0.0, 1.0, m + 1)
+            values = np.stack([rng.permutation(_adversarial_values(m, rng))
+                               for _ in range(rows)])
+            got = _lattice_bins(values, m, _lattice(m, rows))
+            want = np.searchsorted(betas, values, side="right")
+            offsets = (np.arange(rows) * (m + 2))[:, None]
+            assert np.array_equal(got - offsets, want), m
+
+    def test_buffers_and_a_leading_step_axis(self):
+        m, rows = 100, 4
+        rng = np.random.default_rng(1)
+        values = rng.choice(_adversarial_values(m, rng), (5, rows, 30))
+        lattice = _lattice(m, rows)
+        out = np.empty(values.shape, dtype=np.intp)
+        got = _lattice_bins(values, m, lattice, out, np.empty(values.shape))
+        assert got is out
+        assert np.array_equal(got, _lattice_bins(values, m, lattice))
+        want = np.searchsorted(np.linspace(0.0, 1.0, m + 1), values, "right")
+        assert np.array_equal(got - (np.arange(rows) * (m + 2))[:, None],
+                              want)
+
+
+def _random_walk_case(rng, horizon, n, rows, m, on_grid=0.3):
+    betas = np.linspace(0.0, 1.0, m + 1)
+    scores = np.where(rng.random(n) < on_grid, rng.choice(betas, n),
+                      rng.random(n))
+    k = rng.choice([0.0, 0.05, 0.1, 0.25, 0.3])
+    c_rows = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], rows)
+    walk = rng.random((rows, horizon, n))
+    _walk(scores, k, c_rows, walk)
+    return betas, scores, walk
+
+
+class TestApproximateCurves:
+    """The bincount curve against the exact read-out, within the bound."""
+
+    def test_within_the_stated_bound(self):
+        rng = np.random.default_rng(2024)
+        worst = 0.0
+        for trial in range(60):
+            horizon = int(rng.choice([0, 1, 2, 7, 20, 40]))
+            n = int(rng.choice([1, 2, 7, 64, 500]))
+            rows = int(rng.integers(1, 9))
+            m = int(rng.choice([1, 2, 4, 10, 20, 100, 1000]))
+            betas, scores, walk = _random_walk_case(rng, horizon, n, rows, m)
+            approx = _approx_curves(scores, walk, m)
+            exact = _exact_means(scores, betas, walk,
+                                 np.tile(np.arange(m + 1), (rows, 1)))
+            bound = _curve_error(n, horizon, m + 1, 1)
+            gap = np.abs(approx - exact).max()
+            assert gap <= bound, (trial, gap, bound)
+            # the replicate means, with the bound for that many rows
+            gap_mean = np.abs(approx.mean(axis=0) - exact.mean(axis=0)).max()
+            assert gap_mean <= _curve_error(n, horizon, m + 1, rows)
+            worst = max(worst, gap / bound)
+        assert worst < 1.0
+
+    def test_flat_past_the_highest_running_minimum(self):
+        # Where nobody is ever approved the curve is the initial mean at
+        # every such threshold, exactly, in both stages.
+        rng = np.random.default_rng(3)
+        scores = rng.uniform(0.0, 0.6, 50)
+        walk = rng.random((4, 10, 50))
+        _walk(scores, 0.1, np.full(4, 2.0), walk)
+        betas = _beta_grid(0.05)
+        top = betas > scores.max()
+        approx = _approx_curves(scores, walk, 20)
+        assert np.all(approx[:, top] == approx[:, top][:, :1])
+        exact = _exact_means(scores, betas, walk,
+                             np.tile(np.flatnonzero(top), (4, 1)))
+        assert np.all(exact == scores.mean())
+
+    def test_the_bound_grows_with_the_work(self):
+        assert _curve_error(500, 20, 101, 10) < 1e-9
+        assert _curve_error(500, 20, 101, 10) < _curve_error(500, 40, 101, 10)
+        # a sum too long for the bound leaves it infinite, so every
+        # threshold survives
+        assert _curve_error(2 ** 52, 1, 101, 1) == np.inf
+
+
+def _pair(seed, n_a, n_d, a=(4, 8), d=(3, 8)):
+    dist_a = sample_beta(BetaSpec(a=a[0], b=a[1], n=n_a, seed=seed), group="A")
+    dist_d = sample_beta(BetaSpec(a=d[0], b=d[1], n=n_d, seed=seed + 1),
+                         group="D")
+    return dist_a, dist_d
+
+
+_WEIGHTS = [UtilityWeights(alpha=alpha, mode=mode)
+            for mode in ("signed", "literal") for alpha in (0.0, 0.5, 1.0)]
+
+
+class TestBoundedSearch:
+    """Outcomes of the bounded search against the full-sweep oracle, as
+    float bits."""
+
+    @pytest.mark.parametrize("horizon, n, n_seeds, step, per_group, long_run", [
+        *((*case, per_group, long_run)
+          for case in ((0, 7, 1, 0.1), (1, 7, 8, 0.05), (20, 1, 10, 0.1),
+                       (20, 7, 17, 0.02), (20, 7, 8, 0.5))
+          for per_group in (False, True) for long_run in (False, True)),
+        (20, 500, 10, 0.01, False, False),   # the recommendation grid's size
+        (20, 500, 10, 0.01, True, False),
+    ])
+    def test_cells_equal_the_full_sweep(self, horizon, n, n_seeds, step,
+                                        per_group, long_run):
+        dist_a, dist_d = _pair(horizon + n, n, n + 3)
+        specs = [InterventionSpec(kind=kind, r=0.6, baseline_c=2.0)
+                 for kind in KIND_ORDER]
+        betas = _beta_grid(step)
+        for weights in _WEIGHTS:
+            args = (dist_a, dist_d, specs, [4, 5, 6], weights, 0.1, horizon,
+                    n_seeds, per_group, betas, long_run)
+            got = _evaluate_cell(*args)
+            want = reference_evaluate_cell(*args)
+            assert [_bits(o) for o in got] == [_bits(o) for o in want]
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    @pytest.mark.parametrize("per_group", [False, True])
+    def test_evaluate_policy_equals_the_full_sweep(self, long_run, per_group):
+        dist_a, dist_d = _pair(7, 90, 53, a=(8, 3), d=(7, 3))
+        for kind in KIND_ORDER:
+            spec = InterventionSpec(kind=kind, r=0.3, baseline_c=1.5)
+            for weights in _WEIGHTS:
+                got = evaluate_policy(dist_a, dist_d, spec, weights, 0.1,
+                                      horizon=12, n_seeds=8, seed=3,
+                                      per_group_beta=per_group,
+                                      beta_step=0.05,
+                                      long_run_baseline=long_run)
+                [want] = reference_evaluate_cell(
+                    dist_a, dist_d, [spec], [3], weights, 0.1, 12, 8,
+                    per_group, _beta_grid(0.05), long_run)
+                assert _bits(got) == _bits(want)
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    @pytest.mark.parametrize("horizon", [0, 1, 20])
+    def test_baseline_outcome_equals_the_full_sweep(self, long_run, horizon):
+        dist_a, dist_d = _pair(11, 120, 77)
+        params = DynamicsParams(k=0.1, c_by_group={"A": 1.0, "D": 2.5})
+        got = baseline_outcome(dist_a, dist_d, params, horizon, 9,
+                               long_run_search=long_run, beta_step=0.02)
+        want = reference_baseline_outcome(dist_a, dist_d, params, horizon, 9,
+                                          long_run, _beta_grid(0.02))
+        assert np.array(list(got.values())).tobytes() == \
+            np.array(list(want.values())).tobytes()
+
+    @pytest.mark.parametrize("per_group", [False, True])
+    @pytest.mark.parametrize("c", [1.0, 2.0])
+    def test_quarter_lattice_walks_that_land_on_betas(self, per_group, c):
+        # Scores, steps and betas share the lattice of quarters, so agents
+        # sit exactly on thresholds and utilities tie.
+        rng = np.random.default_rng(int(c))
+        dist_a = ScoreDistribution("A", rng.choice(_beta_grid(0.25), 40))
+        dist_d = ScoreDistribution("D", rng.choice(_beta_grid(0.25), 33))
+        specs = [InterventionSpec(kind=kind, r=0.5, baseline_c=c)
+                 for kind in KIND_ORDER]
+        for weights in _WEIGHTS:
+            for long_run in (False, True):
+                args = (dist_a, dist_d, specs, [1, 2, 3], weights, 0.25, 9,
+                        10, per_group, _beta_grid(0.25), long_run)
+                assert [_bits(o) for o in _evaluate_cell(*args)] == \
+                    [_bits(o) for o in reference_evaluate_cell(*args)]
+
+    @pytest.mark.parametrize("k", [0.0, 0.1])
+    def test_plateaus_where_nobody_is_approved(self, k):
+        # Low scores leave every threshold above them a tie; with k = 0 no
+        # score moves and every candidate ties, so all of them survive and
+        # the last one wins.
+        dist_a, dist_d = _pair(5, 60, 60, a=(2, 9), d=(2, 12))
+        specs = [InterventionSpec(kind=kind, r=0.9, baseline_c=3.0)
+                 for kind in KIND_ORDER]
+        for weights in _WEIGHTS:
+            for per_group in (False, True):
+                args = (dist_a, dist_d, specs, [8, 9, 10], weights, k, 15, 8,
+                        per_group, _beta_grid(0.05), False)
+                got = _evaluate_cell(*args)
+                assert [_bits(o) for o in got] == \
+                    [_bits(o) for o in reference_evaluate_cell(*args)]
+                if k == 0.0:
+                    assert all(o.beta_by_group == {"A": 1.0, "D": 1.0}
+                               for o in got)
+
+    def test_negative_zero_scores(self):
+        # Means of -0.0 scores: the replicate sums start from +0.0, as
+        # numpy's do.
+        dist_a = ScoreDistribution("A", np.full(12, -0.0))
+        dist_d = ScoreDistribution("D", np.full(9, -0.0))
+        spec = InterventionSpec(kind=GC, r=0.5, baseline_c=2.0)
+        for k in (0.0, 0.1):
+            args = (dist_a, dist_d, [spec], [1], UtilityWeights(alpha=0.5),
+                    k, 5, 8, False, _beta_grid(0.1), False)
+            assert [_bits(o) for o in _evaluate_cell(*args)] == \
+                [_bits(o) for o in reference_evaluate_cell(*args)]
+
+    @pytest.mark.parametrize("n_seeds", [8, 10, 17])
+    def test_sequential_replicate_means_at_few_survivors(self, monkeypatch,
+                                                          n_seeds):
+        # With 8 or more replicates a numpy mean over a one- or two-column
+        # slice sums pairwise, not row by row; the bounded search must sum
+        # row by row like the full sweep.
+        widths = []
+        real = interventions._exact_means
+
+        def spy(scores0, betas, walk, js):
+            widths.append(js.shape[1])
+            return real(scores0, betas, walk, js)
+
+        monkeypatch.setattr(interventions, "_exact_means", spy)
+        dist_a, dist_d = _pair(n_seeds, 200, 150)
+        specs = [InterventionSpec(kind=kind, r=0.5, baseline_c=2.0)
+                 for kind in KIND_ORDER]
+        args = (dist_a, dist_d, specs, [21, 22, 23], UtilityWeights(alpha=0.3),
+                0.1, 20, n_seeds, False, _beta_grid(0.01), False)
+        got = _evaluate_cell(*args)
+        assert [_bits(o) for o in got] == \
+            [_bits(o) for o in reference_evaluate_cell(*args)]
+        assert widths and 1 <= min(widths) and max(widths) <= 3
+
+    def test_exact_read_out_at_chosen_thresholds(self):
+        # Any subset of thresholds, in any order, reads the same floats as
+        # the full sweep's columns.
+        rng = np.random.default_rng(8)
+        betas, scores, walk = _random_walk_case(rng, 15, 80, 6, 50)
+        full = reference_sweep_tail(scores, betas, walk)
+        js = np.stack([rng.choice(betas.size, 4, replace=False)
+                       for _ in range(6)])
+        got = _exact_means(scores, betas, walk, js)
+        assert got.tobytes() == np.take_along_axis(full, js, axis=1).tobytes()
+
+    @pytest.mark.parametrize("long_run", [False, True])
+    def test_group_walk_equals_the_full_sweep(self, long_run):
+        rng = np.random.default_rng(13)
+        scores = rng.beta(4, 8, 70)
+        blocks = rng.random((6, 11, 70))
+        c_rows = [0.5, 1.0, 2.0, 2.0, 3.0, 0.0]
+        betas = _beta_grid(0.02)
+        walk, approx, base = _group_walk(scores, 0.1, c_rows, 2.0, betas,
+                                         blocks.copy(), long_run)
+        curves, want = reference_group_means(scores, 0.1, c_rows, 2.0, betas,
+                                             blocks, long_run)
+        assert base.tobytes() == want.tobytes()
+        assert np.abs(approx - curves).max() <= _curve_error(70, 11, 51, 1)

@@ -219,16 +219,23 @@ def _walk(scores0: np.ndarray, k: float, c_rows, blocks: np.ndarray,
     return pair[1].mean(axis=1)
 
 
+def _batch_shape(walk: np.ndarray) -> tuple[int, int, int]:
+    """(steps, rows, n) of one batch of a walk's steps: at most
+    _BATCH_CELLS cells, and at least one step."""
+    rows, horizon, n = walk.shape
+    return min(max(1, _BATCH_CELLS // max(1, rows * n)), horizon), rows, n
+
+
 def _runmin_batches(scores0: np.ndarray, walk: np.ndarray):
     """Yield (t0, t1, mins) over the steps t0 <= t < t1 of a walk.
 
     mins[s] is the running minimum min(X[0], ..., X[t0 + s]), shape
-    (t1 - t0, rows, n): at most _BATCH_CELLS cells, and at least one step.
-    The batches share one buffer, so each is gone once the next comes.
+    (t1 - t0, rows, n), t1 - t0 at most _batch_shape's steps.  The batches
+    share one buffer, so each is gone once the next comes.
     """
     rows, horizon, n = walk.shape
-    per = max(1, _BATCH_CELLS // max(1, rows * n))
-    buf = np.empty((min(per, horizon), rows, n))
+    buf = np.empty(_batch_shape(walk))
+    per = max(1, len(buf))
     low = scores0
     for t0 in range(0, horizon, per):
         t1 = min(horizon, t0 + per)
@@ -248,8 +255,8 @@ def _lattice(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
     return table, shift
 
 
-def _lattice_bins(values: np.ndarray, m: int, lattice, out=None,
-                  scratch=None) -> np.ndarray:
+def _lattice_bins(values: np.ndarray, m: int, lattice, out: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
     """searchsorted(linspace(0, 1, m + 1), v, "right") + r * (m + 2) for
     each v of row r, values of shape (..., rows, n) in [0, 1]: the count
     of thresholds at or below v, offset into row r's own m + 2 bins.
@@ -259,16 +266,14 @@ def _lattice_bins(values: np.ndarray, m: int, lattice, out=None,
     below v and every one above it is above v: the count is q + 1 if
     betas[q] <= v, else q.  The row offset, added before the floor, moves
     v * m + 1/2 by rounding only, far less than the half step of slack.
-    out (intp) and scratch (float), shaped like values, spare allocations.
+    The counts go to out (intp); scratch (float) is overwritten.  Both
+    are shaped like values.
     """
     table, shift = lattice
-    scaled = np.multiply(values, m, out=scratch)
-    scaled += shift
-    if out is None:
-        out = scaled.astype(np.intp)
-    else:
-        np.copyto(out, scaled, casting="unsafe")
-    out += np.take(table, out, out=scaled) <= values
+    np.multiply(values, m, out=scratch)
+    scratch += shift
+    np.copyto(out, scratch, casting="unsafe")
+    out += np.take(table, out, out=scratch) <= values
     return out
 
 
@@ -288,11 +293,9 @@ def _approx_curves(scores0: np.ndarray, walk: np.ndarray,
     size = rows * (m + 2)
     sums = np.zeros(size)
     lattice = _lattice(m, rows)
-    bins = scratch = None
+    bins = np.empty(_batch_shape(walk), dtype=np.intp)
+    scratch = np.empty(bins.shape)
     for t0, t1, mins in _runmin_batches(scores0, walk):
-        if bins is None:
-            bins = np.empty(mins.shape, dtype=np.intp)
-            scratch = np.empty(mins.shape)
         b, diff = bins[:t1 - t0], scratch[:t1 - t0]
         _lattice_bins(mins, m, lattice, b, diff)
         # diff[s] = X[t] - X[t + 1] for t = t0 + s
@@ -537,12 +540,12 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     exact = []
     for side, dist in enumerate((dist_a, dist_d)):
         js = [np.unique(plan[side]) for plan in plans]
-        rows = _exact_means(dist.scores, betas, walks[side],
-                            np.repeat(_padded(js), n_seeds, axis=0))
+        per_row = _exact_means(dist.scores, betas, walks[side],
+                               np.repeat(_padded(js), n_seeds, axis=0))
         walks[side] = None
-        means = _replicate_means(rows.reshape(len(specs), n_seeds, -1))
-        exact.append([row[np.searchsorted(j, plan[side])]
-                      for row, j, plan in zip(means, js, plans)])
+        reps = _replicate_means(per_row.reshape(len(specs), n_seeds, -1))
+        exact.append([rep[np.searchsorted(j, plan[side])]
+                      for rep, j, plan in zip(reps, js, plans)])
 
     # Ties go to the last candidate.
     outcomes = []

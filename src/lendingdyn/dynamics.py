@@ -173,9 +173,12 @@ def approved_step(scores: np.ndarray, u: np.ndarray, k: float,
     The one score-update expression of the package; every simulation path
     applies it, so their results agree bit for bit.  c * -k has the bits
     of -c * k (a product's sign is the xor of its factors' signs) and is
-    one numpy call fewer when c is an array of per-row penalties.
+    one numpy call fewer when c is an array of per-row penalties; the sum
+    and the clamp reuse the step's array.
     """
-    return np.clip(scores + np.where(u < scores, k, c * -k), 0.0, 1.0)
+    moved = np.where(u < scores, k, c * -k)
+    moved += scores
+    return np.clip(moved, 0.0, 1.0, out=moved)
 
 
 def _advance_scores(scores: np.ndarray, u: np.ndarray, beta: float,

@@ -343,9 +343,10 @@ def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
     equals simulate_group(..., betas[js[r, j]], ...).mean() for the seed
     and penalty of the row, bit for bit.  One pass over the steps counts
     tau, the steps whose running minimum clears each threshold (the freeze
-    identity, _approx_curves); X[tau] is gathered into a C-ordered (rows,
-    w, agents) array and averaged over the agents: the same pairwise sum
-    per (row, threshold) as simulate_group's mean.
+    identity, _approx_curves); X[tau] is gathered, rows at a time, into
+    C-ordered (rows, w, agents) arrays of at most _BATCH_CELLS cells and
+    averaged over the agents: the same pairwise sum per (row, threshold)
+    as simulate_group's mean.
     """
     rows, horizon, n = walk.shape
     cols = betas[js][:, :, None]
@@ -354,18 +355,24 @@ def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
     for t0, t1, mins in _runmin_batches(scores0, walk):
         for s in range(t1 - t0):
             tau += np.greater_equal(mins[s, :, None], cols, out=approved)
-    if horizon:
-        # X[tau] = walk[r, tau - 1, i], at flat index (r * horizon + tau - 1)
-        # * n + i; tau = 0 wraps and is overwritten with X[0] below.
-        flat = tau.astype(np.intp)
-        flat += (np.arange(rows) * horizon - 1)[:, None, None]
-        flat *= n
-        flat += np.arange(n)
-        finals = np.take(walk.reshape(-1), flat, mode="clip")
-    else:
-        finals = np.empty(tau.shape)
-    np.copyto(finals, scores0, where=tau == 0)
-    return finals.mean(axis=2)
+    del approved
+    out = np.empty(tau.shape[:2])
+    per = max(1, _BATCH_CELLS // tau[0].size)
+    for r0 in range(0, rows, per):
+        part = tau[r0:r0 + per]
+        if horizon:
+            # X[tau] = walk[r, tau - 1, i], at flat index (r * horizon + tau
+            # - 1) * n + i; tau = 0 wraps and is overwritten with X[0].
+            flat = part.astype(np.intp)
+            flat += (np.arange(r0, r0 + len(part)) * horizon - 1)[:, None, None]
+            flat *= n
+            flat += np.arange(n)
+            finals = np.take(walk.reshape(-1), flat, mode="clip")
+        else:
+            finals = np.empty(part.shape)
+        np.copyto(finals, scores0, where=part == 0)
+        out[r0:r0 + per] = finals.mean(axis=2)
+    return out
 
 
 def _replicate_means(means: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ on the float error (_curve_error: about 2.6e-11 for a replicate mean at
 n = 500, horizon 20).  A utility moves by at most the moves of its two
 means, so only candidates whose approximate utility lies within
 2 * (delta_A + delta_D) of the best can be the exact best; exact means are
-read off the walk for those alone (1 to 6 of 101 thresholds on the
+read off the walk for those alone (1 or 4 of 101 thresholds on the
 benchmark grid), with the same pairwise agent sums and row-by-row replicate
 sums as the full sweep, and the last candidate of highest exact utility
 wins.  Where the bound is not small, every threshold survives.

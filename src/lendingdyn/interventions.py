@@ -358,16 +358,18 @@ def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
     del approved
     out = np.empty(tau.shape[:2])
     per = max(1, _BATCH_CELLS // tau[0].size)
+    steps = walk.reshape(-1)
     for r0 in range(0, rows, per):
         part = tau[r0:r0 + per]
         if horizon:
             # X[tau] = walk[r, tau - 1, i], at flat index (r * horizon + tau
             # - 1) * n + i; tau = 0 wraps and is overwritten with X[0].
             flat = part.astype(np.intp)
-            flat += (np.arange(r0, r0 + len(part)) * horizon - 1)[:, None, None]
+            flat += (np.arange(r0, r0 + len(part))[:, None, None] * horizon
+                     - 1)
             flat *= n
             flat += np.arange(n)
-            finals = np.take(walk.reshape(-1), flat, mode="clip")
+            finals = np.take(steps, flat, mode="clip")
         else:
             finals = np.empty(part.shape)
         np.copyto(finals, scores0, where=part == 0)

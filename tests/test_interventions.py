@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind, ScoreDistribution,
-                        InterventionSpec, UtilityWeights, apply_intervention,
-                        baseline_outcome, evaluate_policy, grid_as_dict,
-                        grid_rows, optimal_threshold, recommend_grid,
-                        sample_beta, simulate_group, utility)
+from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind,
+                        InterventionSpec, ScoreDistribution, UtilityWeights,
+                        apply_intervention, baseline_outcome, evaluate_policy,
+                        grid_as_dict, grid_rows, optimal_threshold,
+                        recommend_grid, sample_beta, simulate_group, utility)
 from lendingdyn import interventions
 from lendingdyn._random import TAG_CELL, TAG_REPLICATE, derive_seed, uniform_blocks
 from lendingdyn.interventions import (KIND_ORDER, _approx_curves, _beta_grid,
@@ -741,7 +741,8 @@ class TestBoundedSearch:
     """Outcomes of the bounded search against the full-sweep oracle, as
     float bits."""
 
-    @pytest.mark.parametrize("horizon, n, n_seeds, step, per_group, long_run", [
+    @pytest.mark.parametrize(
+        "horizon, n, n_seeds, step, per_group, long_run", [
         *((*case, per_group, long_run)
           for case in ((0, 7, 1, 0.1), (1, 7, 8, 0.05), (20, 1, 10, 0.1),
                        (20, 7, 17, 0.02), (20, 7, 8, 0.5))

@@ -341,14 +341,20 @@ def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
 
     js has shape (rows, w): row r is read at betas[js[r]].  out[r, j]
     equals simulate_group(..., betas[js[r, j]], ...).mean() for the seed
-    and penalty of the row, bit for bit.  One pass over the steps counts
-    tau, the steps whose running minimum clears each threshold (the freeze
-    identity, _approx_curves); X[tau] is gathered, rows at a time, into
-    C-ordered (rows, w, agents) arrays of at most _BATCH_CELLS cells and
-    averaged over the agents: the same pairwise sum per (row, threshold)
-    as simulate_group's mean.
+    and penalty of the row, bit for bit.  Per block of threshold columns
+    of at most 8 * _BATCH_CELLS (row, threshold, agent) cells, one pass
+    over the steps counts tau, the steps whose running minimum clears each
+    threshold (the freeze identity, _approx_curves); X[tau] is gathered,
+    rows at a time, into C-ordered (rows, w, agents) arrays of at most
+    _BATCH_CELLS cells and averaged over the agents: the same pairwise sum
+    per (row, threshold) as simulate_group's mean.
     """
     rows, horizon, n = walk.shape
+    width = max(1, 8 * _BATCH_CELLS // (rows * n))
+    if js.shape[1] > width:
+        return np.hstack([
+            _exact_means(scores0, betas, walk, js[:, j:j + width])
+            for j in range(0, js.shape[1], width)])
     cols = betas[js][:, :, None]
     tau = np.zeros(cols.shape[:2] + (n,), dtype=np.min_scalar_type(horizon))
     approved = np.empty(tau.shape, dtype=bool)

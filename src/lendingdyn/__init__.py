@@ -21,7 +21,7 @@ from .dynamics import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                        step_mean, step_population, verify_bifurcation)
 from .interventions import (GridCell, InterventionKind, InterventionSpec,
                             PolicyOutcome, RecommendationGrid, UtilityWeights,
-                            apply_intervention, baseline_outcome,
+                            WorkerLost, apply_intervention, baseline_outcome,
                             evaluate_policy, grid_as_dict, grid_rows,
                             recommend_grid, utility)
 from .markov import (AbsorbingChain, AbsorptionResult, ChainError,
@@ -41,7 +41,7 @@ __all__ = [
     "LoanRecord", "LoanTable", "OptimalThreshold", "PolicyOutcome",
     "RationalStep", "RecommendationGrid", "RiskModel", "RowReject",
     "ScoreDistribution", "SeparationError", "StateSpace", "ThresholdPolicy",
-    "Trajectory", "UtilityWeights",
+    "Trajectory", "UtilityWeights", "WorkerLost",
     "absorption_probabilities", "apply_intervention", "baseline_outcome",
     "build_chain", "check_dominance", "clamp_unit", "derive_seed",
     "empirical_cdf", "enumerate_states", "evaluate_policy",

@@ -35,7 +35,8 @@ from .distributions import (BetaSpec, check_dominance, read_score_csv,
 from .dynamics import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                        simulate, simulate_group)
 from .interventions import (MAX_GRID_CELLS, MAX_SPAN_POINTS, UtilityWeights,
-                            grid_as_dict, grid_rows, recommend_grid)
+                            WorkerLost, grid_as_dict, grid_rows,
+                            recommend_grid)
 from .markov import (ChainError, RationalStep, absorption_probabilities,
                      build_chain, enumerate_states, transient_mass)
 from .risk import (RiskModel, SeparationError, fit_logistic, load_records,
@@ -295,6 +296,9 @@ _SEED = Option("seed", "int", default=0)
 _K = Option("k", "float", default=0.1)
 _HORIZON = Option("horizon", "int", default=20)
 _BETA_STEP = Option("beta_step", "float", default=0.01)
+_THREADS = Option("threads", "int", default=1,
+                  help="worker processes for grid cells, capped at the "
+                       "usable cores")
 _OUT_DIR = Option("out_dir", "str", required=True)
 _OPTIONAL_OUT_DIR = Option("out_dir", "str")
 _KEEP_PURPOSE = Option("keep_purpose", "str", default="purchase",
@@ -419,7 +423,7 @@ RECOMMEND_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + _R_GRID_OPTS + (
     Option("per_group_beta", "bool", default=False,
            help="search thresholds per group instead of one shared value"),
     _BETA_STEP,
-    Option("threads", "int", default=1),
+    _THREADS,
     _OUT_DIR,
 )
 
@@ -663,7 +667,7 @@ FIGURE_OPTS = _COMMON + _C_GRID_OPTS + _R_GRID_OPTS + (
     _K, _HORIZON,
     Option("seeds", "int", default=10),
     _BETA_STEP,
-    Option("threads", "int", default=1, help="worker threads for grid cells"),
+    _THREADS,
     _OUT_DIR,
 )
 
@@ -749,7 +753,8 @@ def main(argv=None) -> int:
             _finalize(spec.name, values, t0)
         return 0
     # ChainError and LinAlgError are ValueErrors, so this clause comes first.
-    except (ChainError, SeparationError, np.linalg.LinAlgError) as exc:
+    except (ChainError, SeparationError, WorkerLost,
+            np.linalg.LinAlgError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
     except (CliError, FileNotFoundError, TypeError, ValueError) as exc:

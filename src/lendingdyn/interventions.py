@@ -54,9 +54,9 @@ under that seed, bit for bit; evaluate_policy is the one-kind case.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -642,6 +642,65 @@ class RecommendationGrid:
             raise KeyError(f"no cell at ({c}, {r})") from None
 
 
+class WorkerLost(RuntimeError):
+    """A grid worker process ended before returning its cells."""
+
+
+def _grid_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
+               c_values: tuple[float, ...], r_values: tuple[float, ...],
+               seed: int, weights: UtilityWeights, k: float, horizon: int,
+               n_seeds: int, per_group_beta: bool, betas: np.ndarray,
+               cell_idx: int) -> dict[InterventionKind, PolicyOutcome]:
+    """Outcomes of every kind in one grid cell, each under its own seed."""
+    c_hat = c_values[cell_idx // len(r_values)]
+    r = r_values[cell_idx % len(r_values)]
+    specs = [InterventionSpec(kind=kind, r=r, baseline_c=c_hat)
+             for kind in KIND_ORDER]
+    seeds = [derive_seed(seed, TAG_CELL, cell_idx, kind_idx)
+             for kind_idx in range(len(KIND_ORDER))]
+    return dict(zip(KIND_ORDER, _evaluate_cell(
+        dist_a, dist_d, specs, seeds, weights, k, horizon, n_seeds,
+        per_group_beta, betas, long_run_baseline=False)))
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _map_cells(task, n_cells: int, threads: int) -> list:
+    """[task(0), ..., task(n_cells - 1)], on forked worker processes.
+
+    The pool has min(threads, n_cells, usable cores) workers; with one, or
+    where the fork start method is missing, the cells run here in order.
+    Workers are forked, so they start with this process's modules and
+    data instead of importing them again, as spawned ones would.  Forking
+    is safe only while no other thread of this process holds a lock: the
+    CLI starts none, and the executor forks every worker before it starts
+    its own manager thread; a caller running threads of its own passes
+    threads=1.  The pool is shut down, its workers joined, before this
+    returns or raises.  multiprocessing and the executor are imported only
+    here, which keeps them out of every command that runs no grid.
+    """
+    workers = min(threads, n_cells, _usable_cores())
+    if workers > 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures.process import (BrokenProcessPool,
+                                                    ProcessPoolExecutor)
+            context = multiprocessing.get_context("fork")
+            try:
+                with ProcessPoolExecutor(workers, mp_context=context) as pool:
+                    return list(pool.map(task, range(n_cells)))
+            except BrokenProcessPool as exc:
+                raise WorkerLost("a grid worker process ended abruptly "
+                                 "(killed, perhaps out of memory)") from exc
+    return [task(cell_idx) for cell_idx in range(n_cells)]
+
+
 def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                    c_grid: Sequence[float], r_grid: Sequence[float],
                    weights: UtilityWeights, k: float, horizon: int = 20,
@@ -652,9 +711,12 @@ def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
 
     Cell (i, j) under policy kind p draws its seed from
     (seed, cell index, p) and its replicates from that, per the concurrency
-    contract; thread count can only change wall time, never a value.  Each
-    cell is one batched evaluation of its three kinds (one task per cell),
-    and each kind's outcome equals evaluate_policy under its seed.
+    contract; the worker count can only change wall time, never a value.
+    Each cell is one batched evaluation of its three kinds (one task per
+    cell, _grid_cell), and each kind's outcome equals evaluate_policy under
+    its seed.  threads asks for up to that many worker processes, capped at
+    the cell count and the usable cores (_map_cells); a worker that dies
+    raises WorkerLost.
     """
     c_values = tuple(float(c) for c in c_grid)
     r_values = tuple(float(r) for r in r_grid)
@@ -663,24 +725,9 @@ def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     betas = _beta_grid(beta_step)
-    n_cells = len(c_values) * len(r_values)
-
-    def run(cell_idx):
-        c_hat = c_values[cell_idx // len(r_values)]
-        r = r_values[cell_idx % len(r_values)]
-        specs = [InterventionSpec(kind=kind, r=r, baseline_c=c_hat)
-                 for kind in KIND_ORDER]
-        seeds = [derive_seed(seed, TAG_CELL, cell_idx, kind_idx)
-                 for kind_idx in range(len(KIND_ORDER))]
-        return dict(zip(KIND_ORDER, _evaluate_cell(
-            dist_a, dist_d, specs, seeds, weights, k, horizon, n_seeds,
-            per_group_beta, betas, long_run_baseline=False)))
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            by_cell = list(pool.map(run, range(n_cells)))
-    else:
-        by_cell = [run(cell_idx) for cell_idx in range(n_cells)]
+    task = partial(_grid_cell, dist_a, dist_d, c_values, r_values, seed,
+                   weights, k, horizon, n_seeds, per_group_beta, betas)
+    by_cell = _map_cells(task, len(c_values) * len(r_values), threads)
 
     raw_marginals = []
     for outcomes in by_cell:

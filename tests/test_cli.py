@@ -1,8 +1,11 @@
 """Command-line interface: flags, config layering, artifacts, exit codes."""
 
+import concurrent.futures.process
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import subprocess
 import sys
 import time
@@ -10,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from lendingdyn import optimal_threshold
+from lendingdyn import interventions, optimal_threshold
 from lendingdyn.cli import COMMANDS, main, parse_distribution
 
 from conftest import make_loan_rows, write_loan_csv, write_risk_inputs
@@ -370,13 +373,13 @@ class TestRecommend:
             == digest
 
     def test_threads_do_not_change_artifacts(self, capsys, tmp_path):
-        d1, d4 = tmp_path / "t1", tmp_path / "t4"
+        d1 = tmp_path / "t1"
         run(capsys, *self.args(d1, threads=1))
-        run(capsys, *self.args(d4, threads=4))
-        assert (d1 / "grid.csv").read_bytes() == (d4 / "grid.csv").read_bytes()
-        assert (d1 / "grid.json").read_bytes() == \
-            (d4 / "grid.json").read_bytes()
-        assert (d1 / "run.cfg").read_bytes() == (d4 / "run.cfg").read_bytes()
+        for threads in (2, 4):
+            wide = tmp_path / f"t{threads}"
+            run(capsys, *self.args(wide, threads=threads))
+            for name in ("grid.csv", "grid.json", "run.cfg"):
+                assert (d1 / name).read_bytes() == (wide / name).read_bytes()
 
     def test_bad_grid_step_fails_before_artifacts(self, capsys, tmp_path):
         target = tmp_path / "never"
@@ -413,6 +416,117 @@ class TestRecommend:
         assert code == 2
         assert "threads" in err
         assert not target.exists()
+
+
+class TestGridWorkers:
+    """Grid cells on forked worker processes: how many, and their failures."""
+
+    args = TestRecommend.args
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """max_workers of every pool asked for; the spy runs the cells here
+        and starts no process."""
+        made = []
+
+        class SpyPool:
+            def __init__(self, max_workers, mp_context=None):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                            SpyPool)
+        return made
+
+    def test_workers_are_capped_at_the_usable_cores(self, capsys, tmp_path,
+                                                    monkeypatch, pools):
+        cores = len(os.sched_getaffinity(0))
+        assert interventions._usable_cores() == cores
+        code, _, err = run(capsys, *self.args(tmp_path / "real", threads=64))
+        assert code == 0, err
+        assert pools == ([min(4, cores)] if min(4, cores) > 1 else [])
+        pools.clear()
+        monkeypatch.setattr(interventions, "_usable_cores", lambda: 3)
+        code, _, err = run(capsys, *self.args(tmp_path / "three", threads=64))
+        assert code == 0, err
+        assert pools == [3]
+
+    def test_one_worker_one_cell_or_no_fork_starts_no_pool(
+            self, capsys, tmp_path, monkeypatch, pools):
+        monkeypatch.setattr(interventions, "_usable_cores", lambda: 3)
+        code, _, err = run(capsys, *self.args(tmp_path / "t1", threads=1))
+        assert code == 0, err
+        args = self.args(tmp_path / "cell", threads=4)
+        args[args.index("--c-max") + 1] = 1
+        args[args.index("--r-max") + 1] = 0.1
+        code, _, err = run(capsys, *args)
+        assert code == 0, err
+        assert len(json.loads(
+            (tmp_path / "cell" / "grid.json").read_text())["cells"]) == 1
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        code, _, err = run(capsys, *self.args(tmp_path / "spawn", threads=4))
+        assert code == 0, err
+        assert pools == []
+
+    def failing_cell(self, monkeypatch, tmp_path, fail):
+        """Make the cells at c-hat 2 run fail(); record where they ran."""
+        monkeypatch.setattr(interventions, "_usable_cores", lambda: 2)
+        original, pids = interventions._evaluate_cell, tmp_path / "pids"
+
+        def evaluate(dist_a, dist_d, specs, *rest, **kwargs):
+            if specs[0].baseline_c == 2.0:
+                with open(pids, "a") as f:
+                    f.write(f"{os.getpid()}\n")
+                fail()
+            return original(dist_a, dist_d, specs, *rest, **kwargs)
+
+        monkeypatch.setattr(interventions, "_evaluate_cell", evaluate)
+        return pids
+
+    def test_worker_out_of_memory_exits_one(self, capsys, tmp_path,
+                                            monkeypatch):
+        def fail():
+            raise MemoryError
+
+        pids = self.failing_cell(monkeypatch, tmp_path, fail)
+        code, _, err = run(capsys, *self.args(tmp_path / "out", threads=2))
+        assert code == 1
+        assert err == "computation failed: out of memory\n"
+        assert str(os.getpid()) not in pids.read_text().split()
+        assert multiprocessing.active_children() == []
+
+    def test_dead_worker_exits_one_with_one_line(self, capsys, tmp_path,
+                                                 monkeypatch):
+        parent = os.getpid()
+
+        def fail():
+            # Never end the test process itself.
+            assert os.getpid() != parent
+            os._exit(1)
+
+        self.failing_cell(monkeypatch, tmp_path, fail)
+        code, _, err = run(capsys, *self.args(tmp_path / "out", threads=2))
+        assert code == 1
+        assert err.startswith("computation failed: a grid worker process")
+        assert err.count("\n") == 1
+        assert multiprocessing.active_children() == []
+
+    def test_cli_import_leaves_process_pools_out(self):
+        probe = ("import sys, lendingdyn.cli; print(sorted("
+                 "{'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", probe],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class _Ran(Exception):

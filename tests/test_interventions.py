@@ -557,7 +557,7 @@ class TestCellEvaluation:
 
     @pytest.mark.parametrize("per_group", [False, True])
     @pytest.mark.parametrize("horizon", [0, 9])
-    @pytest.mark.parametrize("threads", [1, 3])
+    @pytest.mark.parametrize("threads", [1, 2, 3])
     def test_grid_cells_are_evaluate_policy(self, unequal_pair, per_group,
                                             horizon, threads):
         dist_a, dist_d = unequal_pair

@@ -291,9 +291,13 @@ def _span(values: dict, prefix: str) -> tuple[float, ...]:
 
 
 # Options that several command tables list with the same settings.
-_N = Option("n", "int", default=1000)
-_SEED = Option("seed", "int", default=0)
-_K = Option("k", "float", default=0.1)
+_N = Option("n", "int", default=1000, help="Beta sample size per group")
+_SEED = Option("seed", "int", default=0, help="root seed")
+_K = Option("k", "float", default=0.1, help="score gain per repayment")
+_SEEDS = Option("seeds", "int", default=10,
+                help="Monte Carlo replicates per cell")
+_MODE = Option("mode", "str", default="signed", choices=("signed", "literal"),
+               help="efficiency term: signed gains or absolute deviations")
 _HORIZON = Option("horizon", "int", default=20)
 _BETA_STEP = Option("beta_step", "float", default=0.01)
 _THREADS = Option("threads", "int", default=1,
@@ -311,8 +315,7 @@ _DIST_OPTS = (
            help="group A (advantaged) scores: beta:a,b or file:path"),
     Option("dist_b", "str", required=True,
            help="group D (disadvantaged) scores: beta:a,b or file:path"),
-    Option("n", "int", default=1000, help="sample size per group for beta literals"),
-    Option("seed", "int", default=0, help="root seed"),
+    _N, _SEED,
 )
 
 _C_GRID_OPTS = (
@@ -353,7 +356,7 @@ SIMULATE_OPTS = _COMMON + _DIST_OPTS + (
     Option("beta", "float", help="approval threshold for both groups"),
     Option("beta_a", "float", help="group A threshold (with --beta-d)"),
     Option("beta_d", "float", help="group D threshold (with --beta-a)"),
-    Option("k", "float", default=0.1, help="score gain per repayment"),
+    _K,
     Option("c", "float", help="penalty ratio for both groups (default 1)"),
     Option("c_a", "float", help="group A penalty ratio (with --c-d)"),
     Option("c_d", "float", help="group D penalty ratio (with --c-a)"),
@@ -416,10 +419,7 @@ def cmd_optimize_threshold(values: dict) -> None:
 RECOMMEND_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + _R_GRID_OPTS + (
     Option("alpha", "float", required=True,
            help="weight on the inequality term of the utility"),
-    Option("mode", "str", default="signed", choices=("signed", "literal"),
-           help="efficiency term: signed gains or absolute deviations"),
-    _K, _HORIZON,
-    Option("seeds", "int", default=10, help="Monte Carlo replicates per cell"),
+    _MODE, _K, _HORIZON, _SEEDS,
     Option("per_group_beta", "bool", default=False,
            help="search thresholds per group instead of one shared value"),
     _BETA_STEP,
@@ -662,11 +662,7 @@ FIGURE_OPTS = _COMMON + _C_GRID_OPTS + _R_GRID_OPTS + (
            help="utility weights, one grid per value"),
     Option("dist_a", "str", default="beta:4,8"),
     Option("dist_b", "str", default="beta:3,8"),
-    _N, _SEED,
-    Option("mode", "str", default="signed", choices=("signed", "literal")),
-    _K, _HORIZON,
-    Option("seeds", "int", default=10),
-    _BETA_STEP,
+    _N, _SEED, _MODE, _K, _HORIZON, _SEEDS, _BETA_STEP,
     _THREADS,
     _OUT_DIR,
 )

@@ -74,8 +74,8 @@ def check_dominance(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     lo, hi = interval
     if not (0.0 <= lo < hi <= 1.0):
         raise ValueError("interval must satisfy 0 <= lo < hi <= 1")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (np.isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step!r}")
     xs = _grid(lo, hi, step)
     fa = empirical_cdf(dist_a, xs)
     fd = empirical_cdf(dist_d, xs)

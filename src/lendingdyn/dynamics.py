@@ -317,7 +317,7 @@ def simulate(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     shared object, and every byte equals the full-horizon walk's.
     """
     if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
     snaps = {}
@@ -339,6 +339,8 @@ def simulate_group(dist: ScoreDistribution, beta: float, k: float, c: float,
     docstring), so a horizon past absorption costs nothing; the scores are
     those of the full-horizon walk, byte for byte.
     """
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     scores = dist.scores
     for scores in _walk(dist.scores, beta, k, c, horizon, seed, group_slot):
         pass

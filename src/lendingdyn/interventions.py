@@ -1,8 +1,11 @@
 """Structural interventions and the recommendation grid.
 
 A policy evaluation compares a horizon outcome against the no-intervention
-baseline (both groups at the pre-intervention penalty c-hat, approved at the
-analytic optimal threshold).  The utility of an outcome is
+baseline: both groups at the pre-intervention penalty c-hat, approved at the
+analytic optimal threshold beta-hat(k, c-hat).  That baseline has one
+definition, baseline_outcome, which is simulate_group at each group's
+beta-hat; an evaluation walks it beside its sweep (_walk) and takes its
+replicate mean.  The utility of an outcome is
 
     U = -alpha * |mean_A - mean_D| + (1 - alpha) * efficiency
 
@@ -65,7 +68,8 @@ from ._random import derive_seed, uniform_blocks, TAG_CELL, TAG_REPLICATE
 # Nothing here calls uniform_block: perfbench/tracing.py wraps it at this
 # name and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import uniform_block  # noqa: F401
-from .dynamics import DynamicsParams, ScoreDistribution, approved_step
+from .dynamics import (DynamicsParams, ScoreDistribution, approved_step,
+                       simulate_group)
 from .thresholds import optimal_threshold
 
 
@@ -187,25 +191,19 @@ def _beta_grid(step: float) -> np.ndarray:
 
 
 def _walk(scores0: np.ndarray, k: float, c_rows, blocks: np.ndarray,
-          bhat=None, c_hat=None):
-    """Step every row's always-approved walk, in place of its uniforms.
+          bhat: float, c_hat: float) -> np.ndarray:
+    """Step every row's always-approved walk, in place of its uniforms, and
+    the beta-hat baseline beside it; return each row's baseline mean.
 
     Row r draws blocks[r], shape (horizon, n), at penalty c_rows[r]; after
-    the walk blocks[r, t] holds X[t + 1] (X[0] = scores0).  With bhat, the
-    beta-hat baseline at c_hat steps in the same approved_step call, its
-    frozen agents copied back, and the walk returns each row's baseline
-    mean: simulate_group(..., bhat, k, c_hat, ...).mean() for the row's
-    seed, bit for bit.
+    the walk blocks[r, t] holds X[t + 1] (X[0] = scores0).  The baseline
+    steps the same uniforms at c_hat in the same approved_step call, its
+    agents below bhat copied back, so row r's baseline mean is
+    simulate_group(..., bhat, k, c_hat, ...).mean() for the row's seed,
+    bit for bit: the float baseline_outcome returns.
     """
     rows, horizon, n = blocks.shape
     c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
-    if bhat is None:
-        x = scores0
-        for t in range(horizon):
-            u = blocks[:, t]
-            u[...] = approved_step(x, u, k, c_col)
-            x = u
-        return None
     # pair[0] is the walk, pair[1] the baseline; one call steps both.
     pair = np.empty((2, rows, n))
     pair[:] = scores0
@@ -401,66 +399,22 @@ def _padded(index_sets) -> np.ndarray:
                      for ix in index_sets])
 
 
-def _best_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
-                approx: np.ndarray) -> np.ndarray:
-    """Each row's largest exact mean over all thresholds.
-
-    Only thresholds whose approximate mean lies within twice the error
-    bound of the row's approximate maximum can hold the exact maximum;
-    the exact read-out runs at those alone.
-    """
-    rows, horizon, n = walk.shape
-    # The margin covers the rounding of the subtraction below.
-    slack = 2.0 * _curve_error(n, horizon, betas.size, 1) + 64.0 * _U
-    keep = approx >= approx.max(axis=1, keepdims=True) - slack
-    js = _padded([np.flatnonzero(row) for row in keep])
-    return _exact_means(scores0, betas, walk, js).max(axis=1)
-
-
-def _group_walk(scores0: np.ndarray, k: float, c_rows, c_hat: float,
-                betas: np.ndarray, blocks: np.ndarray,
-                long_run_baseline: bool):
-    """Walk one group's rows; return the walk, its approximate curves and
-    each row's baseline mean.
-
-    Row r draws the uniforms blocks[r], shape (horizon, n), at penalty
-    c_rows[r]; blocks is consumed and becomes the walk (_walk), and
-    approx[r] is _approx_curves of the row.  The baseline steps the same
-    uniforms at c_hat: at the one-step beta-hat, base[r] is the
-    population's frozen walk; with long_run_baseline it is the best exact
-    mean over the thresholds of an extra always-approved row at c_hat.
-    """
-    rows = len(blocks)
-    m = betas.size - 1
-    if long_run_baseline:
-        walk = np.concatenate([blocks, blocks])
-        _walk(scores0, k, np.concatenate([np.ravel(c_rows),
-                                          np.full(rows, c_hat)]), walk)
-        approx = _approx_curves(scores0, walk, m)
-        base = _best_means(scores0, betas, walk[rows:], approx[rows:])
-        return walk[:rows], approx[:rows], base
-    bhat = optimal_threshold(k, c_hat).beta_hat
-    base = _walk(scores0, k, c_rows, blocks, bhat, c_hat)
-    return blocks, _approx_curves(scores0, blocks, m), base
-
-
 def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
-                     params: DynamicsParams, horizon: int, seed: int,
-                     long_run_search: bool = False,
-                     beta_step: float = 0.01) -> dict[str, float]:
-    """Per-group horizon means under the pre-intervention optimum.
+                     params: DynamicsParams, horizon: int,
+                     seed: int) -> dict[str, float]:
+    """Per-group horizon means under the pre-intervention optimum: each
+    group's simulate_group at its analytic beta-hat(k, c), slot 0 for
+    dist_a and 1 for dist_d.
 
-    Default threshold is each group's analytic one-step beta-hat; with
-    long_run_search the horizon mean itself is grid-searched per group.
+    This is the one no-intervention baseline: an evaluation's baseline is
+    the replicate mean of these values over its replicate seeds (_walk).
     """
-    betas = _beta_grid(beta_step)
     out = {}
-    for slot, dist in ((0, dist_a), (1, dist_d)):
+    for slot, dist in enumerate((dist_a, dist_d)):
         c = params.c_for(dist.group)
-        blocks = uniform_blocks([seed], horizon, slot, dist.n)
-        _, _, base = _group_walk(dist.scores, params.k, [c], c, betas, blocks,
-                                 long_run_search)
-        out[dist.group] = float(base[0])
+        bhat = optimal_threshold(params.k, c).beta_hat
+        out[dist.group] = float(simulate_group(
+            dist, bhat, params.k, c, horizon, seed, group_slot=slot).mean())
     return out
 
 
@@ -486,17 +440,17 @@ class PolicyOutcome:
 def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                    specs: Sequence[InterventionSpec], seeds: Sequence[int],
                    weights: UtilityWeights, k: float, horizon: int,
-                   n_seeds: int, per_group_beta: bool, betas: np.ndarray,
-                   long_run_baseline: bool) -> list[PolicyOutcome]:
+                   n_seeds: int, per_group_beta: bool,
+                   betas: np.ndarray) -> list[PolicyOutcome]:
     """Evaluate interventions that share one c-hat, specs[i] under seeds[i].
 
     Outcome i is the same, bit for bit, as evaluating specs[i] alone under
     seeds[i]: every spec keeps its own replicate seeds and its rows are
     walked and averaged on their own.  Batching only shares the work: per
     group, one uniform_blocks call builds the blocks of every spec's
-    replicates, and one walk (_group_walk) steps all of them, each row at
-    its spec's post-intervention penalty, together with the baseline, which
-    every spec runs at the shared c-hat.
+    replicates, and one walk (_walk) steps all of them, each row at its
+    spec's post-intervention penalty, together with the beta-hat baseline,
+    which every spec runs at the shared c-hat.
 
     The threshold search is bounded.  The walk yields approximate curves
     whose replicate means lie within _curve_error (delta) of the exact
@@ -512,7 +466,10 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
         raise ValueError("groups must have distinct labels")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be positive, got {n_seeds}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     c_hat = specs[0].baseline_c
+    bhat = optimal_threshold(k, c_hat).beta_hat
     pre = DynamicsParams.uniform(k, c_hat, (dist_a.group, dist_d.group))
     posts = [apply_intervention(pre, spec, disadvantaged=dist_d.group)
              for spec in specs]
@@ -525,12 +482,11 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     walks, means, bases, slack = [], [], [], 1024.0 * _U
     for slot, dist in ((0, dist_a), (1, dist_d)):
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
-        # The blocks go straight in and become the walk.  Group A's walk
-        # lives on until both groups' curves have picked the candidates.
-        walk, approx, base = _group_walk(
-            dist.scores, k, c_rows, c_hat, betas,
-            uniform_blocks(rep_seeds, horizon, slot, dist.n),
-            long_run_baseline)
+        # The blocks become the walk.  Group A's walk lives on until both
+        # groups' curves have picked the candidates.
+        walk = uniform_blocks(rep_seeds, horizon, slot, dist.n)
+        base = _walk(dist.scores, k, c_rows, walk, bhat, c_hat)
+        approx = _approx_curves(dist.scores, walk, betas.size - 1)
         walks.append(walk)
         means.append([approx[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
@@ -582,20 +538,20 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
 def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                     spec: InterventionSpec, weights: UtilityWeights, k: float,
                     horizon: int = 20, n_seeds: int = 10, seed: int = 0,
-                    per_group_beta: bool = False, beta_step: float = 0.01,
-                    long_run_baseline: bool = False) -> PolicyOutcome:
+                    per_group_beta: bool = False,
+                    beta_step: float = 0.01) -> PolicyOutcome:
     """Apply one intervention and search the threshold grid for best utility.
 
     The one-spec case of the cell evaluation that recommend_grid runs.
     Each group's uniform blocks, one per replicate, are built in one pass
     and drive every threshold of the post-intervention sweep (one walk per
     replicate) and the baseline (c-hat at the pre-intervention optimum: the
-    frozen walk at beta-hat, or with long_run_baseline a second sweep), so
-    the curve and its baseline are coupled.  The search is bounded
-    (_evaluate_cell): approximate means within a proven float error bound
-    pick the candidate thresholds, and exact means, the floats a full sweep
-    computes, are read out at those only, so the outcome is the full
-    sweep's, bit for bit.
+    frozen walk at beta-hat, whose replicate mean is that of
+    baseline_outcome over the replicate seeds), so the curve and its
+    baseline are coupled.  The search is bounded (_evaluate_cell):
+    approximate means within a proven float error bound pick the candidate
+    thresholds, and exact means, the floats a full sweep computes, are read
+    out at those only, so the outcome is the full sweep's, bit for bit.
     Replicate streams depend only on (seed, replicate), so evaluations that
     share a seed are coupled across kinds and r values too; recommend_grid
     does not share seeds: it gives every (cell, kind) its own.  beta_step
@@ -603,7 +559,7 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     """
     return _evaluate_cell(dist_a, dist_d, [spec], [seed], weights, k,
                           horizon, n_seeds, per_group_beta,
-                          _beta_grid(beta_step), long_run_baseline)[0]
+                          _beta_grid(beta_step))[0]
 
 
 @dataclass(frozen=True)
@@ -660,7 +616,7 @@ def _grid_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
              for kind_idx in range(len(KIND_ORDER))]
     return dict(zip(KIND_ORDER, _evaluate_cell(
         dist_a, dist_d, specs, seeds, weights, k, horizon, n_seeds,
-        per_group_beta, betas, long_run_baseline=False)))
+        per_group_beta, betas)))
 
 
 def _usable_cores() -> int:

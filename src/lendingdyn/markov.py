@@ -223,6 +223,8 @@ def absorption_probabilities(chain: AbsorbingChain, start) -> AbsorptionResult:
 
 def transient_mass(chain: AbsorbingChain, start, steps: int) -> float:
     """P(still transient after `steps`) = row of B^steps summed."""
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got {steps}")
     start = _exact(start, "start")
     if start in chain.space.absorbing:
         return 0.0

@@ -38,8 +38,10 @@ def optimal_threshold(k: float, c: float) -> OptimalThreshold:
     once c*k >= 1 the down-clamp pins g(x) <= x everywhere.  k = 0 freezes
     the dynamics, so there is no strict gain anywhere.
     """
-    if k < 0 or c < 0:
-        raise ValueError("k and c must be nonnegative")
+    if not (np.isfinite(k) and k >= 0):
+        raise ValueError(f"k must be nonnegative, got {k!r}")
+    if not (np.isfinite(c) and c >= 0):
+        raise ValueError(f"c must be nonnegative, got {c!r}")
     if k == 0 or c * k >= 1:
         return OptimalThreshold(beta_hat=1.0, crossing_point=None)
     if k * (1 + c) <= 1:

@@ -165,36 +165,26 @@ def reference_sweep_tail(scores0, betas, walks):
     return np.ascontiguousarray(finals.transpose(0, 2, 1)).mean(axis=2)
 
 
-def reference_group_means(scores0, k, c_rows, c_hat, betas, blocks,
-                          long_run_baseline):
+def reference_group_means(scores0, k, c_rows, c_hat, betas, blocks):
     """Every row's full sweep curve and its baseline mean: the sweep walk,
     a separate beta-hat frozen walk, and the whole-grid tail.  Returns
     curves, shape (rows, len(betas)), and base, shape (rows,)."""
     blocks = np.array(blocks, dtype=float)
     rows, horizon, _ = blocks.shape
     c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
-    if long_run_baseline:
-        blocks = np.concatenate([blocks, blocks])
-        c_col = np.concatenate([c_col, np.full((rows, 1), c_hat)])
-    else:
-        bhat = optimal_threshold(k, c_hat).beta_hat
-        base = np.repeat(scores0[None], rows, axis=0)
+    bhat = optimal_threshold(k, c_hat).beta_hat
+    base = np.repeat(scores0[None], rows, axis=0)
     x = scores0
     for t in range(horizon):
         u = blocks[:, t]
-        if not long_run_baseline:
-            base = _advance_scores(base, u, bhat, k, c_hat)
+        base = _advance_scores(base, u, bhat, k, c_hat)
         u[...] = approved_step(x, u, k, c_col)
         x = u
-    curves = reference_sweep_tail(scores0, betas, blocks)
-    if long_run_baseline:
-        return curves[:rows], curves[rows:].max(axis=1)
-    return curves, base.mean(axis=1)
+    return reference_sweep_tail(scores0, betas, blocks), base.mean(axis=1)
 
 
 def reference_evaluate_cell(dist_a, dist_d, specs, seeds, weights, k,
-                            horizon, n_seeds, per_group_beta, betas,
-                            long_run_baseline):
+                            horizon, n_seeds, per_group_beta, betas):
     """Outcomes of the full threshold search: the utility of every
     candidate from every threshold's exact replicate means, the last
     maximum winning."""
@@ -209,8 +199,7 @@ def reference_evaluate_cell(dist_a, dist_d, specs, seeds, weights, k,
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
         curves, base = reference_group_means(
             dist.scores, k, c_rows, c_hat, betas,
-            uniform_blocks(rep_seeds, horizon, slot, dist.n),
-            long_run_baseline)
+            uniform_blocks(rep_seeds, horizon, slot, dist.n))
         means.append([curves[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
     if per_group_beta:
@@ -234,16 +223,16 @@ def reference_evaluate_cell(dist_a, dist_d, specs, seeds, weights, k,
     return outcomes
 
 
-def reference_baseline_outcome(dist_a, dist_d, params, horizon, seed,
-                               long_run_search, betas):
-    """baseline_outcome through the full sweep."""
+def reference_baseline_outcome(dist_a, dist_d, params, horizon, seed):
+    """baseline_outcome as full-horizon walks at each group's beta-hat:
+    every step draws and updates, with no settled stop."""
     out = {}
     for slot, dist in ((0, dist_a), (1, dist_d)):
         c = params.c_for(dist.group)
-        _, base = reference_group_means(
-            dist.scores, params.k, [c], c, betas,
-            uniform_blocks([seed], horizon, slot, dist.n), long_run_search)
-        out[dist.group] = float(base[0])
+        bhat = optimal_threshold(params.k, c).beta_hat
+        walk = reference_walk(dist.scores, bhat, params.k, c, horizon, seed,
+                              slot)
+        out[dist.group] = float(walk[-1].mean())
     return out
 
 

@@ -69,6 +69,19 @@ class TestOptimizeThreshold:
         assert abs(payload["grid_beta"] - 0.75) <= 0.01
         assert payload["grid_gap"] == abs(payload["grid_beta"] - 0.75)
 
+    @pytest.mark.parametrize("flag, value", [("--k", "nan"), ("--c", "inf")])
+    def test_non_finite_gain_or_penalty_is_a_usage_error(self, capsys,
+                                                         tmp_path, flag,
+                                                         value):
+        out = tmp_path / "out"
+        settings = {"--k": 0.1, "--c": 1, flag: value}
+        code, _, err = run(capsys, "optimize-threshold",
+                           *[x for item in settings.items() for x in item],
+                           "--out-dir", out)
+        assert code == 2
+        assert err.startswith(f"error: {flag[2:]} must be nonnegative")
+        assert not out.exists()
+
 
 class TestAnalyzeMarkov:
     def frozen(self, capsys, *extra):
@@ -91,6 +104,14 @@ class TestAnalyzeMarkov:
         payload = self.frozen(capsys, "--horizon", 100)
         assert payload["transient_mass"]["steps"] == 100
         assert payload["transient_mass"]["mass"] < 1e-6
+
+    def test_negative_horizon_is_a_usage_error(self, capsys, tmp_path):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *_MARKOV, "--k", "1/10", "--c", "1",
+                           "--horizon", -1, "--out-dir", out)
+        assert code == 2
+        assert err == "error: steps must be nonnegative, got -1\n"
+        assert not out.exists()
 
     def test_decimal_strings_are_exact_rationals(self, capsys):
         payload = run_json(capsys, "analyze-markov", "--pi0", "0.5", "--beta",
@@ -191,6 +212,17 @@ class TestDominanceCheck:
         assert backward["n_violations"] > 0
         assert backward["violations"][0]["cdf_a"] > \
             backward["violations"][0]["cdf_d"]
+
+    @pytest.mark.parametrize("step", ["inf", "nan"])
+    def test_non_finite_step_is_a_usage_error(self, capsys, tmp_path,
+                                              score_files, step):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "dominance-check", "--file-a",
+                           score_files[0], "--file-b", score_files[1],
+                           "--step", step, "--out-dir", out)
+        assert code == 2
+        assert err.startswith("error: step must be positive and finite")
+        assert not out.exists()
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "dominance-check", "--file-a",
@@ -947,6 +979,24 @@ class TestRunEnvelope:
                    *settings, "--out-dir", figure)[0] == 0
         assert (figure / "max_mean.csv").read_bytes() == \
             (curve / "max_mean.csv").read_bytes()
+
+
+class TestNegativeHorizon:
+    RUNS = {
+        "max-mean-curve": ("max-mean-curve", *_PAIR, *_SMALL_C),
+        "reproduce-figure": ("reproduce-figure", "--which", "max-mean",
+                             "--n", 30, *_SMALL_C),
+        "recommend": ("recommend", "--alpha", 0.5, *_PAIR, *_SMALL_GRID),
+    }
+
+    @pytest.mark.parametrize("name", RUNS)
+    def test_is_a_usage_error(self, capsys, tmp_path, name):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *self.RUNS[name], "--horizon", -1,
+                           "--out-dir", out)
+        assert code == 2
+        assert err == "error: horizon must be nonnegative, got -1\n"
+        assert not (out / "run.cfg").exists()
 
 
 class TestExitCodes:

@@ -104,8 +104,9 @@ class TestDominance:
 
     def test_bad_step_rejected(self, beta_pair):
         dist_a, dist_d = beta_pair
-        with pytest.raises(ValueError):
-            check_dominance(dist_a, dist_d, step=0.0)
+        for step in (0.0, -0.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="step must be positive"):
+                check_dominance(dist_a, dist_d, step=step)
 
 
 class TestScoreCsv:

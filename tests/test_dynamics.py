@@ -345,3 +345,12 @@ class TestValidation:
         params = DynamicsParams.uniform(0.1, 1.0, ("A",))
         with pytest.raises(KeyError):
             params.c_for("Z")
+
+    def test_negative_horizon_rejected(self):
+        d, other = dist([0.5]), dist([0.5], group="D")
+        params = DynamicsParams.uniform(0.1, 1.0, ("A", "D"))
+        policy = ThresholdPolicy.uniform(0.5, ("A", "D"))
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            simulate(d, other, policy, params, -1, 0)
+        with pytest.raises(ValueError, match="horizon must be nonnegative"):
+            simulate_group(d, 0.5, 0.1, 1.0, -1, 0)

@@ -12,8 +12,8 @@ from lendingdyn import interventions
 from lendingdyn._random import TAG_CELL, TAG_REPLICATE, derive_seed, uniform_blocks
 from lendingdyn.interventions import (KIND_ORDER, _approx_curves, _beta_grid,
                                       _curve_error, _evaluate_cell,
-                                      _exact_means, _group_walk, _lattice,
-                                      _lattice_bins, _walk)
+                                      _exact_means, _lattice, _lattice_bins,
+                                      _walk)
 
 from oracles import (reference_baseline_outcome, reference_evaluate_cell,
                      reference_group_means, reference_mean_curves,
@@ -96,11 +96,17 @@ class TestApplyIntervention:
             InterventionSpec(kind=BO, r=0.5, baseline_c=-1.0)
 
 
+def _approved_walk(scores, k, c_rows, walk):
+    """Step the rows' always-approved walk in place; the beta-hat baseline
+    that _walk steps beside it (here at beta 1, penalty 0) is dropped."""
+    _walk(scores, k, c_rows, walk, 1.0, 0.0)
+
+
 def _row_curves(scores, k, c_rows, betas, blocks):
     """Exact sweep curves of rows walked at their own penalties: the walk,
     then the exact read-out at every threshold of every row."""
     walk = blocks.copy()
-    _walk(scores, k, c_rows, walk)
+    _approved_walk(scores, k, c_rows, walk)
     js = np.tile(np.arange(betas.size), (len(walk), 1))
     return _exact_means(scores, betas, walk, js)
 
@@ -215,14 +221,15 @@ class TestMeanCurves:
             _mean_curves(scores, k, c, betas, blocks),
             reference_mean_curves(scores, k, c, betas, blocks))
 
-    @pytest.mark.parametrize("long_run", [False, True])
-    def test_scores0_is_not_mutated(self, long_run):
+    def test_scores0_is_not_mutated(self):
         rng = np.random.default_rng(2)
         scores = rng.random(40)
         kept = scores.copy()
         scores.flags.writeable = False
-        _group_walk(scores, 0.1, [1.0, 2.0, 3.0], 2.0, _beta_grid(0.05),
-                    rng.random((3, 8, 40)), long_run)
+        walk = rng.random((3, 8, 40))
+        _walk(scores, 0.1, [1.0, 2.0, 3.0], walk,
+              optimal_threshold(0.1, 2.0).beta_hat, 2.0)
+        _approx_curves(scores, walk, 20)
         assert scores.tobytes() == kept.tobytes()
 
 
@@ -284,28 +291,6 @@ class TestBaselineOutcome:
         want_d = simulate_group(dist_d, bhat, 0.1, 1.0, 6, 5, group_slot=1)
         assert base["A"] == want_a.mean()
         assert base["D"] == want_d.mean()
-
-    def test_long_run_search_is_the_best_grid_threshold(self, small_pair):
-        dist_a, dist_d = small_pair
-        params = DynamicsParams.uniform(0.1, 3.0, ("A", "D"))
-        searched = baseline_outcome(dist_a, dist_d, params, horizon=12, seed=5,
-                                    long_run_search=True, beta_step=0.05)
-        for slot, dist in ((0, dist_a), (1, dist_d)):
-            assert searched[dist.group] == max(
-                simulate_group(dist, float(b), 0.1, 3.0, 12, 5,
-                               group_slot=slot).mean()
-                for b in _beta_grid(0.05))
-
-    def test_long_run_search_never_does_worse(self, small_pair):
-        dist_a, dist_d = small_pair
-        params = DynamicsParams.uniform(0.1, 3.0, ("A", "D"))
-        plain = baseline_outcome(dist_a, dist_d, params, horizon=12, seed=5)
-        searched = baseline_outcome(dist_a, dist_d, params, horizon=12, seed=5,
-                                    long_run_search=True, beta_step=0.05)
-        # the searched grid contains every candidate the plain baseline
-        # could have used only approximately, so allow one grid cell of slack
-        assert searched["A"] >= plain["A"] - 0.01
-        assert searched["D"] >= plain["D"] - 0.01
 
 
 class TestEvaluatePolicy:
@@ -371,14 +356,12 @@ class TestEvaluatePolicy:
         assert out.base_d == pytest.approx(float(base_d), abs=1e-14)
         assert out.utility == pytest.approx(float(utils[best]), abs=1e-14)
 
-    @pytest.mark.parametrize("long_run", [False, True])
     def test_baseline_is_the_replicate_mean_of_baseline_outcome(
-            self, small_pair, long_run):
-        out = self.evaluate(small_pair, GB, long_run_baseline=long_run)
+            self, small_pair):
+        out = self.evaluate(small_pair, GB)
         rep_seeds = [derive_seed(17, TAG_REPLICATE, i) for i in range(3)]
         params = DynamicsParams.uniform(0.1, 2.0, ("A", "D"))
-        bases = [baseline_outcome(*small_pair, params, horizon=5, seed=rs,
-                                  long_run_search=long_run, beta_step=0.1)
+        bases = [baseline_outcome(*small_pair, params, horizon=5, seed=rs)
                  for rs in rep_seeds]
         assert out.base_a == float(np.mean([b["A"] for b in bases]))
         assert out.base_d == float(np.mean([b["D"] for b in bases]))
@@ -393,9 +376,8 @@ class TestEvaluatePolicy:
             want = reference_mean_curves(dist.scores, 0.1, 2.0, bhat, blocks)
             assert base == float(np.mean(want[:, 0]))
 
-    @pytest.mark.parametrize("long_run", [False, True])
     def test_one_uniform_block_per_replicate_and_group(self, small_pair,
-                                                       monkeypatch, long_run):
+                                                       monkeypatch):
         built = []
         original = interventions.uniform_blocks
 
@@ -404,7 +386,7 @@ class TestEvaluatePolicy:
             return original(seeds, horizon, group_slot, n)
 
         monkeypatch.setattr(interventions, "uniform_blocks", counting)
-        self.evaluate(small_pair, GC, long_run_baseline=long_run)
+        self.evaluate(small_pair, GC)
         assert len(built) == 2 * 3
         assert len(set(built)) == len(built)
 
@@ -577,10 +559,8 @@ class TestCellEvaluation:
                     per_group_beta=per_group, beta_step=0.05)
                 assert _bits(cell.outcomes[kind]) == _bits(want)
 
-    @pytest.mark.parametrize("long_run", [False, True])
     @pytest.mark.parametrize("per_group", [False, True])
-    def test_batched_kinds_are_evaluate_policy(self, unequal_pair, long_run,
-                                               per_group):
+    def test_batched_kinds_are_evaluate_policy(self, unequal_pair, per_group):
         dist_a, dist_d = unequal_pair
         weights = UtilityWeights(alpha=0.6)
         specs = [InterventionSpec(kind=kind, r=0.7, baseline_c=2.5)
@@ -588,13 +568,11 @@ class TestCellEvaluation:
         seeds = [11, 12, 13]
         got = _evaluate_cell(dist_a, dist_d, specs, seeds, weights, 0.25,
                              horizon=7, n_seeds=3, per_group_beta=per_group,
-                             betas=_beta_grid(0.1),
-                             long_run_baseline=long_run)
+                             betas=_beta_grid(0.1))
         for spec, seed, outcome in zip(specs, seeds, got):
             want = evaluate_policy(dist_a, dist_d, spec, weights, 0.25,
                                    horizon=7, n_seeds=3, seed=seed,
-                                   per_group_beta=per_group, beta_step=0.1,
-                                   long_run_baseline=long_run)
+                                   per_group_beta=per_group, beta_step=0.1)
             assert _bits(outcome) == _bits(want)
 
     def test_scores_are_not_mutated(self, unequal_pair):
@@ -675,7 +653,7 @@ def _random_walk_case(rng, horizon, n, rows, m, on_grid=0.3):
     k = rng.choice([0.0, 0.05, 0.1, 0.25, 0.3])
     c_rows = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], rows)
     walk = rng.random((rows, horizon, n))
-    _walk(scores, k, c_rows, walk)
+    _approved_walk(scores, k, c_rows, walk)
     return betas, scores, walk
 
 
@@ -709,7 +687,7 @@ class TestApproximateCurves:
         rng = np.random.default_rng(3)
         scores = rng.uniform(0.0, 0.6, 50)
         walk = rng.random((4, 10, 50))
-        _walk(scores, 0.1, np.full(4, 2.0), walk)
+        _approved_walk(scores, 0.1, np.full(4, 2.0), walk)
         betas = _beta_grid(0.05)
         top = betas > scores.max()
         approx = _approx_curves(scores, walk, 20)
@@ -742,30 +720,29 @@ class TestBoundedSearch:
     float bits."""
 
     @pytest.mark.parametrize(
-        "horizon, n, n_seeds, step, per_group, long_run", [
-        *((*case, per_group, long_run)
+        "horizon, n, n_seeds, step, per_group", [
+        *((*case, per_group)
           for case in ((0, 7, 1, 0.1), (1, 7, 8, 0.05), (20, 1, 10, 0.1),
                        (20, 7, 17, 0.02), (20, 7, 8, 0.5))
-          for per_group in (False, True) for long_run in (False, True)),
-        (20, 500, 10, 0.01, False, False),   # the recommendation grid's size
-        (20, 500, 10, 0.01, True, False),
+          for per_group in (False, True)),
+        (20, 500, 10, 0.01, False),   # the recommendation grid's size
+        (20, 500, 10, 0.01, True),
     ])
     def test_cells_equal_the_full_sweep(self, horizon, n, n_seeds, step,
-                                        per_group, long_run):
+                                        per_group):
         dist_a, dist_d = _pair(horizon + n, n, n + 3)
         specs = [InterventionSpec(kind=kind, r=0.6, baseline_c=2.0)
                  for kind in KIND_ORDER]
         betas = _beta_grid(step)
         for weights in _WEIGHTS:
             args = (dist_a, dist_d, specs, [4, 5, 6], weights, 0.1, horizon,
-                    n_seeds, per_group, betas, long_run)
+                    n_seeds, per_group, betas)
             got = _evaluate_cell(*args)
             want = reference_evaluate_cell(*args)
             assert [_bits(o) for o in got] == [_bits(o) for o in want]
 
-    @pytest.mark.parametrize("long_run", [False, True])
     @pytest.mark.parametrize("per_group", [False, True])
-    def test_evaluate_policy_equals_the_full_sweep(self, long_run, per_group):
+    def test_evaluate_policy_equals_the_full_sweep(self, per_group):
         dist_a, dist_d = _pair(7, 90, 53, a=(8, 3), d=(7, 3))
         for kind in KIND_ORDER:
             spec = InterventionSpec(kind=kind, r=0.3, baseline_c=1.5)
@@ -773,22 +750,18 @@ class TestBoundedSearch:
                 got = evaluate_policy(dist_a, dist_d, spec, weights, 0.1,
                                       horizon=12, n_seeds=8, seed=3,
                                       per_group_beta=per_group,
-                                      beta_step=0.05,
-                                      long_run_baseline=long_run)
+                                      beta_step=0.05)
                 [want] = reference_evaluate_cell(
                     dist_a, dist_d, [spec], [3], weights, 0.1, 12, 8,
-                    per_group, _beta_grid(0.05), long_run)
+                    per_group, _beta_grid(0.05))
                 assert _bits(got) == _bits(want)
 
-    @pytest.mark.parametrize("long_run", [False, True])
     @pytest.mark.parametrize("horizon", [0, 1, 20])
-    def test_baseline_outcome_equals_the_full_sweep(self, long_run, horizon):
+    def test_baseline_outcome_equals_the_full_sweep(self, horizon):
         dist_a, dist_d = _pair(11, 120, 77)
         params = DynamicsParams(k=0.1, c_by_group={"A": 1.0, "D": 2.5})
-        got = baseline_outcome(dist_a, dist_d, params, horizon, 9,
-                               long_run_search=long_run, beta_step=0.02)
-        want = reference_baseline_outcome(dist_a, dist_d, params, horizon, 9,
-                                          long_run, _beta_grid(0.02))
+        got = baseline_outcome(dist_a, dist_d, params, horizon, 9)
+        want = reference_baseline_outcome(dist_a, dist_d, params, horizon, 9)
         assert np.array(list(got.values())).tobytes() == \
             np.array(list(want.values())).tobytes()
 
@@ -803,11 +776,10 @@ class TestBoundedSearch:
         specs = [InterventionSpec(kind=kind, r=0.5, baseline_c=c)
                  for kind in KIND_ORDER]
         for weights in _WEIGHTS:
-            for long_run in (False, True):
-                args = (dist_a, dist_d, specs, [1, 2, 3], weights, 0.25, 9,
-                        10, per_group, _beta_grid(0.25), long_run)
-                assert [_bits(o) for o in _evaluate_cell(*args)] == \
-                    [_bits(o) for o in reference_evaluate_cell(*args)]
+            args = (dist_a, dist_d, specs, [1, 2, 3], weights, 0.25, 9, 10,
+                    per_group, _beta_grid(0.25))
+            assert [_bits(o) for o in _evaluate_cell(*args)] == \
+                [_bits(o) for o in reference_evaluate_cell(*args)]
 
     @pytest.mark.parametrize("k", [0.0, 0.1])
     def test_plateaus_where_nobody_is_approved(self, k):
@@ -820,7 +792,7 @@ class TestBoundedSearch:
         for weights in _WEIGHTS:
             for per_group in (False, True):
                 args = (dist_a, dist_d, specs, [8, 9, 10], weights, k, 15, 8,
-                        per_group, _beta_grid(0.05), False)
+                        per_group, _beta_grid(0.05))
                 got = _evaluate_cell(*args)
                 assert [_bits(o) for o in got] == \
                     [_bits(o) for o in reference_evaluate_cell(*args)]
@@ -836,7 +808,7 @@ class TestBoundedSearch:
         spec = InterventionSpec(kind=GC, r=0.5, baseline_c=2.0)
         for k in (0.0, 0.1):
             args = (dist_a, dist_d, [spec], [1], UtilityWeights(alpha=0.5),
-                    k, 5, 8, False, _beta_grid(0.1), False)
+                    k, 5, 8, False, _beta_grid(0.1))
             assert [_bits(o) for o in _evaluate_cell(*args)] == \
                 [_bits(o) for o in reference_evaluate_cell(*args)]
 
@@ -858,7 +830,7 @@ class TestBoundedSearch:
         specs = [InterventionSpec(kind=kind, r=0.5, baseline_c=2.0)
                  for kind in KIND_ORDER]
         args = (dist_a, dist_d, specs, [21, 22, 23], UtilityWeights(alpha=0.3),
-                0.1, 20, n_seeds, False, _beta_grid(0.01), False)
+                0.1, 20, n_seeds, False, _beta_grid(0.01))
         got = _evaluate_cell(*args)
         assert [_bits(o) for o in got] == \
             [_bits(o) for o in reference_evaluate_cell(*args)]
@@ -875,16 +847,17 @@ class TestBoundedSearch:
         got = _exact_means(scores, betas, walk, js)
         assert got.tobytes() == np.take_along_axis(full, js, axis=1).tobytes()
 
-    @pytest.mark.parametrize("long_run", [False, True])
-    def test_group_walk_equals_the_full_sweep(self, long_run):
+    def test_group_walk_equals_the_full_sweep(self):
         rng = np.random.default_rng(13)
         scores = rng.beta(4, 8, 70)
         blocks = rng.random((6, 11, 70))
         c_rows = [0.5, 1.0, 2.0, 2.0, 3.0, 0.0]
         betas = _beta_grid(0.02)
-        walk, approx, base = _group_walk(scores, 0.1, c_rows, 2.0, betas,
-                                         blocks.copy(), long_run)
+        walk = blocks.copy()
+        base = _walk(scores, 0.1, c_rows, walk,
+                     optimal_threshold(0.1, 2.0).beta_hat, 2.0)
+        approx = _approx_curves(scores, walk, 50)
         curves, want = reference_group_means(scores, 0.1, c_rows, 2.0, betas,
-                                             blocks, long_run)
+                                             blocks)
         assert base.tobytes() == want.tobytes()
         assert np.abs(approx - curves).max() <= _curve_error(70, 11, 51, 1)

@@ -86,6 +86,10 @@ class TestWorkedExample:
         assert all(m2 < m1 for m1, m2 in zip(masses, masses[1:]))
         assert masses[-1] < 1e-12
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError, match="steps must be nonnegative"):
+            transient_mass(worked_chain(), F(1, 2), -1)
+
     def test_transient_mass_stops_once_it_underflows(self):
         # the mass reaches exactly 0.0 after a few thousand steps, and every
         # later step keeps it there, so a huge horizon costs nothing more

@@ -61,6 +61,16 @@ class TestOptimalThreshold:
         assert result.crossing_point == pytest.approx(0.8, abs=1e-15)
         assert result.beta_hat == pytest.approx(0.8, abs=1e-15)
 
+    # DynamicsParams refuses the same values in the same words.
+    @pytest.mark.parametrize("k, c, name", [
+        (-0.1, 1.0, "k"), (np.nan, 1.0, "k"), (np.inf, 1.0, "k"),
+        (0.1, -1.0, "c"), (0.1, np.nan, "c"), (0.1, np.inf, "c"),
+        (-np.inf, np.nan, "k"),
+    ])
+    def test_bad_k_or_c_rejected(self, k, c, name):
+        with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+            optimal_threshold(k, c)
+
     def test_one_step_policy_wraps_beta_hat(self):
         policy = one_step_policy(0.1, 1.0, ("A", "D"))
         assert policy.beta_for("A") == 0.5

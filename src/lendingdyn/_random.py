@@ -152,16 +152,31 @@ def _step_keys(seeds: Sequence[int], horizon: int,
 
 
 def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
-                   n: int) -> np.ndarray:
+                   n: int, out: np.ndarray | None = None) -> np.ndarray:
     """All update uniforms for one run per seed, shape (len(seeds), horizon, n).
 
     Row t of block s is byte for byte step_uniforms(seeds[s], t, group_slot,
     n), from one Philox generator reset to each (seed, step) key in turn.
+    The rows go to a new C-contiguous array, or to out when it is given: a
+    reused step-major buffer, the (1, 0, 2) transpose of a C-contiguous
+    float array of shape (horizon, len(seeds), n), filled step by step in
+    memory order.
     """
-    # Allocated before the keys so that a negative horizon raises here.
-    out = np.empty((len(seeds), horizon, n))
-    rows = out.reshape(len(seeds) * horizon, n)
+    if out is None:
+        # Allocated before the keys so that a negative horizon raises here.
+        out = np.empty((len(seeds), horizon, n))
+        memory = out
+    else:
+        # The rows in memory order: step by step.
+        memory = out.transpose(1, 0, 2)
+        if (out.shape != (len(seeds), horizon, n) or out.dtype != np.float64
+                or not memory.flags.c_contiguous):
+            raise ValueError("out must be a step-major float array of shape "
+                             f"{(len(seeds), horizon, n)}")
     keys = _step_keys(seeds, horizon, group_slot)
+    if memory is not out:
+        keys = keys.transpose(1, 0, 2)
+    rows = memory.reshape(len(seeds) * horizon, n)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # A fresh stream: counter 0, empty buffer.  Plain lists keep the

@@ -34,9 +34,9 @@ from .distributions import (BetaSpec, check_dominance, read_score_csv,
                             sample_beta, write_score_csv)
 from .dynamics import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                        simulate, simulate_group)
-from .interventions import (MAX_GRID_CELLS, MAX_SPAN_POINTS, UtilityWeights,
-                            WorkerLost, grid_as_dict, grid_rows,
-                            recommend_grid)
+from .interventions import (MAX_CELL_BYTES, MAX_GRID_CELLS, MAX_SPAN_POINTS,
+                            UtilityWeights, WorkerLost, cell_bytes,
+                            grid_as_dict, grid_rows, recommend_grid)
 from .markov import (ChainError, RationalStep, absorption_probabilities,
                      build_chain, enumerate_states, transient_mass)
 from .risk import (RiskModel, SeparationError, fit_logistic, load_records,
@@ -430,7 +430,10 @@ RECOMMEND_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + _R_GRID_OPTS + (
 
 def _grids(values: dict, alphas):
     """Yield (alpha, grid) per utility weight, all on one (c, r) grid and
-    one pair of groups.  Grids past MAX_GRID_CELLS are refused first."""
+    one pair of groups.  Grids past MAX_GRID_CELLS are refused first, and
+    cells whose arrays would pass MAX_CELL_BYTES in a worker before any
+    block is built: the estimate needs the groups' sizes, so it follows
+    loading them, which holds 3 * seeds * horizon times fewer floats."""
     cells = _span_count(values, "c") * _span_count(values, "r")
     if cells > MAX_GRID_CELLS:
         raise CliError(f"--c-*/--r-* spans give {cells:,} grid cells, more "
@@ -438,6 +441,13 @@ def _grids(values: dict, alphas):
     c_grid = _span(values, "c")
     r_grid = _span(values, "r")
     dist_a, dist_d = _load_pair(values)
+    need = cell_bytes(dist_a.n, dist_d.n, values["horizon"], values["seeds"])
+    if need > MAX_CELL_BYTES:
+        raise CliError(
+            f"--seeds {values['seeds']}, --horizon {values['horizon']} and "
+            f"{dist_a.n:,}/{dist_d.n:,} scores need about {need:,} bytes of "
+            f"cell arrays per grid worker, more than the cap of "
+            f"{MAX_CELL_BYTES:,}")
     for alpha in alphas:
         weights = UtilityWeights(alpha=alpha, mode=values["mode"])
         yield alpha, recommend_grid(

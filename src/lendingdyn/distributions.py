@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -98,7 +98,15 @@ _CHUNK_ROWS = 1 << 12       # lines read, parsed and freed at a time
 
 
 class NotPlain(Exception):
-    """The input is one the C reader could read differently from csv."""
+    """The input is one the C reader could read differently from csv.
+
+    lines are the lines of the chunk that is not plain, the first ones the
+    csv module must read: every line before them was plain.
+    """
+
+    def __init__(self, lines: list[str]):
+        super().__init__()
+        self.lines = lines
 
 
 def plain_chunks(fh, size: int):
@@ -109,79 +117,78 @@ def plain_chunks(fh, size: int):
     A line is plain when it is ASCII, holds no '"', no control character
     other than tab, vertical tab and form feed, no '\r' outside a '\r\n'
     end, is not blank, and is no longer than the csv field limit.  Raises
-    NotPlain at the first chunk holding a line that is not.
+    NotPlain with the lines of the first chunk holding a line that is not.
     """
     limit = csv.field_size_limit()
     while lines := list(islice(fh, size)):
         text = "".join(lines)
         if not text.isascii():
-            raise NotPlain
+            raise NotPlain(lines)
         raw = text.encode("ascii")
         left = raw.translate(None, _PLAIN_BYTES)    # '\r' and what is not plain
         if ((left and (left.strip(b"\r") or len(left) != raw.count(b"\r\n")))
                 or "\n" in lines or "\r\n" in lines
                 or (len(text) > limit and max(map(len, lines)) > limit)):
-            raise NotPlain
+            raise NotPlain(lines)
         yield lines
 
 
-def _plain_scores(path) -> np.ndarray:
-    """The scores of a plain file, read by np.loadtxt; NotPlain otherwise,
-    also for a file that np.loadtxt refuses.
-
-    The first line is a header when its first cell does not parse, as in
-    _csv_scores.
-    """
-    parts = []
-    try:
-        with open(path, newline="") as fh:
-            for k, lines in enumerate(plain_chunks(fh, _CHUNK_ROWS)):
-                if k == 0:
-                    try:
-                        float(lines[0].split(",", 1)[0])
-                    except ValueError:
-                        del lines[0]
-                if lines:
-                    parts.append(np.loadtxt(lines, delimiter=",", comments=None,
-                                            quotechar=None, usecols=0, ndmin=1))
-    except ValueError:
-        raise NotPlain from None
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
-def _csv_scores(path) -> np.ndarray:
-    """The scores of any file, read row by row by the csv module."""
+def _csv_scores(path, reader, before: int) -> np.ndarray:
+    """The scores of the rows a csv reader yields, read row by row: any
+    text, with every error worded.  The reader starts after `before` file
+    lines, each one row, so its rows are file rows before, before + 1, ...
+    and only row 0 may be a header."""
     values = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            for i, row in enumerate(reader):
-                if not row:
-                    continue
-                cell = row[0].strip()
-                try:
-                    values.append(float(cell))
-                except ValueError:
-                    if i > 0:
-                        raise ValueError(
-                            f"non-numeric score {cell!r} in {path}") from None
-                    # header row
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    try:
+        for i, row in enumerate(reader, before):
+            if not row:
+                continue
+            cell = row[0].strip()
+            try:
+                values.append(float(cell))
+            except ValueError:
+                if i > 0:
+                    raise ValueError(
+                        f"non-numeric score {cell!r} in {path}") from None
+                # header row
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{before + reader.line_num}: {exc}") from None
     return np.array(values, dtype=float)
 
 
 def read_score_csv(path, group: str = "A") -> ScoreDistribution:
     """One-column score CSV; an optional single header cell is skipped.
 
-    Only the first row may be a header; a blank row counts as a row.  A
-    plain file (see plain_chunks) is parsed by np.loadtxt, any other by the
-    csv module, which also words every error.
+    Only the first row may be a header; a blank row counts as a row.  Each
+    chunk of a file is parsed by np.loadtxt while the file is plain (see
+    plain_chunks); from the first chunk that is not, or that np.loadtxt
+    refuses, the csv module reads the rest, which also words every error.
+    No line is parsed twice.
     """
-    try:
-        scores = _plain_scores(path)
-    except NotPlain:
-        scores = _csv_scores(path)
+    parts, before = [], 0
+    with open(path, newline="") as fh:
+        try:
+            for lines in plain_chunks(fh, _CHUNK_ROWS):
+                body = lines
+                if before == 0:
+                    # The first line is a header when its first cell does
+                    # not parse, as in _csv_scores.
+                    try:
+                        float(lines[0].split(",", 1)[0])
+                    except ValueError:
+                        body = lines[1:]
+                try:
+                    if body:
+                        parts.append(np.loadtxt(
+                            body, delimiter=",", comments=None,
+                            quotechar=None, usecols=0, ndmin=1))
+                except ValueError:
+                    raise NotPlain(lines) from None
+                before += len(lines)
+        except NotPlain as stop:
+            parts.append(_csv_scores(path, csv.reader(chain(stop.lines, fh)),
+                                     before))
+    scores = np.concatenate(parts) if parts else np.empty(0)
     if not scores.size:
         raise ValueError(f"no scores found in {path}")
     return ScoreDistribution(group, scores)

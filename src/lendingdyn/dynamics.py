@@ -6,6 +6,12 @@ probability pi; repayment moves the score to clamp(pi + k), a late payment to
 clamp(pi - c*k).  Denied agents keep their score unchanged.  Draws are
 independent across agents and steps.
 
+One kernel applies the update on every path, simulate, simulate_group,
+max-mean-curve and the grid's walk: approved_step picks each agent's step
+and keep_denied restores the denied agents, both as int64 bit selects on
+their masks rather than branches, into arrays the caller owns.  A denied
+agent keeps its exact bytes, so a -0.0 read from a score file stays -0.0.
+
 The exact one-step mean uses the expected next score
 
     g(pi) = pi * clamp(pi + k) + (1 - pi) * clamp(pi - c*k)
@@ -166,26 +172,72 @@ def expected_next_score(scores, k: float, c: float) -> np.ndarray:
     return s * up + (1.0 - s) * down
 
 
-def approved_step(scores: np.ndarray, u: np.ndarray, k: float,
-                  c: float) -> np.ndarray:
-    """Next scores of agents that are all approved: +k if u < pi, else -c*k.
+def step_bits(k: float, c, out: np.ndarray | None = None) -> np.ndarray:
+    """The int64 bit patterns that approved_step selects with, stacked:
+    [0] the xor of the up step +k's bits and the down step c * -k's, [1]
+    the down step's.
+
+    c is a float or an array of per-row penalties; c * -k has the bits of
+    -c * k (a product's sign is the xor of its factors' signs).  With out,
+    shaped (2, *step shape), both are broadcast into it once, so that a
+    walk does not broadcast a penalty column at every step.
+    """
+    up = np.float64(k).view(np.int64)
+    down = np.asarray(c * -np.float64(k), dtype=np.float64).view(np.int64)
+    if out is None:
+        return np.stack(np.broadcast_arrays(up ^ down, down))
+    np.bitwise_xor(up, down, out=out[0])
+    out[1] = down
+    return out
+
+
+def approved_step(scores: np.ndarray, u: np.ndarray, steps: np.ndarray,
+                  out: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Next scores of agents that are all approved, written to out:
+    clamp(pi + k) if u < pi, else clamp(pi + c * -k), for the patterns
+    steps = step_bits(k, c).
 
     The one score-update expression of the package; every simulation path
-    applies it, so their results agree bit for bit.  c * -k has the bits
-    of -c * k (a product's sign is the xor of its factors' signs) and is
-    one numpy call fewer when c is an array of per-row penalties; the sum
-    and the clamp reuse the step's array.
+    applies it, so their results agree bit for bit.  The step is picked by
+    a bit select, not a branch, which would mispredict on a random mask:
+    u < pi writes 1 or 0 into the int64 scratch bits, which is multiplied
+    by steps[0] and xored with steps[1], the down step's bits, so each
+    agent's step is exactly the double +k or c * -k.  out and bits have
+    the broadcast shape of scores and u, out may be u itself, and nothing
+    is allocated.
     """
-    moved = np.where(u < scores, k, c * -k)
-    moved += scores
-    return np.clip(moved, 0.0, 1.0, out=moved)
+    np.less(u, scores, out=bits)
+    np.multiply(bits, steps[0], out=bits)
+    np.bitwise_xor(bits, steps[1], out=bits)
+    np.add(bits.view(np.float64), scores, out=out)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
-def _advance_scores(scores: np.ndarray, u: np.ndarray, beta: float,
-                    k: float, c: float) -> np.ndarray:
+def keep_denied(scores: np.ndarray, beta, out: np.ndarray,
+                bits: np.ndarray) -> np.ndarray:
+    """Give every agent with pi < beta its score back in out, bit for bit.
+
+    out holds the approved step of scores (approved_step); the freeze is a
+    bit select like the step's: out's bits xor scores' bits, times
+    pi >= beta (1 or 0, in the int64 scratch bits), xor scores' bits.  A
+    denied -0.0 stays -0.0, where multiplying the scores by the mask would
+    write +0.0.  bits has out's shape; nothing is allocated.
+    """
+    held = scores.view(np.int64)
+    moved = out.view(np.int64)
+    np.greater_equal(scores, beta, out=bits)
+    np.bitwise_xor(moved, held, out=moved)
+    np.multiply(moved, bits, out=moved)
+    np.bitwise_xor(moved, held, out=moved)
+    return out
+
+
+def _advance_scores(scores: np.ndarray, u, beta: float, steps: np.ndarray,
+                    out: np.ndarray, bits: np.ndarray) -> np.ndarray:
     # One uniform per agent regardless of approval: keeps runs coupled across
     # betas and penalties that share a seed.
-    return np.where(scores >= beta, approved_step(scores, u, k, c), scores)
+    approved_step(scores, u, steps, out, bits)
+    return keep_denied(scores, beta, out, bits)
 
 
 # u = 0 takes the up branch wherever pi > 0, and the largest double below 1
@@ -194,22 +246,31 @@ def _advance_scores(scores: np.ndarray, u: np.ndarray, beta: float,
 _U_LAST = np.nextafter(1.0, 0.0)
 
 
-def _settled(scores: np.ndarray, beta: float, k: float, c: float) -> bool:
-    """True when no draw can change any bit of any score (module docstring)."""
-    bits = scores.view(np.int64)
+def _settled(scores: np.ndarray, beta: float, steps: np.ndarray,
+             probe: np.ndarray, bits: np.ndarray) -> bool:
+    """True when no draw can change any bit of any score (module docstring).
+
+    probe and bits are scratch arrays of the scores' shape."""
+    held = scores.view(np.int64)
     return all(np.array_equal(
-        _advance_scores(scores, u, beta, k, c).view(np.int64), bits)
-        for u in (0.0, _U_LAST))
+        _advance_scores(scores, u, beta, steps, probe, bits).view(np.int64),
+        held) for u in (0.0, _U_LAST))
 
 
 def _walk(scores: np.ndarray, beta: float, k: float, c: float, horizon: int,
           seed: int, slot: int):
-    """Yield one group's scores after each step, until it is settled."""
+    """Yield one group's scores after each step, until it is settled.
+
+    Each step's scores are written over that step's fresh uniforms, so
+    every yielded array is new; the scratch arrays live for the walk."""
+    steps = step_bits(k, c)
+    probe = np.empty(scores.shape)
+    bits = np.empty(scores.shape, dtype=np.int64)
     for t in range(horizon):
-        if _settled(scores, beta, k, c):
+        if _settled(scores, beta, steps, probe, bits):
             return
         u = step_uniforms(seed, t, slot, scores.size)
-        scores = _advance_scores(scores, u, beta, k, c)
+        scores = _advance_scores(scores, u, beta, steps, u, bits)
         yield scores
 
 
@@ -219,7 +280,9 @@ def step_population(dist: ScoreDistribution, policy: ThresholdPolicy,
     beta = policy.beta_for(dist.group)
     c = params.c_for(dist.group)
     u = rng.random(dist.n)
-    return dist.replace_scores(_advance_scores(dist.scores, u, beta, params.k, c))
+    bits = np.empty(dist.n, dtype=np.int64)
+    return dist.replace_scores(_advance_scores(
+        dist.scores, u, beta, step_bits(params.k, c), u, bits))
 
 
 def step_mean(dist: ScoreDistribution, policy: ThresholdPolicy,

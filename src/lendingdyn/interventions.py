@@ -52,11 +52,19 @@ walks them all, each row at its kind's post-intervention penalty, with the
 baseline at the shared c-hat.  Every kind keeps its own seed
 (seed, cell, kind) and its own replicates, so its outcome is evaluate_policy
 under that seed, bit for bit; evaluate_policy is the one-kind case.
+
+A cell's uniform blocks, which become its walks, and its step and search
+temporaries are arrays of a workspace (_Workspace) that lives for one
+evaluation: one evaluate_policy call, or one grid, in each grid worker
+process or in the process that runs the cells itself.  The cells of a grid
+ask for the same shapes, so after its first cell a worker allocates and
+faults in none of them again.  Nothing about a workspace reaches a number.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -69,7 +77,7 @@ from ._random import derive_seed, uniform_blocks, TAG_CELL, TAG_REPLICATE
 # name and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import uniform_block  # noqa: F401
 from .dynamics import (DynamicsParams, ScoreDistribution, approved_step,
-                       simulate_group)
+                       keep_denied, simulate_group, step_bits)
 from .thresholds import optimal_threshold
 
 
@@ -168,6 +176,11 @@ _MAX_BETA_STEPS = 1000
 MAX_SPAN_POINTS = 1000
 MAX_GRID_CELLS = 10_000
 
+# Most bytes of cell arrays (cell_bytes) that the command line lets one grid
+# worker hold: 1 GiB, 137 times the 7.8 MB of the acceptance and benchmark
+# grids (500 scores per group, 10 replicates, horizon 20).
+MAX_CELL_BYTES = 1 << 30
+
 # Unit roundoff of float64.
 _U = np.finfo(float).eps / 2
 
@@ -190,30 +203,86 @@ def _beta_grid(step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, m + 1)
 
 
+def cell_bytes(n_a: int, n_d: int, horizon: int, n_seeds: int) -> int:
+    """Estimated bytes of the arrays one grid cell holds at once, in one
+    worker's workspace, for groups of n_a and n_d scores.
+
+    The two groups' uniform blocks, which become the walks, hold
+    3 * n_seeds rows of horizon x n floats each; the walk keeps five
+    (2, rows, n) arrays of 8-byte items (the step pair, its scratch and its
+    two step patterns); the threshold search's batches are bounded by
+    _BATCH_CELLS, or by one step's rows x n when that is larger.
+    """
+    rows = len(KIND_ORDER) * n_seeds
+    n = max(n_a, n_d)
+    batch = max(_BATCH_CELLS, rows * n)
+    counts = max(8 * _BATCH_CELLS, rows * n)
+    tau = np.min_scalar_type(max(horizon, 0)).itemsize
+    return (8 * rows * horizon * (n_a + n_d)       # the blocks
+            + 5 * 8 * 2 * rows * n                 # the walk's step arrays
+            + 3 * 8 * batch                        # running minima, bins
+            + (tau + 1) * counts                   # threshold counts
+            + 2 * 8 * max(_BATCH_CELLS, counts // max(rows, 1)))  # finals
+
+
+class _Workspace:
+    """Named arrays that one evaluation's cells reuse instead of allocating.
+
+    array(name, shape, dtype) is a C-contiguous view of the buffer kept
+    under name, replaced when a larger shape or another dtype asks for
+    it: a grid's cells all
+    ask for the same shapes, so after its first cell a worker allocates
+    none of its blocks and temporaries again, and their pages stay mapped.
+    Two names never share memory, and a name's contents last until the
+    next call for it.  A workspace lives for one evaluation: one
+    evaluate_policy call, one in-process grid, or one grid worker process.
+    It is not safe to share between threads.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...],
+              dtype=np.float64) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.dtype != dtype or buf.size < size:
+            buf = self._buffers[name] = np.empty(size, dtype=dtype)
+        return buf[:size].reshape(shape)
+
+
 def _walk(scores0: np.ndarray, k: float, c_rows, blocks: np.ndarray,
-          bhat: float, c_hat: float) -> np.ndarray:
+          bhat: float, c_hat: float, workspace: _Workspace) -> np.ndarray:
     """Step every row's always-approved walk, in place of its uniforms, and
     the beta-hat baseline beside it; return each row's baseline mean.
 
     Row r draws blocks[r], shape (horizon, n), at penalty c_rows[r]; after
     the walk blocks[r, t] holds X[t + 1] (X[0] = scores0).  The baseline
-    steps the same uniforms at c_hat in the same approved_step call, its
-    agents below bhat copied back, so row r's baseline mean is
+    steps the same uniforms at c_hat in the same approved_step call, and
+    keep_denied gives its agents below bhat their scores back, bit for bit
+    (a denied -0.0 stays -0.0), so row r's baseline mean is
     simulate_group(..., bhat, k, c_hat, ...).mean() for the row's seed,
-    bit for bit: the float baseline_outcome returns.
+    bit for bit: the float baseline_outcome returns.  Both kernels are
+    bit selects, with no branch on the random masks; the two step arrays
+    and their int64 scratch come from the workspace, and the step loop
+    allocates nothing.
     """
     rows, horizon, n = blocks.shape
     c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
     # pair[0] is the walk, pair[1] the baseline; one call steps both.
-    pair = np.empty((2, rows, n))
+    pair = workspace.array("pair", (2, rows, n))
+    nxt = workspace.array("pair_next", (2, rows, n))
+    bits = workspace.array("pair_bits", (2, rows, n), np.int64)
     pair[:] = scores0
     c_pair = np.stack([c_col, np.full_like(c_col, c_hat)])
+    steps = step_bits(k, c_pair, workspace.array("pair_steps", (2, 2, rows, n),
+                                                 np.int64))
     for t in range(horizon):
         u = blocks[:, t]
-        nxt = approved_step(pair, u, k, c_pair)
-        np.copyto(nxt[1], pair[1], where=pair[1] < bhat)
+        approved_step(pair, u, steps, nxt, bits)
+        keep_denied(pair[1], bhat, nxt[1], bits[1])
         u[...] = nxt[0]
-        pair = nxt
+        pair, nxt = nxt, pair
     return pair[1].mean(axis=1)
 
 
@@ -224,15 +293,16 @@ def _batch_shape(walk: np.ndarray) -> tuple[int, int, int]:
     return min(max(1, _BATCH_CELLS // max(1, rows * n)), horizon), rows, n
 
 
-def _runmin_batches(scores0: np.ndarray, walk: np.ndarray):
+def _runmin_batches(scores0: np.ndarray, walk: np.ndarray,
+                    workspace: _Workspace):
     """Yield (t0, t1, mins) over the steps t0 <= t < t1 of a walk.
 
     mins[s] is the running minimum min(X[0], ..., X[t0 + s]), shape
     (t1 - t0, rows, n), t1 - t0 at most _batch_shape's steps.  The batches
-    share one buffer, so each is gone once the next comes.
+    share one workspace buffer, so each is gone once the next comes.
     """
     rows, horizon, n = walk.shape
-    buf = np.empty(_batch_shape(walk))
+    buf = workspace.array("runmin", _batch_shape(walk))
     per = max(1, len(buf))
     low = scores0
     for t0 in range(0, horizon, per):
@@ -271,12 +341,14 @@ def _lattice_bins(values: np.ndarray, m: int, lattice, out: np.ndarray,
     np.multiply(values, m, out=scratch)
     scratch += shift
     np.copyto(out, scratch, casting="unsafe")
-    out += np.take(table, out, out=scratch) <= values
+    # The indices lie in range by construction; mode="raise" would
+    # buffer out.
+    out += np.take(table, out, out=scratch, mode="clip") <= values
     return out
 
 
-def _approx_curves(scores0: np.ndarray, walk: np.ndarray,
-                   m: int) -> np.ndarray:
+def _approx_curves(scores0: np.ndarray, walk: np.ndarray, m: int,
+                   workspace: _Workspace) -> np.ndarray:
     """Every row's mean curve over the thresholds linspace(0, 1, m + 1),
     to within _curve_error.
 
@@ -291,9 +363,9 @@ def _approx_curves(scores0: np.ndarray, walk: np.ndarray,
     size = rows * (m + 2)
     sums = np.zeros(size)
     lattice = _lattice(m, rows)
-    bins = np.empty(_batch_shape(walk), dtype=np.intp)
-    scratch = np.empty(bins.shape)
-    for t0, t1, mins in _runmin_batches(scores0, walk):
+    bins = workspace.array("bins", _batch_shape(walk), np.intp)
+    scratch = workspace.array("bin_values", bins.shape)
+    for t0, t1, mins in _runmin_batches(scores0, walk, workspace):
         b, diff = bins[:t1 - t0], scratch[:t1 - t0]
         _lattice_bins(mins, m, lattice, b, diff)
         # diff[s] = X[t] - X[t + 1] for t = t0 + s
@@ -334,7 +406,7 @@ def _curve_error(n: int, horizon: int, n_betas: int, n_rows: int) -> float:
 
 
 def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
-                 js: np.ndarray) -> np.ndarray:
+                 js: np.ndarray, workspace: _Workspace) -> np.ndarray:
     """Horizon-end means of every row of a walk at its own thresholds.
 
     js has shape (rows, w): row r is read at betas[js[r]].  out[r, j]
@@ -345,37 +417,42 @@ def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
     threshold (the freeze identity, _approx_curves); X[tau] is gathered,
     rows at a time, into C-ordered (rows, w, agents) arrays of at most
     _BATCH_CELLS cells and averaged over the agents: the same pairwise sum
-    per (row, threshold) as simulate_group's mean.
+    per (row, threshold) as simulate_group's mean.  Every array at those
+    sizes is the workspace's.
     """
     rows, horizon, n = walk.shape
     width = max(1, 8 * _BATCH_CELLS // (rows * n))
     if js.shape[1] > width:
         return np.hstack([
-            _exact_means(scores0, betas, walk, js[:, j:j + width])
+            _exact_means(scores0, betas, walk, js[:, j:j + width], workspace)
             for j in range(0, js.shape[1], width)])
     cols = betas[js][:, :, None]
-    tau = np.zeros(cols.shape[:2] + (n,), dtype=np.min_scalar_type(horizon))
-    approved = np.empty(tau.shape, dtype=bool)
-    for t0, t1, mins in _runmin_batches(scores0, walk):
+    tau = workspace.array("tau", cols.shape[:2] + (n,),
+                          np.min_scalar_type(horizon))
+    tau.fill(0)
+    approved = workspace.array("tau_step", tau.shape, bool)
+    for t0, t1, mins in _runmin_batches(scores0, walk, workspace):
         for s in range(t1 - t0):
             tau += np.greater_equal(mins[s, :, None], cols, out=approved)
-    del approved
     out = np.empty(tau.shape[:2])
     per = max(1, _BATCH_CELLS // tau[0].size)
-    steps = walk.reshape(-1)
+    # The walk is one block of memory in some axis order (C-ordered, or
+    # step-major as _evaluate_cell lays it out): steps is that block, and
+    # walk[r, t, i] is steps[r * sr + t * st + i * si].
+    steps = walk.ravel(order="K")
+    sr, st, si = (stride // walk.itemsize for stride in walk.strides)
     for r0 in range(0, rows, per):
         part = tau[r0:r0 + per]
+        finals = workspace.array("finals", part.shape)
         if horizon:
-            # X[tau] = walk[r, tau - 1, i], at flat index (r * horizon + tau
-            # - 1) * n + i; tau = 0 wraps and is overwritten with X[0].
-            flat = part.astype(np.intp)
-            flat += (np.arange(r0, r0 + len(part))[:, None, None] * horizon
-                     - 1)
-            flat *= n
-            flat += np.arange(n)
-            finals = np.take(steps, flat, mode="clip")
-        else:
-            finals = np.empty(part.shape)
+            # X[tau] = walk[r, tau - 1, i]; tau = 0 lands elsewhere or is
+            # clipped, and is overwritten with X[0].
+            flat = workspace.array("final_index", part.shape, np.intp)
+            np.copyto(flat, part)
+            flat *= st
+            flat += (np.arange(r0, r0 + len(part))[:, None, None] * sr - st)
+            flat += np.arange(n) * si
+            np.take(steps, flat, out=finals, mode="clip")
         np.copyto(finals, scores0, where=part == 0)
         out[r0:r0 + per] = finals.mean(axis=2)
     return out
@@ -440,8 +517,8 @@ class PolicyOutcome:
 def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                    specs: Sequence[InterventionSpec], seeds: Sequence[int],
                    weights: UtilityWeights, k: float, horizon: int,
-                   n_seeds: int, per_group_beta: bool,
-                   betas: np.ndarray) -> list[PolicyOutcome]:
+                   n_seeds: int, per_group_beta: bool, betas: np.ndarray,
+                   workspace: _Workspace) -> list[PolicyOutcome]:
     """Evaluate interventions that share one c-hat, specs[i] under seeds[i].
 
     Outcome i is the same, bit for bit, as evaluating specs[i] alone under
@@ -450,7 +527,9 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     group, one uniform_blocks call builds the blocks of every spec's
     replicates, and one walk (_walk) steps all of them, each row at its
     spec's post-intervention penalty, together with the beta-hat baseline,
-    which every spec runs at the shared c-hat.
+    which every spec runs at the shared c-hat.  The blocks, which become
+    the walks, and the walk's and the search's temporaries are arrays of
+    the workspace, so the cells of one grid reuse them.
 
     The threshold search is bounded.  The walk yields approximate curves
     whose replicate means lie within _curve_error (delta) of the exact
@@ -482,11 +561,15 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     walks, means, bases, slack = [], [], [], 1024.0 * _U
     for slot, dist in ((0, dist_a), (1, dist_d)):
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
-        # The blocks become the walk.  Group A's walk lives on until both
-        # groups' curves have picked the candidates.
-        walk = uniform_blocks(rep_seeds, horizon, slot, dist.n)
-        base = _walk(dist.scores, k, c_rows, walk, bhat, c_hat)
-        approx = _approx_curves(dist.scores, walk, betas.size - 1)
+        # The blocks become the walk.  It is step-major, so that a step of
+        # every row, which each walk step and search batch reads, is one
+        # contiguous slab.  Group A's walk lives on until both groups'
+        # curves have picked the candidates.
+        walk = workspace.array(f"walk{slot}", (horizon, len(rep_seeds),
+                                               dist.n)).transpose(1, 0, 2)
+        uniform_blocks(rep_seeds, horizon, slot, dist.n, out=walk)
+        base = _walk(dist.scores, k, c_rows, walk, bhat, c_hat, workspace)
+        approx = _approx_curves(dist.scores, walk, betas.size - 1, workspace)
         walks.append(walk)
         means.append([approx[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
@@ -512,7 +595,8 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     for side, dist in enumerate((dist_a, dist_d)):
         js = [np.unique(plan[side]) for plan in plans]
         per_row = _exact_means(dist.scores, betas, walks[side],
-                               np.repeat(_padded(js), n_seeds, axis=0))
+                               np.repeat(_padded(js), n_seeds, axis=0),
+                               workspace)
         walks[side] = None
         reps = _replicate_means(per_row.reshape(len(specs), n_seeds, -1))
         exact.append([rep[np.searchsorted(j, plan[side])]
@@ -559,7 +643,7 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     """
     return _evaluate_cell(dist_a, dist_d, [spec], [seed], weights, k,
                           horizon, n_seeds, per_group_beta,
-                          _beta_grid(beta_step))[0]
+                          _beta_grid(beta_step), _Workspace())[0]
 
 
 @dataclass(frozen=True)
@@ -606,7 +690,8 @@ def _grid_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                c_values: tuple[float, ...], r_values: tuple[float, ...],
                seed: int, weights: UtilityWeights, k: float, horizon: int,
                n_seeds: int, per_group_beta: bool, betas: np.ndarray,
-               cell_idx: int) -> dict[InterventionKind, PolicyOutcome]:
+               cell_idx: int,
+               workspace: _Workspace) -> dict[InterventionKind, PolicyOutcome]:
     """Outcomes of every kind in one grid cell, each under its own seed."""
     c_hat = c_values[cell_idx // len(r_values)]
     r = r_values[cell_idx % len(r_values)]
@@ -616,7 +701,7 @@ def _grid_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
              for kind_idx in range(len(KIND_ORDER))]
     return dict(zip(KIND_ORDER, _evaluate_cell(
         dist_a, dist_d, specs, seeds, weights, k, horizon, n_seeds,
-        per_group_beta, betas)))
+        per_group_beta, betas, workspace)))
 
 
 def _usable_cores() -> int:
@@ -627,19 +712,39 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+# The cell task and the workspace of a grid worker process, set as the
+# worker starts (_start_worker); the process that maps the cells never
+# sets them.
+_worker_task = None
+_worker_workspace = None
+
+
+def _start_worker(task) -> None:
+    global _worker_task, _worker_workspace
+    _worker_task, _worker_workspace = task, _Workspace()
+
+
+def _run_cell(cell_idx: int):
+    return _worker_task(cell_idx, _worker_workspace)
+
+
 def _map_cells(task, n_cells: int, threads: int) -> list:
-    """[task(0), ..., task(n_cells - 1)], on forked worker processes.
+    """[task(0, ws), ..., task(n_cells - 1, ws)], on forked worker processes.
 
     The pool has min(threads, n_cells, usable cores) workers; with one, or
     where the fork start method is missing, the cells run here in order.
     Workers are forked, so they start with this process's modules and
-    data instead of importing them again, as spawned ones would.  Forking
-    is safe only while no other thread of this process holds a lock: the
-    CLI starts none, and the executor forks every worker before it starts
-    its own manager thread; a caller running threads of its own passes
-    threads=1.  The pool is shut down, its workers joined, before this
-    returns or raises.  multiprocessing and the executor are imported only
-    here, which keeps them out of every command that runs no grid.
+    data, and with the task, instead of importing them again, as spawned
+    ones would.  Each worker makes its own workspace ws as it starts, so
+    the cell arrays live in the workers alone, and die with them when the
+    grid is done; cells run here share one workspace that is dropped on
+    return.  Forking is safe only while no other thread of this process
+    holds a lock: the CLI starts none, and the executor forks every worker
+    before it starts its own manager thread; a caller running threads of
+    its own passes threads=1.  The pool is shut down, its workers joined,
+    before this returns or raises.  multiprocessing and the executor are
+    imported only here, which keeps them out of every command that runs no
+    grid.
     """
     workers = min(threads, n_cells, _usable_cores())
     if workers > 1:
@@ -649,12 +754,15 @@ def _map_cells(task, n_cells: int, threads: int) -> list:
                                                     ProcessPoolExecutor)
             context = multiprocessing.get_context("fork")
             try:
-                with ProcessPoolExecutor(workers, mp_context=context) as pool:
-                    return list(pool.map(task, range(n_cells)))
+                with ProcessPoolExecutor(workers, mp_context=context,
+                                         initializer=_start_worker,
+                                         initargs=(task,)) as pool:
+                    return list(pool.map(_run_cell, range(n_cells)))
             except BrokenProcessPool as exc:
                 raise WorkerLost("a grid worker process ended abruptly "
                                  "(killed, perhaps out of memory)") from exc
-    return [task(cell_idx) for cell_idx in range(n_cells)]
+    workspace = _Workspace()
+    return [task(cell_idx, workspace) for cell_idx in range(n_cells)]
 
 
 def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,

@@ -19,7 +19,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -166,13 +166,13 @@ def _raise_first_bad_row(path, cells: dict, lines: list[int]):
     raise AssertionError("a chunk failed to parse, but none of its rows does")
 
 
-def _csv_columns(path, fh, reader, index: dict):
+def _csv_columns(path, reader, index: dict, before: int):
     """Each chunk of rows as (numbers, purpose, group, late, lines), read by
-    the csv module: any file, with every error worded.  purpose and group
+    the csv module: any text, with every error worded.  purpose and group
     hold raw cell text; group is None without a group column.
 
-    A row's line is the file line it starts on, after quoted newlines and
-    blank lines.
+    The reader starts after `before` file lines.  A row's line is the file
+    line it starts on, after quoted newlines and blank lines.
     """
     width = max(index.values()) + 1
     # A short row's missing cells read None for a number and '' for text,
@@ -180,7 +180,7 @@ def _csv_columns(path, fh, reader, index: dict):
     pad = [""] * width
     for name, _ in _NUMBERS:
         pad[index[name]] = None
-    end = reader.line_num
+    end = before + reader.line_num
     while True:
         # Rebinding rows frees the last chunk's strings before the next
         # chunk is read.
@@ -190,9 +190,9 @@ def _csv_columns(path, fh, reader, index: dict):
                 if row:                     # a blank line holds no row
                     rows.append(row)
                     lines.append(end + 1)
-                end = reader.line_num
+                end = before + reader.line_num
         except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+            raise ValueError(f"{path}:{before + reader.line_num}: {exc}") from None
         if rows:
             if min(map(len, rows)) < width:
                 rows = [row + pad[len(row):] if len(row) < width else row
@@ -217,30 +217,36 @@ def _csv_columns(path, fh, reader, index: dict):
             return
 
 
-def _plain_columns(path, fh, reader, index: dict):
-    """_csv_columns for a plain file, parsed by np.loadtxt.
+def _columns(path, fh, reader, index: dict):
+    """The chunks of _csv_columns for the rest of a file, each parsed by
+    np.loadtxt while the file is plain.
 
-    Each line of a plain file holds one row.  Raises NotPlain on a chunk
-    that is not plain or that np.loadtxt or the late labels refuse;
-    _csv_columns then words the error.
+    Each line of a plain file holds one row.  From the first chunk that is
+    not plain, or that np.loadtxt or the late labels refuse, _csv_columns
+    reads the rest of the file, that chunk first, and words any error; no
+    line is parsed twice.
     """
     dtype = [(name, _LOADTXT_TYPES.get(name, object)) for name in index]
     usecols = list(index.values())
     first = reader.line_num + 1
     try:
         for lines in plain_chunks(fh, _CHUNK_ROWS):
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",",
-                               comments=None, quotechar=None,
-                               usecols=usecols, ndmin=1)
             n = len(lines)
-            late = _labels(table["late"], n) if "late" in index else None
+            try:
+                table = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                                   comments=None, quotechar=None,
+                                   usecols=usecols, ndmin=1)
+                late = _labels(table["late"], n) if "late" in index else None
+            except (KeyError, ValueError):
+                raise NotPlain(lines) from None
             yield ({name: table[name] for name in _LOADTXT_TYPES},
                    table["purpose"],
                    table["group"] if "group" in index else None,
                    late, np.arange(first, first + n))
             first += n
-    except (KeyError, ValueError):
-        raise NotPlain from None
+    except NotPlain as stop:
+        yield from _csv_columns(path, csv.reader(chain(stop.lines, fh)),
+                                index, first - 1)
 
 
 def _keep_valid(numbers: dict, purpose, group, late, lines: np.ndarray,
@@ -290,9 +296,9 @@ def load_records(path, schema: str = "training",
     """Read a loan CSV, reject invalid rows, filter to the kept purpose.
 
     Rows are read in chunks and parsed one column at a time: by np.loadtxt
-    when the file is plain (see distributions.plain_chunks), else by the
-    csv module.  A row's line, in its reject or in an error, is the file
-    line the row starts on.
+    while the file is plain (see distributions.plain_chunks), and by the
+    csv module from the first chunk that is not.  A row's line, in its
+    reject or in an error, is the file line the row starts on.
     """
     if schema == "training":
         required = TRAINING_COLUMNS
@@ -300,10 +306,7 @@ def load_records(path, schema: str = "training",
         required = APPLICATION_COLUMNS
     else:
         raise ValueError(f"schema must be 'training' or 'application', got {schema!r}")
-    try:
-        parts, rejects = _load(path, required, keep_purpose, _plain_columns)
-    except NotPlain:
-        parts, rejects = _load(path, required, keep_purpose, _csv_columns)
+    parts, rejects = _load(path, required, keep_purpose)
     if not sum(map(len, parts)):
         raise ValueError(f"{path}: no usable rows after validation and filtering")
     table = LoanTable(**{name: None if column is None else
@@ -312,7 +315,7 @@ def load_records(path, schema: str = "training",
     return LoadResult(records=table, rejects=tuple(rejects))
 
 
-def _load(path, required, keep_purpose, columns):
+def _load(path, required, keep_purpose):
     """The kept chunks and the rejects of one pass over the file."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -328,7 +331,7 @@ def _load(path, required, keep_purpose, columns):
         index = {name: position[name] for name in required}
         rejects: list[RowReject] = []
         parts = [_keep_valid(*chunk, keep_purpose, rejects)
-                 for chunk in columns(path, fh, reader, index)]
+                 for chunk in _columns(path, fh, reader, index)]
     return parts, rejects
 
 

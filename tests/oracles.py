@@ -10,7 +10,6 @@ from lendingdyn import (DynamicsParams, PolicyOutcome, RationalStep,
                         ScoreDistribution, apply_intervention,
                         optimal_threshold, utility)
 from lendingdyn._random import step_uniforms, uniform_blocks
-from lendingdyn.dynamics import _advance_scores, approved_step
 from lendingdyn.interventions import _replicate_seeds, _utility_values
 from lendingdyn.risk import (APPLICATION_COLUMNS, TRAINING_COLUMNS, LoadResult,
                              LoanRecord, RowReject)
@@ -135,9 +134,7 @@ def reference_mean_curves(scores0, k, c, betas, blocks):
     S[:] = scores0
     b = betas[None, :, None]
     for t in range(horizon):
-        u = blocks[:, t, None, :]
-        moved = np.clip(S + np.where(u < S, k, -c * k), 0.0, 1.0)
-        S = np.where(S >= b, moved, S)
+        S = reference_advance(S, blocks[:, t, None, :], b, k, c)
     return S.mean(axis=2)
 
 
@@ -165,6 +162,19 @@ def reference_sweep_tail(scores0, betas, walks):
     return np.ascontiguousarray(finals.transpose(0, 2, 1)).mean(axis=2)
 
 
+def reference_approved_step(scores, u, k, c):
+    """dynamics.approved_step as a branching np.where: +k where u < pi,
+    else c * -k, then the clamp; a new array."""
+    return np.clip(np.where(u < scores, k, c * -k) + scores, 0.0, 1.0)
+
+
+def reference_advance(scores, u, beta, k, c):
+    """One step of a group at threshold beta: np.where keeps a denied
+    agent's score, bit for bit."""
+    return np.where(scores >= beta, reference_approved_step(scores, u, k, c),
+                    scores)
+
+
 def reference_group_means(scores0, k, c_rows, c_hat, betas, blocks):
     """Every row's full sweep curve and its baseline mean: the sweep walk,
     a separate beta-hat frozen walk, and the whole-grid tail.  Returns
@@ -177,8 +187,8 @@ def reference_group_means(scores0, k, c_rows, c_hat, betas, blocks):
     x = scores0
     for t in range(horizon):
         u = blocks[:, t]
-        base = _advance_scores(base, u, bhat, k, c_hat)
-        u[...] = approved_step(x, u, k, c_col)
+        base = reference_advance(base, u, bhat, k, c_hat)
+        u[...] = reference_approved_step(x, u, k, c_col)
         x = u
     return reference_sweep_tail(scores0, betas, blocks), base.mean(axis=1)
 
@@ -245,8 +255,7 @@ def reference_walk(scores0, beta, k, c, horizon, seed, slot):
     for t in range(horizon):
         s = walk[-1]
         u = step_uniforms(seed, t, slot, s.size)
-        moved = np.clip(s + np.where(u < s, k, -c * k), 0.0, 1.0)
-        walk.append(np.where(s >= beta, moved, s))
+        walk.append(reference_advance(s, u, beta, k, c))
     return walk
 
 

@@ -458,12 +458,15 @@ class TestGridWorkers:
     @pytest.fixture
     def pools(self, monkeypatch):
         """max_workers of every pool asked for; the spy runs the cells here
-        and starts no process."""
+        and starts no process.  It runs the worker initializer here too,
+        so the worker globals it sets are put back afterwards."""
         made = []
 
         class SpyPool:
-            def __init__(self, max_workers, mp_context=None):
+            def __init__(self, max_workers, mp_context=None,
+                         initializer=None, initargs=()):
                 made.append(max_workers)
+                self.start = (initializer, initargs)
 
             def __enter__(self):
                 return self
@@ -472,10 +475,14 @@ class TestGridWorkers:
                 return False
 
             def map(self, fn, iterable):
+                initializer, initargs = self.start
+                initializer(*initargs)
                 return map(fn, iterable)
 
         monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
                             SpyPool)
+        for name in ("_worker_task", "_worker_workspace"):
+            monkeypatch.setattr(interventions, name, None)
         return made
 
     def test_workers_are_capped_at_the_usable_cores(self, capsys, tmp_path,
@@ -575,8 +582,8 @@ def _forbid(monkeypatch, *names):
 
 
 class TestGridCaps:
-    """Spans and grids past MAX_SPAN_POINTS / MAX_GRID_CELLS exit 2 before
-    any point is built or any cell runs."""
+    """Spans and grids past MAX_SPAN_POINTS / MAX_GRID_CELLS, and cells past
+    MAX_CELL_BYTES, exit 2 before any point is built or any cell runs."""
 
     GRID = ["--dist-a", "beta:4,8", "--dist-b", "beta:3,8", "--n", 20,
             "--c-min", 0.5, "--c-max", 3.0, "--c-step", 0.5,
@@ -637,6 +644,53 @@ class TestGridCaps:
                             r_step=0.001)
         with pytest.raises(_Ran):
             main([str(a) for a in args])
+
+    def forbid_cell_work(self, monkeypatch):
+        """Fail the test if a block is built or a worker pool is made."""
+        def ran(*args, **kwargs):
+            raise _Ran
+        monkeypatch.setattr(interventions, "uniform_blocks", ran)
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor",
+                            ran)
+
+    @pytest.mark.parametrize("which", ["recommend", "figure"])
+    def test_cell_arrays_past_the_memory_cap_are_refused(
+            self, capsys, monkeypatch, tmp_path, which):
+        self.forbid_cell_work(monkeypatch)
+        target = tmp_path / "never"
+        # 300,000 replicate rows of 20 steps x 40 scores: 1.9 GB of blocks
+        args = [*self.command(which, target), "--seeds", 100_000,
+                "--horizon", 20, "--threads", 2]
+        start = time.perf_counter()
+        code, _, err = run(capsys, *args)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        need = interventions.cell_bytes(20, 20, 20, 100_000)
+        assert need > interventions.MAX_CELL_BYTES
+        assert f"about {need:,} bytes" in err
+        assert "cap of 1,073,741,824" in err
+        assert "--seeds 100000, --horizon 20 and 20/20 scores" in err
+        assert not target.exists()
+
+    def test_memory_cap_is_inclusive(self, capsys, monkeypatch, tmp_path):
+        from lendingdyn import cli
+        self.forbid_cell_work(monkeypatch)
+        args = [*self.command("recommend", tmp_path / "out"), "--seeds", 2,
+                "--horizon", 5]
+        need = interventions.cell_bytes(20, 20, 5, 2)
+        monkeypatch.setattr(cli, "MAX_CELL_BYTES", need)
+        with pytest.raises(_Ran):
+            main([str(a) for a in args])
+        monkeypatch.setattr(cli, "MAX_CELL_BYTES", need - 1)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and f"cap of {need - 1:,}" in err
+
+    def test_acceptance_sizes_sit_far_below_the_memory_cap(self):
+        # The criterion-6 and benchmark grids: 500 scores per group, 10
+        # replicates, horizon 20; 7.8 MB of cell arrays, 137 times under.
+        need = interventions.cell_bytes(500, 500, 20, 10)
+        assert need == 7_835_008
+        assert need * 100 < interventions.MAX_CELL_BYTES
 
     def test_long_c_span_is_refused_by_max_mean_curve(self, capsys,
                                                       monkeypatch, tmp_path):

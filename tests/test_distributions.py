@@ -200,6 +200,34 @@ class TestScoreCsvOracle:
             == _read_outcome(reference_read_score_csv, path)
         assert len(fallbacks) == (reader == "csv")
 
+    def test_a_late_quoted_field_resumes_at_its_chunk(self, tmp_path,
+                                                      monkeypatch):
+        # Chunks of 3 lines; file line 9, in the third chunk, quotes its
+        # score, and a later line holds two cells.
+        cells = ["score", "0.5", "-0.0", "0.25", "1", "0", "0.75", "0.125",
+                 '"0.375"', "0.625,x", "0.875", "1e-3"]
+        path = tmp_path / "scores.csv"
+        path.write_text("\n".join(cells) + "\n")
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", 3)
+        assert _read_outcome(read_score_csv, path) \
+            == _read_outcome(reference_read_score_csv, path)
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def counting(lines, *args, **kwargs):
+            parsed.extend(lines)
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        resumed = spy_calls(monkeypatch, distributions, "_csv_scores")
+        read_score_csv(path)
+        # np.loadtxt read lines 2-6 once (the header aside); the csv
+        # module started at line 7 and read the rest.
+        assert parsed == [cell + "\n" for cell in cells[1:6]]
+        [(_, reader, before)] = resumed
+        assert before == 6
+        assert before + reader.line_num == len(cells)
+
     def test_later_non_numeric_row_message(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("score\n0.25\n0.5\n oops \n")

@@ -10,7 +10,10 @@ from lendingdyn import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                         clamp_unit, dynamics, expected_next_score,
                         population_mean, simulate, simulate_group, step_agent,
                         step_mean, step_population)
-from oracles import reference_settled_step, reference_walk
+from lendingdyn.dynamics import (_advance_scores, approved_step, keep_denied,
+                                 step_bits)
+from oracles import (reference_advance, reference_approved_step,
+                     reference_settled_step, reference_walk)
 
 
 def dist(scores, group="A"):
@@ -101,6 +104,109 @@ class TestStepMean:
         assert delta_a == pytest.approx(-0.005, abs=1e-12)
         assert delta_d == pytest.approx(+0.015, abs=1e-12)
         assert delta_a < delta_d
+
+
+_U_LAST = np.nextafter(1.0, 0.0)
+
+
+def _kernel_case(draw, st):
+    """(scores, u, k, c, beta) of shape (rows, n), with the scores -0.0, 0
+    and 1, draws equal to scores, k or c of 0, and a c and beta per row."""
+    rows = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    score = st.one_of(st.sampled_from([0.0, -0.0, 1.0, 0.5]),
+                      st.floats(0.0, 1.0))
+    scores = np.array(draw(st.lists(score, min_size=rows * n,
+                                    max_size=rows * n))).reshape(rows, n)
+    # Each draw is a uniform, an edge of [0, 1), or its agent's own score
+    # (u == pi takes the down branch).
+    picks = draw(st.lists(st.sampled_from(["u", "0", "last", "pi"]),
+                          min_size=rows * n, max_size=rows * n))
+    free = np.array(draw(st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                  min_size=rows * n, max_size=rows * n)))
+    u = np.select([np.array(picks) == "0", np.array(picks) == "last",
+                   np.array(picks) == "pi"],
+                  [0.0, _U_LAST, np.abs(scores.ravel())],
+                  free).reshape(rows, n)
+    k = draw(st.one_of(st.sampled_from([0.0, 1e-300, 2.0 ** -55, 0.1, 1.0]),
+                       st.floats(0.0, 1.0)))
+    penalty = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                        st.floats(0.0, 5.0))
+    if draw(st.booleans()):
+        c = draw(penalty)
+    else:
+        c = np.array(draw(st.lists(penalty, min_size=rows,
+                                   max_size=rows))).reshape(rows, 1)
+    beta_value = st.one_of(st.sampled_from([0.0, 0.5, 1.0]),
+                           st.floats(0.0, 1.0))
+    if draw(st.booleans()):
+        beta = draw(beta_value)
+    else:
+        beta = np.array(draw(st.lists(beta_value, min_size=rows,
+                                      max_size=rows))).reshape(rows, 1)
+    return scores, u, k, c, beta
+
+
+class TestScoreKernel:
+    """approved_step and keep_denied, bit selects, against np.where."""
+
+    def test_property_against_the_where_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(data=st.data())
+        def check(data):
+            scores, u, k, c, beta = _kernel_case(data.draw, st)
+            out = np.full(scores.shape, np.nan)
+            bits = np.full(scores.shape, -1, dtype=np.int64)
+            step = reference_approved_step(scores, u, k, c).tobytes()
+            got = approved_step(scores, u, step_bits(k, c), out, bits)
+            assert got is out and got.tobytes() == step
+            # patterns broadcast to the step's shape select the same steps
+            full = step_bits(k, c, np.empty((2, *scores.shape), np.int64))
+            assert approved_step(scores, u, full, out, bits).tobytes() == step
+            want = reference_advance(scores, u, beta, k, c).tobytes()
+            assert _advance_scores(scores, u, beta, step_bits(k, c), out,
+                                   bits).tobytes() == want
+            # out may be the draws themselves
+            u_out = u.copy()
+            assert _advance_scores(scores, u_out, beta, full, u_out,
+                                   bits).tobytes() == want
+
+        check()
+
+    def test_signed_zeros_by_hand(self):
+        scores = np.array([-0.0, 0.0, -0.0, 1.0, 0.5])
+        u = np.array([0.0, 0.0, 0.7, 0.0, 0.5])    # u == pi steps down
+        out, bits = np.empty(5), np.empty(5, dtype=np.int64)
+        # The down step -0.1 clamps every zero to +0.0.
+        approved_step(scores, u, step_bits(0.1, 1.0), out, bits)
+        assert out.tobytes() == np.array([0.0, 0.0, 0.0, 1.0, 0.4]).tobytes()
+        # Below beta every agent keeps its bytes, so -0.0 stays -0.0:
+        # multiplying by the mask would write +0.0.
+        keep_denied(scores, 0.75, out, bits)
+        assert out.tobytes() == np.array(
+            [-0.0, 0.0, -0.0, 1.0, 0.5]).tobytes()
+        assert np.signbit(out).tolist() == [True, False, True, False, False]
+        # At k = 0 the down step is c * -0.0 = -0.0, and -0.0 + -0.0 keeps
+        # its sign through the clamp.
+        approved_step(scores, u, step_bits(0.0, 2.0), out, bits)
+        assert np.signbit(out).tolist() == [True, False, True, False, False]
+
+    def test_a_penalty_and_a_threshold_per_row(self):
+        rng = np.random.default_rng(12)
+        scores = rng.random((3, 40))
+        scores[:, :5] = -0.0
+        u = rng.random((3, 40))
+        c = np.array([[0.0], [1.0], [2.5]])
+        beta = np.array([[0.0], [0.5], [1.0]])
+        out, bits = np.empty((3, 40)), np.empty((3, 40), dtype=np.int64)
+        got = _advance_scores(scores, u, beta, step_bits(0.2, c), out, bits)
+        for r in range(3):
+            want = reference_advance(scores[r], u[r], beta[r, 0], 0.2,
+                                     c[r, 0])
+            assert got[r].tobytes() == want.tobytes()
 
 
 class TestStepPopulation:

@@ -1,5 +1,10 @@
 """Utility, intervention arithmetic, policy evaluation, and the grid."""
 
+import gc
+import os
+import threading
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,16 +13,16 @@ from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind,
                         apply_intervention, baseline_outcome, evaluate_policy,
                         grid_as_dict, grid_rows, optimal_threshold,
                         recommend_grid, sample_beta, simulate_group, utility)
-from lendingdyn import interventions
+from lendingdyn import interventions, read_score_csv
 from lendingdyn._random import TAG_CELL, TAG_REPLICATE, derive_seed, uniform_blocks
 from lendingdyn.interventions import (KIND_ORDER, _approx_curves, _beta_grid,
                                       _curve_error, _evaluate_cell,
                                       _exact_means, _lattice, _lattice_bins,
-                                      _walk)
+                                      _walk, _Workspace)
 
 from oracles import (reference_baseline_outcome, reference_evaluate_cell,
                      reference_group_means, reference_mean_curves,
-                     reference_sweep_tail)
+                     reference_sweep_tail, reference_walk)
 
 BO = InterventionKind.BETA_ONLY
 GB = InterventionKind.GROUP_BLIND
@@ -99,7 +104,7 @@ class TestApplyIntervention:
 def _approved_walk(scores, k, c_rows, walk):
     """Step the rows' always-approved walk in place; the beta-hat baseline
     that _walk steps beside it (here at beta 1, penalty 0) is dropped."""
-    _walk(scores, k, c_rows, walk, 1.0, 0.0)
+    _walk(scores, k, c_rows, walk, 1.0, 0.0, _Workspace())
 
 
 def _row_curves(scores, k, c_rows, betas, blocks):
@@ -108,7 +113,7 @@ def _row_curves(scores, k, c_rows, betas, blocks):
     walk = blocks.copy()
     _approved_walk(scores, k, c_rows, walk)
     js = np.tile(np.arange(betas.size), (len(walk), 1))
-    return _exact_means(scores, betas, walk, js)
+    return _exact_means(scores, betas, walk, js, _Workspace())
 
 
 def _mean_curves(scores, k, c, betas, blocks):
@@ -119,7 +124,8 @@ def _mean_curves(scores, k, c, betas, blocks):
 def _baseline_means(scores, k, c, blocks):
     """Beta-hat baseline means at penalty c."""
     bhat = optimal_threshold(k, c).beta_hat
-    return _walk(scores, k, np.full(len(blocks), c), blocks.copy(), bhat, c)
+    return _walk(scores, k, np.full(len(blocks), c), blocks.copy(), bhat, c,
+                 _Workspace())
 
 
 class TestMeanCurves:
@@ -227,9 +233,10 @@ class TestMeanCurves:
         kept = scores.copy()
         scores.flags.writeable = False
         walk = rng.random((3, 8, 40))
+        workspace = _Workspace()
         _walk(scores, 0.1, [1.0, 2.0, 3.0], walk,
-              optimal_threshold(0.1, 2.0).beta_hat, 2.0)
-        _approx_curves(scores, walk, 20)
+              optimal_threshold(0.1, 2.0).beta_hat, 2.0, workspace)
+        _approx_curves(scores, walk, 20, workspace)
         assert scores.tobytes() == kept.tobytes()
 
 
@@ -381,9 +388,9 @@ class TestEvaluatePolicy:
         built = []
         original = interventions.uniform_blocks
 
-        def counting(seeds, horizon, group_slot, n):
+        def counting(seeds, horizon, group_slot, n, out=None):
             built.extend((seed, horizon, group_slot, n) for seed in seeds)
-            return original(seeds, horizon, group_slot, n)
+            return original(seeds, horizon, group_slot, n, out=out)
 
         monkeypatch.setattr(interventions, "uniform_blocks", counting)
         self.evaluate(small_pair, GC)
@@ -507,9 +514,9 @@ class TestRecommendGrid:
         calls = []
         original = interventions.uniform_blocks
 
-        def counting(seeds, horizon, group_slot, n):
+        def counting(seeds, horizon, group_slot, n, out=None):
             calls.append((tuple(seeds), group_slot))
-            return original(seeds, horizon, group_slot, n)
+            return original(seeds, horizon, group_slot, n, out=out)
 
         monkeypatch.setattr(interventions, "uniform_blocks", counting)
         self.grid(small_pair)
@@ -568,7 +575,7 @@ class TestCellEvaluation:
         seeds = [11, 12, 13]
         got = _evaluate_cell(dist_a, dist_d, specs, seeds, weights, 0.25,
                              horizon=7, n_seeds=3, per_group_beta=per_group,
-                             betas=_beta_grid(0.1))
+                             betas=_beta_grid(0.1), workspace=_Workspace())
         for spec, seed, outcome in zip(specs, seeds, got):
             want = evaluate_policy(dist_a, dist_d, spec, weights, 0.25,
                                    horizon=7, n_seeds=3, seed=seed,
@@ -582,6 +589,102 @@ class TestCellEvaluation:
                               n_seeds=2, beta_step=0.1)
         assert len(grid.cells) == 1
         assert [dist.scores.tobytes() for dist in unequal_pair] == kept
+
+
+class TestWorkspace:
+    """Where the cell arrays live, and for how long."""
+
+    def grid(self, pair, threads):
+        return recommend_grid(*pair, (1.0, 2.0), (0.2, 0.8),
+                              UtilityWeights(alpha=0.5), 0.1, horizon=6,
+                              n_seeds=3, seed=4, threads=threads,
+                              beta_step=0.1)
+
+    def test_grid_workers_hold_every_cell_array(self, unequal_pair,
+                                                monkeypatch, tmp_path):
+        # Each workspace made, array handed out and block built appends
+        # its kind and process id; the grid's memory must stay out of the
+        # process that forks, and each worker must make one workspace.
+        monkeypatch.setattr(interventions, "_usable_cores", lambda: 2)
+        log = tmp_path / "pids"
+
+        def record(kind, fn):
+            def spy(*args, **kwargs):
+                with open(log, "a") as f:
+                    f.write(f"{kind} {os.getpid()}\n")
+                return fn(*args, **kwargs)
+            return spy
+
+        monkeypatch.setattr(_Workspace, "__init__",
+                            record("made", _Workspace.__init__))
+        monkeypatch.setattr(_Workspace, "array",
+                            record("array", _Workspace.array))
+        monkeypatch.setattr(interventions, "uniform_blocks",
+                            record("blocks", interventions.uniform_blocks))
+
+        def read_log():
+            entries = [line.split() for line in log.read_text().splitlines()]
+            log.unlink()
+            return ([pid for kind, pid in entries if kind == "made"],
+                    {pid for _, pid in entries})
+
+        pooled = self.grid(unequal_pair, threads=2)
+        made, pids = read_log()
+        assert str(os.getpid()) not in pids
+        assert len(made) == len(set(made)) == 2 and set(made) == pids
+        assert interventions._worker_workspace is None
+        here = self.grid(unequal_pair, threads=1)
+        assert read_log() == ([str(os.getpid())], {str(os.getpid())})
+        assert [[_bits(o) for o in cell.outcomes.values()]
+                for cell in pooled.cells] == \
+            [[_bits(o) for o in cell.outcomes.values()]
+             for cell in here.cells]
+
+    def test_no_workspace_outlives_its_evaluation(self, unequal_pair,
+                                                  monkeypatch):
+        made = []
+        init = _Workspace.__init__
+
+        def tracked(self):
+            init(self)
+            made.append(weakref.ref(self))
+
+        monkeypatch.setattr(_Workspace, "__init__", tracked)
+        self.grid(unequal_pair, threads=1)
+        spec = InterventionSpec(kind=GC, r=0.5, baseline_c=2.0)
+        evaluate_policy(*unequal_pair, spec, UtilityWeights(alpha=0.5), 0.1,
+                        horizon=6, n_seeds=3, beta_step=0.1)
+        gc.collect()
+        assert len(made) == 2
+        assert all(ref() is None for ref in made)
+
+    def test_concurrent_evaluations_match_serial_ones(self, unequal_pair):
+        # Every call has its own workspace, so threads share no array.
+        specs = [InterventionSpec(kind=kind, r=0.5, baseline_c=c)
+                 for kind in KIND_ORDER for c in (1.0, 2.5)]
+        weights = UtilityWeights(alpha=0.3)
+
+        def evaluate(spec):
+            return _bits(evaluate_policy(*unequal_pair, spec, weights, 0.1,
+                                         horizon=15, n_seeds=6, seed=8,
+                                         beta_step=0.02))
+
+        serial = [evaluate(spec) for spec in specs]
+        got = [None] * len(specs)
+        start = threading.Barrier(2)
+
+        def run(offset):
+            start.wait()
+            for i in range(offset, len(specs), 2):
+                got[i] = evaluate(specs[i])
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert got == serial
 
 
 class TestBetaGrid:
@@ -663,15 +766,19 @@ class TestApproximateCurves:
     def test_within_the_stated_bound(self):
         rng = np.random.default_rng(2024)
         worst = 0.0
+        # One workspace for every trial: its arrays are reused across
+        # shapes, and must not carry anything from one trial to the next.
+        workspace = _Workspace()
         for trial in range(60):
             horizon = int(rng.choice([0, 1, 2, 7, 20, 40]))
             n = int(rng.choice([1, 2, 7, 64, 500]))
             rows = int(rng.integers(1, 9))
             m = int(rng.choice([1, 2, 4, 10, 20, 100, 1000]))
             betas, scores, walk = _random_walk_case(rng, horizon, n, rows, m)
-            approx = _approx_curves(scores, walk, m)
+            approx = _approx_curves(scores, walk, m, workspace)
             exact = _exact_means(scores, betas, walk,
-                                 np.tile(np.arange(m + 1), (rows, 1)))
+                                 np.tile(np.arange(m + 1), (rows, 1)),
+                                 workspace)
             bound = _curve_error(n, horizon, m + 1, 1)
             gap = np.abs(approx - exact).max()
             assert gap <= bound, (trial, gap, bound)
@@ -690,10 +797,11 @@ class TestApproximateCurves:
         _approved_walk(scores, 0.1, np.full(4, 2.0), walk)
         betas = _beta_grid(0.05)
         top = betas > scores.max()
-        approx = _approx_curves(scores, walk, 20)
+        approx = _approx_curves(scores, walk, 20, _Workspace())
         assert np.all(approx[:, top] == approx[:, top][:, :1])
         exact = _exact_means(scores, betas, walk,
-                             np.tile(np.flatnonzero(top), (4, 1)))
+                             np.tile(np.flatnonzero(top), (4, 1)),
+                             _Workspace())
         assert np.all(exact == scores.mean())
 
     def test_the_bound_grows_with_the_work(self):
@@ -734,10 +842,11 @@ class TestBoundedSearch:
         specs = [InterventionSpec(kind=kind, r=0.6, baseline_c=2.0)
                  for kind in KIND_ORDER]
         betas = _beta_grid(step)
+        workspace = _Workspace()
         for weights in _WEIGHTS:
             args = (dist_a, dist_d, specs, [4, 5, 6], weights, 0.1, horizon,
                     n_seeds, per_group, betas)
-            got = _evaluate_cell(*args)
+            got = _evaluate_cell(*args, workspace)
             want = reference_evaluate_cell(*args)
             assert [_bits(o) for o in got] == [_bits(o) for o in want]
 
@@ -778,8 +887,8 @@ class TestBoundedSearch:
         for weights in _WEIGHTS:
             args = (dist_a, dist_d, specs, [1, 2, 3], weights, 0.25, 9, 10,
                     per_group, _beta_grid(0.25))
-            assert [_bits(o) for o in _evaluate_cell(*args)] == \
-                [_bits(o) for o in reference_evaluate_cell(*args)]
+            assert [_bits(o) for o in _evaluate_cell(*args, _Workspace())] \
+                == [_bits(o) for o in reference_evaluate_cell(*args)]
 
     @pytest.mark.parametrize("k", [0.0, 0.1])
     def test_plateaus_where_nobody_is_approved(self, k):
@@ -793,7 +902,7 @@ class TestBoundedSearch:
             for per_group in (False, True):
                 args = (dist_a, dist_d, specs, [8, 9, 10], weights, k, 15, 8,
                         per_group, _beta_grid(0.05))
-                got = _evaluate_cell(*args)
+                got = _evaluate_cell(*args, _Workspace())
                 assert [_bits(o) for o in got] == \
                     [_bits(o) for o in reference_evaluate_cell(*args)]
                 if k == 0.0:
@@ -809,7 +918,54 @@ class TestBoundedSearch:
         for k in (0.0, 0.1):
             args = (dist_a, dist_d, [spec], [1], UtilityWeights(alpha=0.5),
                     k, 5, 8, False, _beta_grid(0.1))
-            assert [_bits(o) for o in _evaluate_cell(*args)] == \
+            assert [_bits(o) for o in _evaluate_cell(*args, _Workspace())] \
+                == [_bits(o) for o in reference_evaluate_cell(*args)]
+
+    def test_a_score_file_with_negative_zeros(self, tmp_path):
+        # A score file may hold -0.0, and a denied agent keeps it; the
+        # simulations and the grid's walk must agree with the np.where
+        # oracles bit for bit.
+        rng = np.random.default_rng(30)
+        for group, n in (("A", 40), ("D", 31)):
+            cells = ["-0.0", "0.0", "1.0", "-0.0", "0.5"] + [
+                repr(x) for x in rng.beta(4, 6, n).tolist()]
+            (tmp_path / f"{group}.csv").write_text(
+                "score\n" + "\n".join(cells) + "\n")
+        dist_a = read_score_csv(tmp_path / "A.csv", group="A")
+        dist_d = read_score_csv(tmp_path / "D.csv", group="D")
+        assert np.signbit(dist_a.scores[:4]).tolist() == \
+            [True, False, False, True]
+        for beta, k, c in ((0.0, 0.1, 1.0), (0.3, 0.1, 2.0), (0.0, 0.0, 1.0),
+                           (0.5, 0.25, 0.0)):
+            for slot, dist in enumerate((dist_a, dist_d)):
+                final = simulate_group(dist, beta, k, c, 12, 9, slot)
+                want = reference_walk(dist.scores, beta, k, c, 12, 9, slot)
+                assert final.tobytes() == want[-1].tobytes()
+        for kind in KIND_ORDER:
+            for k, c_hat in ((0.1, 2.0), (0.0, 1.0), (0.25, 0.0)):
+                spec = InterventionSpec(kind=kind, r=0.5, baseline_c=c_hat)
+                got = evaluate_policy(dist_a, dist_d, spec,
+                                      UtilityWeights(alpha=0.4), k,
+                                      horizon=9, n_seeds=8, seed=2,
+                                      beta_step=0.05)
+                [want] = reference_evaluate_cell(
+                    dist_a, dist_d, [spec], [2], UtilityWeights(alpha=0.4), k,
+                    9, 8, False, _beta_grid(0.05))
+                assert _bits(got) == _bits(want)
+
+    def test_one_workspace_across_shapes(self):
+        # A workspace serves cells of any shape in any order: an array it
+        # hands out again, larger or smaller, carries nothing over.
+        specs = [InterventionSpec(kind=kind, r=0.6, baseline_c=2.0)
+                 for kind in KIND_ORDER]
+        workspace = _Workspace()
+        for horizon, n, n_seeds, step in ((20, 60, 4, 0.05), (3, 7, 9, 0.5),
+                                          (0, 5, 2, 0.1), (20, 60, 4, 0.05),
+                                          (9, 80, 1, 0.02)):
+            dist_a, dist_d = _pair(n, n, n + 5)
+            args = (dist_a, dist_d, specs, [7, 8, 9], UtilityWeights(alpha=0.5),
+                    0.1, horizon, n_seeds, True, _beta_grid(step))
+            assert [_bits(o) for o in _evaluate_cell(*args, workspace)] == \
                 [_bits(o) for o in reference_evaluate_cell(*args)]
 
     @pytest.mark.parametrize("n_seeds", [8, 10, 17])
@@ -821,9 +977,9 @@ class TestBoundedSearch:
         widths = []
         real = interventions._exact_means
 
-        def spy(scores0, betas, walk, js):
+        def spy(scores0, betas, walk, js, workspace):
             widths.append(js.shape[1])
-            return real(scores0, betas, walk, js)
+            return real(scores0, betas, walk, js, workspace)
 
         monkeypatch.setattr(interventions, "_exact_means", spy)
         dist_a, dist_d = _pair(n_seeds, 200, 150)
@@ -831,10 +987,29 @@ class TestBoundedSearch:
                  for kind in KIND_ORDER]
         args = (dist_a, dist_d, specs, [21, 22, 23], UtilityWeights(alpha=0.3),
                 0.1, 20, n_seeds, False, _beta_grid(0.01))
-        got = _evaluate_cell(*args)
+        got = _evaluate_cell(*args, _Workspace())
         assert [_bits(o) for o in got] == \
             [_bits(o) for o in reference_evaluate_cell(*args)]
         assert widths and 1 <= min(widths) and max(widths) <= 3
+
+    def test_a_step_major_walk_reads_the_same(self):
+        # _evaluate_cell lays its walks out step by step; the curves and
+        # the exact read-out must not depend on the layout.
+        rng = np.random.default_rng(17)
+        for horizon in (0, 1, 13):
+            betas, scores, walk = _random_walk_case(rng, horizon, 60, 5, 50)
+            step_major = np.ascontiguousarray(walk.transpose(1, 0, 2))
+            step_major = step_major.transpose(1, 0, 2)
+            js = np.stack([rng.choice(betas.size, 6, replace=False)
+                           for _ in range(5)])
+            for got_walk in (walk, step_major):
+                assert _exact_means(scores, betas, got_walk, js,
+                                    _Workspace()).tobytes() == \
+                    np.take_along_axis(reference_sweep_tail(
+                        scores, betas, walk), js, axis=1).tobytes()
+            assert np.abs(_approx_curves(scores, step_major, 50, _Workspace())
+                          - _approx_curves(scores, walk, 50, _Workspace())
+                          ).max() <= _curve_error(60, horizon, 51, 1)
 
     def test_exact_read_out_at_chosen_thresholds(self):
         # Any subset of thresholds, in any order, reads the same floats as
@@ -844,7 +1019,7 @@ class TestBoundedSearch:
         full = reference_sweep_tail(scores, betas, walk)
         js = np.stack([rng.choice(betas.size, 4, replace=False)
                        for _ in range(6)])
-        got = _exact_means(scores, betas, walk, js)
+        got = _exact_means(scores, betas, walk, js, _Workspace())
         assert got.tobytes() == np.take_along_axis(full, js, axis=1).tobytes()
 
     def test_group_walk_equals_the_full_sweep(self):
@@ -854,9 +1029,10 @@ class TestBoundedSearch:
         c_rows = [0.5, 1.0, 2.0, 2.0, 3.0, 0.0]
         betas = _beta_grid(0.02)
         walk = blocks.copy()
+        workspace = _Workspace()
         base = _walk(scores, 0.1, c_rows, walk,
-                     optimal_threshold(0.1, 2.0).beta_hat, 2.0)
-        approx = _approx_curves(scores, walk, 50)
+                     optimal_threshold(0.1, 2.0).beta_hat, 2.0, workspace)
+        approx = _approx_curves(scores, walk, 50, workspace)
         curves, want = reference_group_means(scores, 0.1, c_rows, 2.0, betas,
                                              blocks)
         assert base.tobytes() == want.tobytes()

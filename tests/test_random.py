@@ -65,6 +65,27 @@ def test_blocks_of_a_seed_list_are_the_step_streams(seeds, slot, horizon, n):
                     == step_uniforms(seed, t, slot, n).tobytes())
 
 
+@pytest.mark.parametrize("seeds", SEED_LISTS)
+@pytest.mark.parametrize("horizon", (0, 1, 20))
+def test_blocks_written_into_a_step_major_out(seeds, horizon):
+    # The grid walks' reused buffer, holding stale values: every row is
+    # overwritten with its stream.
+    want = uniform_blocks(list(seeds), horizon, 1, 7)
+    out = np.full((horizon, len(seeds), 7), np.nan).transpose(1, 0, 2)
+    got = uniform_blocks(list(seeds), horizon, 1, 7, out=out)
+    assert got is out
+    assert got.tobytes() == want.tobytes()
+
+
+def test_an_unusable_out_rejected():
+    blocks = np.empty((4, 3, 2, 5))
+    for out in (np.empty((4, 3, 6)).transpose(1, 0, 2),
+                np.empty((4, 3, 5), dtype=np.float32).transpose(1, 0, 2),
+                blocks[:, :, 0].transpose(1, 0, 2), np.empty((3, 4, 5))):
+        with pytest.raises(ValueError, match="out must be"):
+            uniform_blocks([1, 2, 3], 4, 0, 5, out=out)
+
+
 def test_negative_horizon_rejected():
     with pytest.raises(ValueError, match="negative"):
         uniform_blocks([0, 1], -1, 0, 5)

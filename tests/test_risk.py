@@ -395,6 +395,45 @@ class TestColumnarLoaderOracle:
         with pytest.raises(ValueError, match=":9: late must be 0 or 1"):
             load_records(path)
 
+    @pytest.mark.parametrize("schema", ["training", "application"])
+    def test_a_late_quoted_field_resumes_at_its_chunk(self, tmp_path,
+                                                      monkeypatch, schema):
+        # Chunks of 4 lines; row 13 (file lines 15-16, in the fourth chunk)
+        # holds a quoted purpose spanning two lines, and rejects sit on
+        # both sides of it.
+        rows = make_loan_rows(22, seed=12)
+        for i, row in enumerate(rows):
+            if schema == "application":
+                row.pop("late")
+                row["group"] = "A" if i % 5 else ""
+            if i % 4 == 1:
+                row["units"] = "0"
+        rows[13]["purpose"] = "pur\nchase"
+        path = tmp_path / "t.csv"
+        write_loan_csv(path, rows, columns=list(rows[0]))
+        monkeypatch.setattr(risk, "_CHUNK_ROWS", 4)
+        assert_matches_reference(path, schema, "purchase")
+        assert_matches_reference(path, schema, None)
+
+        parsed = []
+        loadtxt = np.loadtxt
+
+        def counting(lines, *args, **kwargs):
+            parsed.extend(lines)
+            return loadtxt(lines, *args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", counting)
+        resumed = spy_calls(monkeypatch, risk, "_csv_columns")
+        result = load_records(path, schema=schema, keep_purpose=None)
+        text = path.read_bytes().decode().splitlines(keepends=True)
+        # np.loadtxt read the three plain chunks, lines 2-13, once each;
+        # the csv module started at line 14 and read the rest.
+        assert parsed == text[1:13]
+        [(_, reader, _, before)] = resumed
+        assert before == 13
+        assert before + reader.line_num == len(text)
+        assert result.rejects[-1].line == len(text)
+
     def test_property_against_the_row_by_row_loader(self, tmp_path,
                                                     monkeypatch):
         hypothesis = pytest.importorskip("hypothesis")

@@ -16,9 +16,9 @@ from .distributions import (BetaSpec, DominanceReport, check_dominance,
                             empirical_cdf, read_score_csv, sample_beta,
                             write_score_csv)
 from .dynamics import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
-                       Trajectory, clamp_unit, expected_next_score,
-                       population_mean, simulate, simulate_group, step_agent,
-                       step_mean, step_population, verify_bifurcation)
+                       Trajectory, expected_next_score, simulate,
+                       simulate_group, step_mean, step_population,
+                       verify_bifurcation)
 from .interventions import (GridCell, InterventionKind, InterventionSpec,
                             PolicyOutcome, RecommendationGrid, UtilityWeights,
                             WorkerLost, apply_intervention, baseline_outcome,
@@ -29,10 +29,9 @@ from .markov import (AbsorbingChain, AbsorptionResult, ChainError,
                      build_chain, enumerate_states, transient_mass)
 from .risk import (FitDiagnostics, LoanRecord, LoanTable, LoadResult,
                    RiskModel, RowReject, SeparationError, fit_logistic,
-                   load_records, predict_late_risk, predict_many,
-                   to_score_distributions)
+                   load_records, predict_many, to_score_distributions)
 from .thresholds import (OptimalThreshold, grid_search_threshold,
-                         one_step_policy, optimal_threshold)
+                         optimal_threshold)
 
 __all__ = [
     "__version__",
@@ -43,13 +42,12 @@ __all__ = [
     "ScoreDistribution", "SeparationError", "StateSpace", "ThresholdPolicy",
     "Trajectory", "UtilityWeights", "WorkerLost",
     "absorption_probabilities", "apply_intervention", "baseline_outcome",
-    "build_chain", "check_dominance", "clamp_unit", "derive_seed",
+    "build_chain", "check_dominance", "derive_seed",
     "empirical_cdf", "enumerate_states", "evaluate_policy",
     "expected_next_score", "fit_logistic", "grid_as_dict",
     "grid_rows", "grid_search_threshold", "load_records",
-    "one_step_policy", "optimal_threshold", "population_mean",
-    "predict_late_risk", "predict_many", "read_score_csv", "recommend_grid",
-    "sample_beta", "simulate", "simulate_group", "step_agent", "step_mean",
+    "optimal_threshold", "predict_many", "read_score_csv", "recommend_grid",
+    "sample_beta", "simulate", "simulate_group", "step_mean",
     "step_population", "substream", "to_score_distributions",
     "transient_mass", "utility", "verify_bifurcation", "write_score_csv",
 ]

@@ -17,9 +17,9 @@ depend on the data.  `_step_keys` mixes the words of a whole set of seeds in
 one pass: the words before t as arrays over the seeds, then t and the slot
 as arrays over (seed, t), giving every (seed, step) key at once.
 `uniform_blocks` then resets one Philox to (key, counter 0, empty buffer)
-for each row of one preallocated (seeds, H, n) array.  Row t of block s is
-therefore byte for byte `step_uniforms(seeds[s], t, slot, n)`, and
-`uniform_block` is the one-seed case.
+for each row of one preallocated step-major (seeds, H, n) array.  Row t of
+block s is therefore byte for byte `step_uniforms(seeds[s], t, slot, n)`,
+and `uniform_block` is the one-seed case.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ TAG_STEP = 1      # per-(replicate, step, group) uniforms for population updates
 TAG_SAMPLE = 2    # distribution sampling
 TAG_CELL = 3      # recommendation-grid cell seeds
 TAG_REPLICATE = 4 # replicate seeds inside one policy evaluation
-TAG_WALK = 5      # chain random walks
 
 
 # numpy's SeedSequence mixing constants (pool of 4 uint32 words).
@@ -157,25 +156,20 @@ def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
 
     Row t of block s is byte for byte step_uniforms(seeds[s], t, group_slot,
     n), from one Philox generator reset to each (seed, step) key in turn.
-    The rows go to a new C-contiguous array, or to out when it is given: a
-    reused step-major buffer, the (1, 0, 2) transpose of a C-contiguous
-    float array of shape (horizon, len(seeds), n), filled step by step in
-    memory order.
+    The blocks are step-major: out, new or given (a reused buffer), is the
+    (1, 0, 2) transpose of a C-contiguous float array of shape (horizon,
+    len(seeds), n), filled step by step in memory order.
     """
     if out is None:
         # Allocated before the keys so that a negative horizon raises here.
-        out = np.empty((len(seeds), horizon, n))
-        memory = out
-    else:
-        # The rows in memory order: step by step.
-        memory = out.transpose(1, 0, 2)
-        if (out.shape != (len(seeds), horizon, n) or out.dtype != np.float64
-                or not memory.flags.c_contiguous):
-            raise ValueError("out must be a step-major float array of shape "
-                             f"{(len(seeds), horizon, n)}")
-    keys = _step_keys(seeds, horizon, group_slot)
-    if memory is not out:
-        keys = keys.transpose(1, 0, 2)
+        out = np.empty((horizon, len(seeds), n)).transpose(1, 0, 2)
+    # The rows in memory order: step by step.
+    memory = out.transpose(1, 0, 2)
+    if (out.shape != (len(seeds), horizon, n) or out.dtype != np.float64
+            or not memory.flags.c_contiguous):
+        raise ValueError("out must be a step-major float array of shape "
+                         f"{(len(seeds), horizon, n)}")
+    keys = _step_keys(seeds, horizon, group_slot).transpose(1, 0, 2)
     rows = memory.reshape(len(seeds) * horizon, n)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)

@@ -33,7 +33,7 @@ every byte of the full-horizon walk.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -41,13 +41,6 @@ import numpy as np
 # Nothing here calls substream: perfbench/tracing.py wraps it at this name
 # and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import step_uniforms, substream  # noqa: F401
-
-
-def clamp_unit(x: float) -> float:
-    """Clamp a finite real into [0, 1]."""
-    if not np.isfinite(x):
-        raise ValueError(f"score must be finite, got {x!r}")
-    return min(max(float(x), 0.0), 1.0)
 
 
 def _as_readonly_scores(scores) -> np.ndarray:
@@ -65,22 +58,15 @@ def _as_readonly_scores(scores) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScoreDistribution:
-    """A group's empirical score sample.
-
-    weight is the group's population share for cross-group aggregation;
-    within-group statistics never use it.
-    """
+    """A group's empirical score sample."""
 
     group: str
     scores: np.ndarray
-    weight: float = 1.0
 
     def __post_init__(self):
         if not self.group:
             raise ValueError("group label must be nonempty")
         object.__setattr__(self, "scores", _as_readonly_scores(self.scores))
-        if not (np.isfinite(self.weight) and self.weight > 0):
-            raise ValueError(f"weight must be positive, got {self.weight!r}")
 
     @property
     def n(self) -> int:
@@ -90,14 +76,7 @@ class ScoreDistribution:
         return float(self.scores.mean())
 
     def replace_scores(self, scores) -> "ScoreDistribution":
-        return ScoreDistribution(self.group, scores, self.weight)
-
-
-def population_mean(dists: Iterable[ScoreDistribution]) -> float:
-    """Weight-combined mean across groups (unequal group sizes supported)."""
-    dists = list(dists)
-    total = sum(d.weight for d in dists)
-    return sum(d.weight * d.mean() for d in dists) / total
+        return ScoreDistribution(self.group, scores)
 
 
 @dataclass(frozen=True)
@@ -151,17 +130,6 @@ class ThresholdPolicy:
             return self.beta_by_group[group]
         except KeyError:
             raise KeyError(f"no threshold configured for group {group!r}") from None
-
-
-def step_agent(pi: float, approved: bool, paid: bool, k: float, c: float) -> float:
-    """One agent's next score given the realized approval and payment."""
-    if not (np.isfinite(pi) and 0.0 <= pi <= 1.0):
-        raise ValueError(f"pi must lie in [0, 1], got {pi!r}")
-    if k < 0 or c < 0:
-        raise ValueError("k and c must be nonnegative")
-    if not approved:
-        return float(pi)
-    return clamp_unit(pi + k if paid else pi - c * k)
 
 
 def expected_next_score(scores, k: float, c: float) -> np.ndarray:
@@ -276,7 +244,12 @@ def _walk(scores: np.ndarray, beta: float, k: float, c: float, horizon: int,
 
 def step_population(dist: ScoreDistribution, policy: ThresholdPolicy,
                     params: DynamicsParams, rng: np.random.Generator) -> ScoreDistribution:
-    """Advance every agent in one group by a single realized step."""
+    """Advance every agent in one group by a single realized step.
+
+    No command calls it; it stays as public API, the one-step update the
+    README lists with the dynamics, and perfbench/tracing.py wraps it at
+    this name.
+    """
     beta = policy.beta_for(dist.group)
     c = params.c_for(dist.group)
     u = rng.random(dist.n)
@@ -287,7 +260,12 @@ def step_population(dist: ScoreDistribution, policy: ThresholdPolicy,
 
 def step_mean(dist: ScoreDistribution, policy: ThresholdPolicy,
               params: DynamicsParams) -> float:
-    """Exact expected group mean after one step from the current sample."""
+    """Exact expected group mean after one step from the current sample.
+
+    No command calls it; it stays as public API, the exact statistic behind
+    acceptance criterion 2 (the one-step mean gap never shrinks) and the
+    README's dynamics list.
+    """
     beta = policy.beta_for(dist.group)
     g = expected_next_score(dist.scores, params.k, params.c_for(dist.group))
     return float(np.where(dist.scores >= beta, g, dist.scores).mean())
@@ -412,7 +390,11 @@ def simulate_group(dist: ScoreDistribution, beta: float, k: float, c: float,
 
 def verify_bifurcation(dist: ScoreDistribution, policy: ThresholdPolicy,
                        params: DynamicsParams, horizon: int, seed: int) -> float:
-    """Fraction of agents still strictly inside (beta, 1) after `horizon` steps."""
+    """Fraction of agents still strictly inside (beta, 1) after `horizon` steps.
+
+    No command calls it; it stays as public API, the statistic of
+    acceptance criterion 4 (a long run empties the open interval).
+    """
     beta = policy.beta_for(dist.group)
     final = simulate_group(dist, beta, params.k, params.c_for(dist.group),
                            horizon, seed)

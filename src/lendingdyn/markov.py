@@ -190,6 +190,11 @@ class AbsorptionResult:
     expected_steps: float
 
     def probability_of(self, state) -> float:
+        """The probability of absorbing at one state, read by its value.
+
+        No command calls it: the CLI writes the whole tuple.  It stays as
+        public API because criterion 3 reads the probabilities by state.
+        """
         state = _exact(state, "state")
         try:
             return self.probabilities[self.absorbing_states.index(state)]

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -528,12 +528,8 @@ _P_FLOOR = np.finfo(float).tiny
 _P_CEIL = float(np.nextafter(1.0, 0.0))
 
 
-def predict_late_risk(model: RiskModel, record: LoanRecord) -> float:
-    """P(late) for one record, strictly inside (0, 1)."""
-    return float(predict_many(model, [record])[0])
-
-
 def predict_many(model: RiskModel, records: Sequence[LoanRecord]) -> np.ndarray:
+    """P(late) for each record, strictly inside (0, 1)."""
     X = _design_matrix(LoanTable.from_records(records))
     lp = X @ model.coefficients()
     p = 0.5 * (1.0 + np.tanh(0.5 * lp))
@@ -541,28 +537,21 @@ def predict_many(model: RiskModel, records: Sequence[LoanRecord]) -> np.ndarray:
 
 
 def to_score_distributions(records: Sequence[LoanRecord],
-                           risks: Sequence[float],
-                           allowed_groups: Iterable[str] | None = None,
-                           ) -> dict[str, ScoreDistribution]:
+                           risks: Sequence[float]) -> dict[str, ScoreDistribution]:
     """Group records into lending-score samples, pi = 1 - late risk."""
     table = LoanTable.from_records(records)
     if len(table) != len(risks):
         raise ValueError("records and risks must align")
     groups = table.group
     no_group = np.ones(len(table), dtype=bool) if groups is None else groups == ""
-    unknown = np.zeros(len(table), dtype=bool)
-    if allowed_groups is not None:
-        unknown = ~no_group & ~np.isin(groups, list(allowed_groups))
     risk = np.asarray(risks, dtype=float)
     improper = ~((risk > 0.0) & (risk < 1.0))
-    failed = no_group | unknown | improper
+    failed = no_group | improper
     if failed.any():
         # the first failing record, and its first failing check
         i = int(np.argmax(failed))
         if no_group[i]:
             raise ValueError("every record needs a group label")
-        if unknown[i]:
-            raise ValueError(f"unknown group label {groups[i]!r}")
         raise ValueError(f"risk must lie strictly in (0, 1), got {risks[i]!r}")
     scores = 1.0 - risk
     return {g: ScoreDistribution(g, scores[groups == g])

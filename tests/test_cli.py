@@ -13,7 +13,8 @@ import time
 import numpy as np
 import pytest
 
-from lendingdyn import interventions, optimal_threshold
+from lendingdyn import (distributions, interventions, optimal_threshold,
+                        thresholds)
 from lendingdyn.cli import COMMANDS, main, parse_distribution
 
 from conftest import make_loan_rows, write_loan_csv, write_risk_inputs
@@ -81,6 +82,45 @@ class TestOptimizeThreshold:
         assert code == 2
         assert err.startswith(f"error: {flag[2:]} must be nonnegative")
         assert not out.exists()
+
+    # --resolution 1e-5 over 1,000 scores took 1.0 s, about ten times more
+    # per decade, and 1e-9 asked np.linspace for 8 GB; 5e-324 has no
+    # finite number of betas.
+    @pytest.mark.parametrize("resolution, need", [
+        ("1e-6", "1,000,001,000 evaluations"),
+        ("1e-9", "1,000,000,001,000 evaluations"),
+        ("5e-324", "evaluations"),
+    ])
+    def test_long_sweep_is_refused(self, capsys, monkeypatch, tmp_path,
+                                   resolution, need):
+        _forbid(monkeypatch, "expected_next_score", module=thresholds)
+        target = tmp_path / "never"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "optimize-threshold", "--k", 0.1, "--c", 3,
+                           "--dist", "beta:4,8", "--n", 1000,
+                           "--resolution", resolution, "--out-dir", target)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith(f"error: resolution {float(resolution)!r} "
+                              "over 1,000 scores needs")
+        assert need in err and "cap of 100,000,000" in err
+        assert not target.exists()
+
+    def test_sweep_cap_is_inclusive(self, capsys, monkeypatch):
+        args = ("optimize-threshold", "--k", 0.1, "--c", 3, "--dist",
+                "beta:4,8", "--n", 200, "--resolution", 0.01)
+        want = run_json(capsys, *args)
+        monkeypatch.setattr(thresholds, "MAX_SWEEP_EVALUATIONS", 101 * 200)
+        assert run_json(capsys, *args) == want
+        monkeypatch.setattr(thresholds, "MAX_SWEEP_EVALUATIONS", 101 * 200 - 1)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "needs 20,200 evaluations" in err
+
+    def test_existing_sweeps_sit_far_below_the_cap(self):
+        # the CLI default (1,001 betas over 1,000 scores) and the largest
+        # test sweep (101 betas over 20,000 scores)
+        assert 1001 * 1000 * 99 < thresholds.MAX_SWEEP_EVALUATIONS
+        assert 101 * 20_000 * 49 < thresholds.MAX_SWEEP_EVALUATIONS
 
 
 class TestAnalyzeMarkov:
@@ -223,6 +263,34 @@ class TestDominanceCheck:
         assert code == 2
         assert err.startswith("error: step must be positive and finite")
         assert not out.exists()
+
+    # --step 1e-6 took 0.3 s and a 64 MB peak on two 1,000-score files,
+    # growing tenfold per decade; 1e-12 would ask for 8 TB.
+    @pytest.mark.parametrize("step, count", [
+        ("1e-6", "1,000,001 grid points"),
+        ("1e-12", "1,000,000,000,001 grid points"),
+        ("5e-324", "grid points"),
+    ])
+    def test_fine_step_is_refused(self, capsys, monkeypatch, tmp_path,
+                                  score_files, step, count):
+        _forbid(monkeypatch, "empirical_cdf", module=distributions)
+        target = tmp_path / "never"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "dominance-check", "--file-a",
+                           score_files[0], "--file-b", score_files[1],
+                           "--step", step, "--out-dir", target)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err.startswith(f"error: step {float(step)!r} gives")
+        assert count in err and "cap of 1,000,000" in err
+        assert not target.exists()
+
+    def test_point_cap_is_inclusive(self, capsys, score_files):
+        # the multiples 0 to 999,999 of the step: exactly the cap's points
+        payload = run_json(capsys, "dominance-check", "--file-a",
+                           score_files[0], "--file-b", score_files[1],
+                           "--step", 1 / 999_999)
+        assert payload["grid_step"] == 1 / 999_999
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "dominance-check", "--file-a",
@@ -572,13 +640,14 @@ class _Ran(Exception):
     """Raised by a spy in place of the work a refused input must not reach."""
 
 
-def _forbid(monkeypatch, *names):
+def _forbid(monkeypatch, *names, module=None):
+    """Make each module.name (cli by default) raise _Ran when called."""
     from lendingdyn import cli
 
     def ran(*args, **kwargs):
         raise _Ran
     for name in names:
-        monkeypatch.setattr(cli, name, ran)
+        monkeypatch.setattr(module or cli, name, ran)
 
 
 class TestGridCaps:

@@ -41,11 +41,9 @@ class TestSampleBeta:
         ecdf = empirical_cdf(dist, grid)
         assert np.max(np.abs(ecdf - stats.beta.cdf(grid, a, b))) < 0.01
 
-    def test_group_and_weight_carry_through(self):
-        dist = sample_beta(BetaSpec(a=2, b=2, n=10, seed=0), group="D",
-                           weight=2.5)
+    def test_group_carries_through(self):
+        dist = sample_beta(BetaSpec(a=2, b=2, n=10, seed=0), group="D")
         assert dist.group == "D"
-        assert dist.weight == 2.5
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -92,15 +90,6 @@ class TestDominance:
         for x, fa, fd in report.violations:
             assert 0.0 <= x <= 1.0
             assert fa > fd
-
-    def test_restricted_interval(self, beta_pair):
-        dist_a, dist_d = beta_pair
-        full = check_dominance(dist_d, dist_a, step=0.01)
-        upper = check_dominance(dist_d, dist_a, step=0.01,
-                                interval=(0.95, 1.0))
-        assert not full.dominates
-        # near 1 both empirical CDFs have reached 1, so no witnesses remain
-        assert upper.dominates
 
     def test_bad_step_rejected(self, beta_pair):
         dist_a, dist_d = beta_pair

@@ -7,46 +7,16 @@ import numpy as np
 import pytest
 
 from lendingdyn import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
-                        clamp_unit, dynamics, expected_next_score,
-                        population_mean, simulate, simulate_group, step_agent,
-                        step_mean, step_population)
-from lendingdyn.dynamics import (_advance_scores, approved_step, keep_denied,
-                                 step_bits)
+                        dynamics, expected_next_score, simulate,
+                        simulate_group, step_mean, step_population)
+from lendingdyn.dynamics import (_U_LAST, _advance_scores, approved_step,
+                                 keep_denied, step_bits)
 from oracles import (reference_advance, reference_approved_step,
                      reference_settled_step, reference_walk)
 
 
 def dist(scores, group="A"):
     return ScoreDistribution(group, np.asarray(scores, dtype=float))
-
-
-class TestStepAgent:
-    def test_paid_moves_up_by_k(self):
-        assert step_agent(0.5, True, True, k=0.1, c=1.0) == 0.6
-
-    def test_paid_clamps_at_one(self):
-        assert step_agent(0.95, True, True, k=0.1, c=1.0) == 1.0
-
-    def test_denied_score_is_frozen(self):
-        assert step_agent(0.3, False, False, k=0.1, c=1.0) == 0.3
-        assert step_agent(0.3, False, True, k=0.1, c=1.0) == 0.3
-
-    def test_late_clamps_at_zero(self):
-        assert step_agent(0.05, True, False, k=0.1, c=1.0) == 0.0
-
-    def test_late_moves_down_by_ck(self):
-        assert step_agent(0.5, True, False, k=0.1, c=3.0) == pytest.approx(0.2)
-
-    def test_zero_penalty_keeps_late_scores(self):
-        assert step_agent(0.5, True, False, k=0.1, c=0.0) == 0.5
-
-
-def test_clamp_unit():
-    assert clamp_unit(-0.2) == 0.0
-    assert clamp_unit(0.0) == 0.0
-    assert clamp_unit(0.37) == 0.37
-    assert clamp_unit(1.0) == 1.0
-    assert clamp_unit(1.3) == 1.0
 
 
 def test_expected_next_score_worked_value():
@@ -147,8 +117,32 @@ def _kernel_case(draw, st):
     return scores, u, k, c, beta
 
 
+# One agent's step by hand: beta 0 approves and beta 1 denies (pi < 1);
+# u = 0 repays and u = _U_LAST, the last double below 1, pays late.
+PAID, LATE = 0.0, _U_LAST
+WORKED_STEPS = [
+    # (pi, beta, u, k, c, next score)
+    pytest.param(0.5, 0.0, PAID, 0.1, 1.0, 0.6, id="paid-moves-up-by-k"),
+    pytest.param(0.95, 0.0, PAID, 0.1, 1.0, 1.0, id="paid-clamps-at-one"),
+    pytest.param(0.3, 1.0, LATE, 0.1, 1.0, 0.3, id="denied-late-is-frozen"),
+    pytest.param(0.3, 1.0, PAID, 0.1, 1.0, 0.3, id="denied-paid-is-frozen"),
+    pytest.param(0.05, 0.0, LATE, 0.1, 1.0, 0.0, id="late-clamps-at-zero"),
+    pytest.param(0.5, 0.0, LATE, 0.1, 3.0, pytest.approx(0.2),
+                 id="late-moves-down-by-ck"),
+    pytest.param(0.5, 0.0, LATE, 0.1, 0.0, 0.5,
+                 id="zero-penalty-keeps-late-scores"),
+]
+
+
 class TestScoreKernel:
     """approved_step and keep_denied, bit selects, against np.where."""
+
+    @pytest.mark.parametrize("pi, beta, u, k, c, want", WORKED_STEPS)
+    def test_worked_step(self, pi, beta, u, k, c, want):
+        out, bits = np.empty(1), np.empty(1, dtype=np.int64)
+        got = _advance_scores(np.array([pi]), np.array([u]), beta,
+                              step_bits(k, c), out, bits)
+        assert got[0] == want
 
     def test_property_against_the_where_reference(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -226,12 +220,6 @@ class TestStepPopulation:
         for step in range(40):
             d = step_population(d, policy, params, np.random.default_rng(step))
             assert d.scores.min() >= 0.0 and d.scores.max() <= 1.0
-
-
-def test_population_mean_weights():
-    a = ScoreDistribution("A", np.array([1.0, 1.0]), weight=3.0)
-    d = ScoreDistribution("D", np.array([0.0, 0.0]), weight=1.0)
-    assert population_mean([a, d]) == pytest.approx(0.75)
 
 
 class TestSimulate:

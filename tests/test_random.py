@@ -58,7 +58,9 @@ def test_block_rows_are_the_step_streams(seed, slot, horizon, n):
 def test_blocks_of_a_seed_list_are_the_step_streams(seeds, slot, horizon, n):
     blocks = uniform_blocks(list(seeds), horizon, slot, n)
     assert blocks.shape == (len(seeds), horizon, n)
-    assert blocks.dtype == np.float64 and blocks.flags.c_contiguous
+    # step-major, the layout the grid's reused buffers have
+    assert (blocks.dtype == np.float64
+            and blocks.transpose(1, 0, 2).flags.c_contiguous)
     for s, seed in enumerate(seeds):
         for t in range(horizon):
             assert (blocks[s, t].tobytes()

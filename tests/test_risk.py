@@ -9,8 +9,7 @@ import pytest
 
 from lendingdyn import (FitDiagnostics, LoanRecord, RiskModel,
                         SeparationError, fit_logistic, load_records,
-                        predict_late_risk, predict_many,
-                        to_score_distributions)
+                        predict_many, to_score_distributions)
 from lendingdyn import risk
 from lendingdyn.risk import LoanTable, RowReject
 
@@ -623,18 +622,18 @@ class TestPredict:
     def test_worked_value(self):
         # -2.876 + 0.010 * 80 + 0.074 * 3 + 0.244 * 1 = -1.610
         model = frozen_model()
-        p = predict_late_risk(model, record())
+        p = predict_many(model, [record()])[0]
         assert p == pytest.approx(logistic(-1.610), abs=1e-12)
         assert p == pytest.approx(0.1666, abs=5e-4)
 
     def test_balance_is_ignored_when_coefficient_is_zero(self):
         model = frozen_model()
-        assert predict_late_risk(model, record(balance=1.0)) == \
-            predict_late_risk(model, record(balance=500.0))
+        assert predict_many(model, [record(balance=1.0)])[0] == \
+            predict_many(model, [record(balance=500.0)])[0]
 
     def test_risk_increases_with_dti(self):
         model = frozen_model()
-        risks = [predict_late_risk(model, record(dti=float(d)))
+        risks = [predict_many(model, [record(dti=float(d))])[0]
                  for d in range(0, 20)]
         assert all(b > a for a, b in zip(risks, risks[1:]))
 
@@ -650,7 +649,7 @@ class TestPredict:
         records = [record(dti=float(d)) for d in range(5)]
         vec = predict_many(model, records)
         # batched and singleton matrix products may differ in the last ulp
-        assert np.allclose(vec, [predict_late_risk(model, r)
+        assert np.allclose(vec, [predict_many(model, [r])[0]
                                  for r in records], rtol=0, atol=1e-14)
 
 
@@ -679,11 +678,6 @@ class TestScoreDistributions:
         assert sorted(dists) == ["A", "D"]
         assert np.allclose(dists["A"].scores, [0.8, 0.6])
         assert np.allclose(dists["D"].scores, [0.7])
-
-    def test_unknown_group_rejected(self):
-        records = [record(group="X")]
-        with pytest.raises(ValueError, match="unknown group"):
-            to_score_distributions(records, [0.5], allowed_groups=("A", "D"))
 
     def test_missing_group_label_rejected(self):
         with pytest.raises(ValueError, match="group"):

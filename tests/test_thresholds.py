@@ -5,8 +5,8 @@ import pytest
 
 from lendingdyn import (BetaSpec, DynamicsParams, ScoreDistribution,
                         ThresholdPolicy, expected_next_score,
-                        grid_search_threshold, one_step_policy,
-                        optimal_threshold, sample_beta, step_mean)
+                        grid_search_threshold, optimal_threshold,
+                        sample_beta, step_mean)
 
 
 class TestGainFunction:
@@ -70,11 +70,6 @@ class TestOptimalThreshold:
     def test_bad_k_or_c_rejected(self, k, c, name):
         with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
             optimal_threshold(k, c)
-
-    def test_one_step_policy_wraps_beta_hat(self):
-        policy = one_step_policy(0.1, 1.0, ("A", "D"))
-        assert policy.beta_for("A") == 0.5
-        assert policy.beta_for("D") == 0.5
 
 
 def lattice_population(n: int = 1001) -> ScoreDistribution:

@@ -682,8 +682,17 @@ def cmd_reproduce_figure(values: dict) -> None:
     if values["which"] == "max-mean":
         cmd_max_mean_curve(values)
         return
-    for alpha, grid in _grids(values, values["alpha"]):
-        _write_grid(grid, values, f"grid_alpha{alpha:g}")
+    # A stem keeps six significant digits of alpha; alphas that would
+    # share one are refused before any grid is built.
+    stems: dict[str, float] = {}
+    for alpha in values["alpha"]:
+        stem = f"grid_alpha{alpha:g}"
+        if stem in stems:
+            raise CliError(f"--alpha {stems[stem]!r} and {alpha!r} would "
+                           f"both write {stem}.json and {stem}.csv")
+        stems[stem] = alpha
+    for stem, (alpha, grid) in zip(stems, _grids(values, values["alpha"])):
+        _write_grid(grid, values, stem)
         print(f"alpha {alpha:g}: grid written")
 
 

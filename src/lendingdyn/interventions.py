@@ -38,13 +38,17 @@ threshold b an agent freezes where its running minimum first drops below b
 (the freeze identity).  From that walk one weighted bincount per batch of
 steps gives every threshold's mean at once, to within a proven bound delta
 on the float error (_curve_error: about 2.6e-11 for a replicate mean at
-n = 500, horizon 20).  A utility moves by at most the moves of its two
-means, so only candidates whose approximate utility lies within
+n = 500, horizon 20).  The bincount's index is the count of thresholds at
+or below each step's running minimum, and both stages read that one set of
+counts, kept as a uint16 per (step, row, agent): a count is at most
+_MAX_BETA_STEPS + 1 = 1,001.  A utility moves by at most the moves of its
+two means, so only candidates whose approximate utility lies within
 2 * (delta_A + delta_D) of the best can be the exact best; exact means are
-read off the walk for those alone (1 or 4 of 101 thresholds on the
-benchmark grid), with the same pairwise agent sums and row-by-row replicate
-sums as the full sweep, and the last candidate of highest exact utility
-wins.  Where the bound is not small, every threshold survives.
+read from the walk and the counts for those alone (1 or 4 of 101
+thresholds on the benchmark grid), with the same pairwise agent sums and
+row-by-row replicate sums as the full sweep, and the last candidate of
+highest exact utility wins.  Where the bound is not small, every threshold
+survives.
 
 recommend_grid evaluates each cell once, for all three kinds: per group,
 one pass builds the blocks of every kind's replicates and one step loop
@@ -177,7 +181,7 @@ MAX_SPAN_POINTS = 1000
 MAX_GRID_CELLS = 10_000
 
 # Most bytes of cell arrays (cell_bytes) that the command line lets one grid
-# worker hold: 1 GiB, 137 times the 7.8 MB of the acceptance and benchmark
+# worker hold: 1 GiB, 119 times the 9.0 MB of the acceptance and benchmark
 # grids (500 scores per group, 10 replicates, horizon 20).
 MAX_CELL_BYTES = 1 << 30
 
@@ -208,21 +212,23 @@ def cell_bytes(n_a: int, n_d: int, horizon: int, n_seeds: int) -> int:
     worker's workspace, for groups of n_a and n_d scores.
 
     The two groups' uniform blocks, which become the walks, hold
-    3 * n_seeds rows of horizon x n floats each; the walk keeps five
-    (2, rows, n) arrays of 8-byte items (the step pair, its scratch and its
-    two step patterns); the threshold search's batches are bounded by
-    _BATCH_CELLS, or by one step's rows x n when that is larger.
+    3 * n_seeds rows of horizon x n floats each, and their threshold counts
+    as many uint16; the walk keeps five (2, rows, n) arrays of 8-byte items
+    (the step pair, its scratch and its two step patterns); the threshold
+    search's batches are bounded by _BATCH_CELLS, or by one step's
+    rows x n when that is larger.
     """
     rows = len(KIND_ORDER) * n_seeds
     n = max(n_a, n_d)
     batch = max(_BATCH_CELLS, rows * n)
-    counts = max(8 * _BATCH_CELLS, rows * n)
+    cols = max(8 * _BATCH_CELLS, rows * n)
     tau = np.min_scalar_type(max(horizon, 0)).itemsize
     return (8 * rows * horizon * (n_a + n_d)       # the blocks
+            + 2 * rows * horizon * (n_a + n_d)     # their threshold counts
             + 5 * 8 * 2 * rows * n                 # the walk's step arrays
             + 3 * 8 * batch                        # running minima, bins
-            + (tau + 1) * counts                   # threshold counts
-            + 2 * 8 * max(_BATCH_CELLS, counts // max(rows, 1)))  # finals
+            + (tau + 1) * cols                     # tau and its step mask
+            + 2 * 8 * max(_BATCH_CELLS, cols // max(rows, 1)))  # finals
 
 
 class _Workspace:
@@ -293,64 +299,31 @@ def _batch_shape(walk: np.ndarray) -> tuple[int, int, int]:
     return min(max(1, _BATCH_CELLS // max(1, rows * n)), horizon), rows, n
 
 
-def _runmin_batches(scores0: np.ndarray, walk: np.ndarray,
-                    workspace: _Workspace):
-    """Yield (t0, t1, mins) over the steps t0 <= t < t1 of a walk.
-
-    mins[s] is the running minimum min(X[0], ..., X[t0 + s]), shape
-    (t1 - t0, rows, n), t1 - t0 at most _batch_shape's steps.  The batches
-    share one workspace buffer, so each is gone once the next comes.
-    """
-    rows, horizon, n = walk.shape
-    buf = workspace.array("runmin", _batch_shape(walk))
-    per = max(1, len(buf))
-    low = scores0
-    for t0 in range(0, horizon, per):
-        t1 = min(horizon, t0 + per)
-        mins = buf[:t1 - t0]
-        for t in range(t0, t1):
-            low = np.minimum(low, walk[:, t - 1] if t else scores0,
-                             out=mins[t - t0])
-        yield t0, t1, mins
-
-
-def _lattice(m: int, rows: int) -> tuple[np.ndarray, np.ndarray]:
-    """The lookup table and the row shifts that _lattice_bins reads for the
-    thresholds linspace(0, 1, m + 1) and values of shape (..., rows, n)."""
-    betas = np.linspace(0.0, 1.0, m + 1)
-    table = np.tile(np.append(betas, np.inf), rows)
-    shift = np.arange(0.5, rows * (m + 2), m + 2).reshape(rows, 1)
-    return table, shift
-
-
-def _lattice_bins(values: np.ndarray, m: int, lattice, out: np.ndarray,
+def _lattice_bins(values: np.ndarray, m: int, out: np.ndarray,
                   scratch: np.ndarray) -> np.ndarray:
-    """searchsorted(linspace(0, 1, m + 1), v, "right") + r * (m + 2) for
-    each v of row r, values of shape (..., rows, n) in [0, 1]: the count
-    of thresholds at or below v, offset into row r's own m + 2 bins.
+    """searchsorted(linspace(0, 1, m + 1), v, "right") for each v of values
+    in [0, 1]: the count of thresholds at or below v.
 
     q = floor(v * m + 1/2) is the grid index nearest v.  The grid values
     lie within a few ulps of j / m, so every one below index q is at or
     below v and every one above it is above v: the count is q + 1 if
-    betas[q] <= v, else q.  The row offset, added before the floor, moves
-    v * m + 1/2 by rounding only, far less than the half step of slack.
-    The counts go to out (intp); scratch (float) is overwritten.  Both
-    are shaped like values.
+    betas[q] <= v, else q.  The counts go to out (intp); scratch (float)
+    is overwritten.  Both are shaped like values.
     """
-    table, shift = lattice
     np.multiply(values, m, out=scratch)
-    scratch += shift
+    scratch += 0.5
     np.copyto(out, scratch, casting="unsafe")
-    # The indices lie in range by construction; mode="raise" would
-    # buffer out.
-    out += np.take(table, out, out=scratch, mode="clip") <= values
+    # q lies in [0, m] by construction; mode="raise" would buffer out.
+    out += np.take(np.linspace(0.0, 1.0, m + 1), out, out=scratch,
+                   mode="clip") <= values
     return out
 
 
 def _approx_curves(scores0: np.ndarray, walk: np.ndarray, m: int,
-                   workspace: _Workspace) -> np.ndarray:
+                   counts: np.ndarray, workspace: _Workspace) -> np.ndarray:
     """Every row's mean curve over the thresholds linspace(0, 1, m + 1),
-    to within _curve_error.
+    to within _curve_error; the threshold counts C of every step go to
+    counts, shape (horizon, rows, n), which _exact_means reads next.
 
     Under threshold b an agent ends at X[tau], tau = #{t < horizon :
     min(X[0..t]) >= b}, so its final score is X[horizon] plus X[t] - X[t+1]
@@ -358,16 +331,28 @@ def _approx_curves(scores0: np.ndarray, walk: np.ndarray, m: int,
     number of thresholds at or below that minimum (_lattice_bins), the
     step's difference counts for betas[j] iff C[t] <= j: one weighted
     bincount over (row, C[t]) per batch of steps, then a cumsum along j.
+    C[t] is at most m + 1 <= 1,001 (_beta_grid), so counts may be uint16.
     """
     rows, horizon, n = walk.shape
     size = rows * (m + 2)
     sums = np.zeros(size)
-    lattice = _lattice(m, rows)
-    bins = workspace.array("bins", _batch_shape(walk), np.intp)
-    scratch = workspace.array("bin_values", bins.shape)
-    for t0, t1, mins in _runmin_batches(scores0, walk, workspace):
-        b, diff = bins[:t1 - t0], scratch[:t1 - t0]
-        _lattice_bins(mins, m, lattice, b, diff)
+    # row r's counts go to its own m + 2 bins
+    offsets = np.arange(0, size, m + 2).reshape(rows, 1)
+    shape = _batch_shape(walk)
+    runmin = workspace.array("runmin", shape)
+    bins = workspace.array("bins", shape, np.intp)
+    scratch = workspace.array("bin_values", shape)
+    low, per = scores0, max(1, shape[0])
+    for t0 in range(0, horizon, per):
+        t1 = min(horizon, t0 + per)
+        mins, b, diff = runmin[:t1 - t0], bins[:t1 - t0], scratch[:t1 - t0]
+        # mins[s] = min(X[0], ..., X[t0 + s])
+        for t in range(t0, t1):
+            low = np.minimum(low, walk[:, t - 1] if t else scores0,
+                             out=mins[t - t0])
+        _lattice_bins(mins, m, b, diff)
+        counts[t0:t1] = b
+        b += offsets
         # diff[s] = X[t] - X[t + 1] for t = t0 + s
         steps = walk[:, t0:t1].transpose(1, 0, 2)
         if t0:
@@ -405,17 +390,21 @@ def _curve_error(n: int, horizon: int, n_betas: int, n_rows: int) -> float:
             + 4.0 * _U)
 
 
-def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
+def _exact_means(scores0: np.ndarray, walk: np.ndarray, counts: np.ndarray,
                  js: np.ndarray, workspace: _Workspace) -> np.ndarray:
     """Horizon-end means of every row of a walk at its own thresholds.
 
-    js has shape (rows, w): row r is read at betas[js[r]].  out[r, j]
-    equals simulate_group(..., betas[js[r, j]], ...).mean() for the seed
-    and penalty of the row, bit for bit.  Per block of threshold columns
-    of at most 8 * _BATCH_CELLS (row, threshold, agent) cells, one pass
-    over the steps counts tau, the steps whose running minimum clears each
-    threshold (the freeze identity, _approx_curves); X[tau] is gathered,
-    rows at a time, into C-ordered (rows, w, agents) arrays of at most
+    counts holds the walk's threshold counts C, the uint16 array that
+    _approx_curves fills (each count at most 1,001), and js, shape
+    (rows, w), the indices of the thresholds row r is read at.
+    out[r, j] equals simulate_group(..., betas[js[r, j]], ...).mean() for
+    the seed and penalty of the row, bit for bit.  A running minimum lies
+    at or above betas[j] exactly when j < C[t], so tau, the steps whose
+    running minimum clears the threshold (the freeze identity,
+    _approx_curves), is #{t : C[t] > j}: per block of threshold columns of
+    at most 8 * _BATCH_CELLS (row, threshold, agent) cells, one pass over
+    the steps counts it, uint16 against uint16.  X[tau] is gathered, rows
+    at a time, into C-ordered (rows, w, agents) arrays of at most
     _BATCH_CELLS cells and averaged over the agents: the same pairwise sum
     per (row, threshold) as simulate_group's mean.  Every array at those
     sizes is the workspace's.
@@ -424,16 +413,14 @@ def _exact_means(scores0: np.ndarray, betas: np.ndarray, walk: np.ndarray,
     width = max(1, 8 * _BATCH_CELLS // (rows * n))
     if js.shape[1] > width:
         return np.hstack([
-            _exact_means(scores0, betas, walk, js[:, j:j + width], workspace)
+            _exact_means(scores0, walk, counts, js[:, j:j + width], workspace)
             for j in range(0, js.shape[1], width)])
-    cols = betas[js][:, :, None]
-    tau = workspace.array("tau", cols.shape[:2] + (n,),
-                          np.min_scalar_type(horizon))
+    cols = js.astype(counts.dtype)[:, :, None]
+    tau = workspace.array("tau", js.shape + (n,), np.min_scalar_type(horizon))
     tau.fill(0)
     approved = workspace.array("tau_step", tau.shape, bool)
-    for t0, t1, mins in _runmin_batches(scores0, walk, workspace):
-        for s in range(t1 - t0):
-            tau += np.greater_equal(mins[s, :, None], cols, out=approved)
+    for step in counts:
+        tau += np.greater(step[:, None], cols, out=approved)
     out = np.empty(tau.shape[:2])
     per = max(1, _BATCH_CELLS // tau[0].size)
     # The walk is one block of memory in some axis order (C-ordered, or
@@ -563,14 +550,19 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
         # The blocks become the walk.  It is step-major, so that a step of
         # every row, which each walk step and search batch reads, is one
-        # contiguous slab.  Group A's walk lives on until both groups'
-        # curves have picked the candidates.
+        # contiguous slab.  Group A's walk and threshold counts live on
+        # until both groups' curves have picked the candidates.
         walk = workspace.array(f"walk{slot}", (horizon, len(rep_seeds),
                                                dist.n)).transpose(1, 0, 2)
         uniform_blocks(rep_seeds, horizon, slot, dist.n, out=walk)
         base = _walk(dist.scores, k, c_rows, walk, bhat, c_hat, workspace)
-        approx = _approx_curves(dist.scores, walk, betas.size - 1, workspace)
-        walks.append(walk)
+        # A count is at most m + 1 <= 1,001, as _beta_grid caps m at
+        # _MAX_BETA_STEPS, so a uint16 holds it.
+        counts = workspace.array(f"counts{slot}", (horizon, len(rep_seeds),
+                                                   dist.n), np.uint16)
+        approx = _approx_curves(dist.scores, walk, betas.size - 1, counts,
+                                workspace)
+        walks.append((walk, counts))
         means.append([approx[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
         slack += 2.0 * _curve_error(dist.n, horizon, betas.size, n_seeds)
@@ -594,7 +586,7 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     exact = []
     for side, dist in enumerate((dist_a, dist_d)):
         js = [np.unique(plan[side]) for plan in plans]
-        per_row = _exact_means(dist.scores, betas, walks[side],
+        per_row = _exact_means(dist.scores, *walks[side],
                                np.repeat(_padded(js), n_seeds, axis=0),
                                workspace)
         walks[side] = None

@@ -346,6 +346,12 @@ class FitDiagnostics:
     singular: bool
 
 
+_COEFFICIENTS = ("intercept", "coef_balance", "coef_ltv", "coef_dti",
+                 "coef_units")
+_DIAGNOSTICS = ("iterations", "final_log_likelihood", "converged",
+                "gradient_max_norm", "standard_errors", "singular")
+
+
 @dataclass(frozen=True)
 class RiskModel:
     intercept: float
@@ -379,7 +385,28 @@ class RiskModel:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RiskModel":
-        d = data["diagnostics"]
+        """The model to_json_dict wrote: a JSON object with five finite
+        numeric coefficients and every diagnostics key.  Otherwise
+        ValueError names the first key that is missing or bad."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a model must be a JSON object, "
+                             f"got {type(data).__name__}")
+        for key in _COEFFICIENTS:
+            v = data.get(key)
+            if (isinstance(v, bool) or not isinstance(v, (int, float))
+                    or not math.isfinite(v)):
+                raise ValueError(f"model key {key!r} must be a finite "
+                                 f"number, got {v!r}")
+        d = data.get("diagnostics")
+        if not isinstance(d, dict):
+            raise ValueError(f"model key 'diagnostics' must be a JSON "
+                             f"object, got {d!r}")
+        for key in _DIAGNOSTICS:
+            if key not in d:
+                raise ValueError(f"model key 'diagnostics.{key}' is missing")
+        if not isinstance(d["standard_errors"], list):
+            raise ValueError("model key 'diagnostics.standard_errors' must "
+                             "be a list")
         diag = FitDiagnostics(
             iterations=d["iterations"],
             final_log_likelihood=d["final_log_likelihood"],
@@ -439,8 +466,16 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
     Perfect separation raises SeparationError.  A rank-deficient information
     matrix falls back to a minimum-norm step and is reported through the
     `singular` diagnostic.  The ridge penalty (default off) excludes the
-    intercept.
+    intercept.  tol must be finite and positive, max_iter at least 1 and
+    ridge finite and nonnegative: any other setting raises ValueError.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+    if not (math.isfinite(ridge) and ridge >= 0):
+        raise ValueError(f"ridge must be finite and nonnegative, "
+                         f"got {ridge!r}")
     table = LoanTable.from_records(records)
     if len(table) < 2:
         raise ValueError("at least 2 training records required")

@@ -162,6 +162,17 @@ def reference_sweep_tail(scores0, betas, walks):
     return np.ascontiguousarray(finals.transpose(0, 2, 1)).mean(axis=2)
 
 
+def reference_threshold_counts(scores0, betas, walks):
+    """C[t, r, i] = #{j : betas[j] <= min(X_0..X_t)} of agent i in row r,
+    for walks[r, t] = X[t + 1] (X[0] = scores0): the counts of thresholds
+    at or below each step's running minimum, shape (horizon, rows, n)."""
+    rows, horizon, n = walks.shape
+    path = np.concatenate([np.broadcast_to(scores0, (rows, 1, n)), walks],
+                          axis=1)[:, :horizon]
+    runmin = np.minimum.accumulate(path, axis=1)
+    return np.searchsorted(betas, runmin, side="right").transpose(1, 0, 2)
+
+
 def reference_approved_step(scores, u, k, c):
     """dynamics.approved_step as a branching np.where: +k where u < pi,
     else c * -k, then the clamp; a new array."""

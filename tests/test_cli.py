@@ -756,9 +756,9 @@ class TestGridCaps:
 
     def test_acceptance_sizes_sit_far_below_the_memory_cap(self):
         # The criterion-6 and benchmark grids: 500 scores per group, 10
-        # replicates, horizon 20; 7.8 MB of cell arrays, 137 times under.
+        # replicates, horizon 20; 9.0 MB of cell arrays, 119 times under.
         need = interventions.cell_bytes(500, 500, 20, 10)
-        assert need == 7_835_008
+        assert need == 9_035_008
         assert need * 100 < interventions.MAX_CELL_BYTES
 
     def test_long_c_span_is_refused_by_max_mean_curve(self, capsys,
@@ -840,6 +840,93 @@ class TestRiskCommands:
         assert code == 1
         assert err.startswith("computation failed:")
         assert "separat" in err.lower()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--ridge", "-1", "ridge must be finite and nonnegative, got -1.0"),
+        ("--ridge", "nan", "ridge must be finite and nonnegative, got nan"),
+        ("--ridge", "inf", "ridge must be finite and nonnegative, got inf"),
+        ("--max-iter", "0", "max_iter must be at least 1, got 0"),
+        ("--max-iter", "-3", "max_iter must be at least 1, got -3"),
+        ("--tol", "nan", "tol must be finite and positive, got nan"),
+        ("--tol", "0", "tol must be finite and positive, got 0.0"),
+        ("--tol", "-0.001", "tol must be finite and positive, got -0.001"),
+        ("--tol", "inf", "tol must be finite and positive, got inf"),
+    ])
+    def test_settings_that_change_the_fit_are_refused(self, capsys, tmp_path,
+                                                      flag, value, message):
+        # Each of these once fit without a penalty, ran every iteration or
+        # wrote "gradient_max_norm": Infinity, and exited 0.
+        train = tmp_path / "train.csv"
+        write_loan_csv(train, make_loan_rows(400, seed=3))
+        model = tmp_path / "model.json"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "train-risk", "--in", train,
+                                "--out-model", model, flag, value)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == "" and not model.exists()
+
+    def test_a_nan_ridge_does_not_hide_separation(self, capsys, tmp_path):
+        train = tmp_path / "sep.csv"
+        write_loan_csv(train, [{"balance": "5.0", "ltv": str(float(v)),
+                                "dti": "3.0", "units": "1",
+                                "purpose": "purchase",
+                                "late": "1" if v > 80 else "0"}
+                               for v in range(60, 101, 3)])
+        model = tmp_path / "m.json"
+        assert run(capsys, "train-risk", "--in", train,
+                   "--out-model", model)[0] == 1
+        code, _, err = run(capsys, "train-risk", "--in", train,
+                           "--out-model", model, "--ridge", "nan")
+        assert code == 2
+        assert err == "error: ridge must be finite and nonnegative, got nan\n"
+        assert not model.exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.pop("diagnostics"),
+         "model key 'diagnostics' must be a JSON object, got None"),
+        (lambda m: m.update(intercept="-2.5"),
+         "model key 'intercept' must be a finite number, got '-2.5'"),
+        (lambda m: m.pop("coef_ltv"),
+         "model key 'coef_ltv' must be a finite number, got None"),
+        (lambda m: m.update(coef_dti=float("nan")),
+         "model key 'coef_dti' must be a finite number, got nan"),
+        (lambda m: m.update(coef_units=True),
+         "model key 'coef_units' must be a finite number, got True"),
+        (lambda m: m["diagnostics"].pop("singular"),
+         "model key 'diagnostics.singular' is missing"),
+        (lambda m: m["diagnostics"].update(standard_errors=0.5),
+         "model key 'diagnostics.standard_errors' must be a list"),
+    ])
+    def test_a_malformed_model_is_refused(self, capsys, tmp_path, edit,
+                                          message):
+        train, apps = write_risk_inputs(tmp_path)
+        model = tmp_path / "model.json"
+        assert run(capsys, "train-risk", "--in", train,
+                   "--out-model", model)[0] == 0
+        payload = json.loads(model.read_text())
+        edit(payload)
+        model.write_text(json.dumps(payload))
+        scores = tmp_path / "scores"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "predict-risk", "--model", model,
+                                "--in", apps, "--out-scores", scores)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert stdout == "" and not scores.exists()
+
+    def test_a_model_that_is_not_an_object_is_refused(self, capsys,
+                                                      tmp_path):
+        _, apps = write_risk_inputs(tmp_path)
+        model = tmp_path / "model.json"
+        model.write_text("[1, 2]\n")
+        code, _, err = run(capsys, "predict-risk", "--model", model,
+                           "--in", apps, "--out-scores", tmp_path / "scores")
+        assert code == 2
+        assert err == "error: a model must be a JSON object, got list\n"
+        assert not (tmp_path / "scores").exists()
 
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, _ = run(capsys, "train-risk", "--in", tmp_path / "nope.csv",
@@ -999,6 +1086,27 @@ class TestReproduceFigure:
             assert (out / f"grid_alpha{alpha}.csv").exists()
             payload = json.loads((out / f"grid_alpha{alpha}.json").read_text())
             assert payload["alpha"] == float(alpha)
+
+    @pytest.mark.parametrize("alphas, first, second, stem", [
+        (("0.1234567", "0.1234568"), "0.1234567", "0.1234568",
+         "grid_alpha0.123457"),
+        (("0.5", "0.5"), "0.5", "0.5", "grid_alpha0.5"),
+        (("0.2", "0.5", "0.50"), "0.5", "0.5", "grid_alpha0.5"),
+    ])
+    def test_alphas_that_share_a_file_are_refused(self, capsys, monkeypatch,
+                                                  tmp_path, alphas, first,
+                                                  second, stem):
+        # Each pair once wrote one grid over the other and exited 0.
+        _forbid(monkeypatch, "recommend_grid")
+        out = tmp_path / "fig"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "reproduce-figure", "--which", "grid",
+                                "--alpha", *alphas, "--out-dir", out)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == ""
+        assert err == (f"error: --alpha {first} and {second} would both "
+                       f"write {stem}.json and {stem}.csv\n")
+        assert not out.exists()
 
     def test_max_mean_path(self, capsys, tmp_path):
         out = tmp_path / "fig"

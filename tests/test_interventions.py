@@ -17,12 +17,13 @@ from lendingdyn import interventions, read_score_csv
 from lendingdyn._random import TAG_CELL, TAG_REPLICATE, derive_seed, uniform_blocks
 from lendingdyn.interventions import (KIND_ORDER, _approx_curves, _beta_grid,
                                       _curve_error, _evaluate_cell,
-                                      _exact_means, _lattice, _lattice_bins,
-                                      _walk, _Workspace)
+                                      _exact_means, _lattice_bins, _walk,
+                                      _Workspace, cell_bytes)
 
 from oracles import (reference_baseline_outcome, reference_evaluate_cell,
                      reference_group_means, reference_mean_curves,
-                     reference_sweep_tail, reference_walk)
+                     reference_sweep_tail, reference_threshold_counts,
+                     reference_walk)
 
 BO = InterventionKind.BETA_ONLY
 GB = InterventionKind.GROUP_BLIND
@@ -107,13 +108,39 @@ def _approved_walk(scores, k, c_rows, walk):
     _walk(scores, k, c_rows, walk, 1.0, 0.0, _Workspace())
 
 
+def _curves_and_counts(scores, walk, m, workspace=None):
+    """_approx_curves of a walk over m threshold steps, and the threshold
+    counts it takes, which must be the reference counts."""
+    rows, horizon, n = walk.shape
+    counts = np.empty((horizon, rows, n), np.uint16)
+    curves = _approx_curves(scores, walk, m, counts,
+                            workspace or _Workspace())
+    assert np.array_equal(counts, reference_threshold_counts(
+        scores, np.linspace(0.0, 1.0, m + 1), walk))
+    return curves, counts
+
+
+def _read_out(scores, betas, walk, js, workspace=None):
+    """The exact read-out at betas[js]: from the counts _approx_curves
+    takes when betas is the grid of some m steps, else (for any other
+    ascending betas) from the reference counts."""
+    workspace = workspace or _Workspace()
+    m = betas.size - 1
+    if m and np.array_equal(betas, np.linspace(0.0, 1.0, m + 1)):
+        _, counts = _curves_and_counts(scores, walk, m, workspace)
+    else:
+        counts = reference_threshold_counts(scores, betas, walk).astype(
+            np.uint16)
+    return _exact_means(scores, walk, counts, js, workspace)
+
+
 def _row_curves(scores, k, c_rows, betas, blocks):
     """Exact sweep curves of rows walked at their own penalties: the walk,
     then the exact read-out at every threshold of every row."""
     walk = blocks.copy()
     _approved_walk(scores, k, c_rows, walk)
     js = np.tile(np.arange(betas.size), (len(walk), 1))
-    return _exact_means(scores, betas, walk, js, _Workspace())
+    return _read_out(scores, betas, walk, js)
 
 
 def _mean_curves(scores, k, c, betas, blocks):
@@ -236,7 +263,7 @@ class TestMeanCurves:
         workspace = _Workspace()
         _walk(scores, 0.1, [1.0, 2.0, 3.0], walk,
               optimal_threshold(0.1, 2.0).beta_hat, 2.0, workspace)
-        _approx_curves(scores, walk, 20, workspace)
+        _curves_and_counts(scores, walk, 20, workspace)
         assert scores.tobytes() == kept.tobytes()
 
 
@@ -686,6 +713,28 @@ class TestWorkspace:
             assert not thread.is_alive()
         assert got == serial
 
+    @pytest.mark.parametrize(
+        "n_a, n_d, horizon, n_seeds, k, step, per_group", [
+        (500, 500, 20, 10, 0.1, 0.01, False),   # the benchmark grid's cells
+        (500, 500, 20, 10, 0.0, 0.001, False),  # every threshold survives
+        (500, 500, 20, 10, 0.0, 0.001, True),
+        (40, 3000, 20, 10, 0.1, 0.01, False),
+        (3000, 40, 20, 10, 0.1, 0.01, False),
+        (50, 60, 255, 2, 0.1, 0.01, False),     # tau fits in a uint8
+        (50, 60, 256, 2, 0.1, 0.01, False),     # tau needs a uint16
+    ])
+    def test_cell_bytes_bounds_the_workspace(self, n_a, n_d, horizon,
+                                             n_seeds, k, step, per_group):
+        dist_a, dist_d = _pair(n_a + horizon, n_a, n_d, a=(8, 3), d=(7, 3))
+        specs = [InterventionSpec(kind=kind, r=0.5, baseline_c=1.5)
+                 for kind in KIND_ORDER]
+        workspace = _Workspace()
+        _evaluate_cell(dist_a, dist_d, specs, [1, 2, 3],
+                       UtilityWeights(alpha=0.5, mode="literal"), k, horizon,
+                       n_seeds, per_group, _beta_grid(step), workspace)
+        held = sum(buf.nbytes for buf in workspace._buffers.values())
+        assert held <= cell_bytes(n_a, n_d, horizon, n_seeds)
+
 
 class TestBetaGrid:
     @pytest.mark.parametrize("step", [0.01, 0.02, 0.05, 0.1, 0.2, 0.25, 1.0,
@@ -729,24 +778,21 @@ class TestLatticeBins:
             betas = np.linspace(0.0, 1.0, m + 1)
             values = np.stack([rng.permutation(_adversarial_values(m, rng))
                                for _ in range(rows)])
-            got = _lattice_bins(values, m, _lattice(m, rows),
+            got = _lattice_bins(values, m,
                                 np.empty(values.shape, dtype=np.intp),
                                 np.empty(values.shape))
             want = np.searchsorted(betas, values, side="right")
-            offsets = (np.arange(rows) * (m + 2))[:, None]
-            assert np.array_equal(got - offsets, want), m
+            assert np.array_equal(got, want), m
 
     def test_a_leading_step_axis(self):
         m, rows = 100, 4
         rng = np.random.default_rng(1)
         values = rng.choice(_adversarial_values(m, rng), (5, rows, 30))
         out = np.empty(values.shape, dtype=np.intp)
-        got = _lattice_bins(values, m, _lattice(m, rows), out,
-                            np.empty(values.shape))
+        got = _lattice_bins(values, m, out, np.empty(values.shape))
         assert got is out
         want = np.searchsorted(np.linspace(0.0, 1.0, m + 1), values, "right")
-        assert np.array_equal(got - (np.arange(rows) * (m + 2))[:, None],
-                              want)
+        assert np.array_equal(got, want)
 
 
 def _random_walk_case(rng, horizon, n, rows, m, on_grid=0.3):
@@ -775,8 +821,8 @@ class TestApproximateCurves:
             rows = int(rng.integers(1, 9))
             m = int(rng.choice([1, 2, 4, 10, 20, 100, 1000]))
             betas, scores, walk = _random_walk_case(rng, horizon, n, rows, m)
-            approx = _approx_curves(scores, walk, m, workspace)
-            exact = _exact_means(scores, betas, walk,
+            approx, counts = _curves_and_counts(scores, walk, m, workspace)
+            exact = _exact_means(scores, walk, counts,
                                  np.tile(np.arange(m + 1), (rows, 1)),
                                  workspace)
             bound = _curve_error(n, horizon, m + 1, 1)
@@ -797,9 +843,9 @@ class TestApproximateCurves:
         _approved_walk(scores, 0.1, np.full(4, 2.0), walk)
         betas = _beta_grid(0.05)
         top = betas > scores.max()
-        approx = _approx_curves(scores, walk, 20, _Workspace())
+        approx, counts = _curves_and_counts(scores, walk, 20)
         assert np.all(approx[:, top] == approx[:, top][:, :1])
-        exact = _exact_means(scores, betas, walk,
+        exact = _exact_means(scores, walk, counts,
                              np.tile(np.flatnonzero(top), (4, 1)),
                              _Workspace())
         assert np.all(exact == scores.mean())
@@ -909,6 +955,40 @@ class TestBoundedSearch:
                     assert all(o.beta_by_group == {"A": 1.0, "D": 1.0}
                                for o in got)
 
+    @pytest.mark.parametrize("k", [0.0, 0.1])
+    def test_the_finest_threshold_grid(self, monkeypatch, k):
+        # At beta_step 0.001 a score of 1.0 has a threshold count of 1,001,
+        # the most the uint16 counts hold; at k = 0 every threshold
+        # survives, so the read-out runs in several column blocks.
+        reads = []
+        real = interventions._exact_means
+
+        def spy(scores0, walk, counts, js, workspace):
+            reads.append((js.shape[1], int(counts.max(initial=0))))
+            return real(scores0, walk, counts, js, workspace)
+
+        monkeypatch.setattr(interventions, "_exact_means", spy)
+        betas = _beta_grid(0.001)
+        rng = np.random.default_rng(41)
+        dist_a = ScoreDistribution("A", np.concatenate(
+            [[1.0, 0.5], rng.choice(betas, 18), rng.beta(8, 3, 20)]))
+        dist_d = ScoreDistribution("D", np.concatenate(
+            [[1.0], rng.choice(betas, 12), rng.beta(7, 3, 20)]))
+        specs = [InterventionSpec(kind=kind, r=0.5, baseline_c=1.5)
+                 for kind in KIND_ORDER]
+        for per_group in (False, True):
+            for weights in _WEIGHTS[::2]:
+                args = (dist_a, dist_d, specs, [5, 6, 7], weights, k, 12, 4,
+                        per_group, betas)
+                assert [_bits(o) for o in _evaluate_cell(*args, _Workspace())] \
+                    == [_bits(o) for o in reference_evaluate_cell(*args)]
+        assert max(top for _, top in reads) == betas.size
+        if k == 0.0:
+            # 1,001 columns of 12 rows, read in blocks of at most 546 (A,
+            # 40 agents) and 661 (D, 33 agents) columns
+            assert {betas.size, 546, 455, 661, 340} <= \
+                {width for width, _ in reads}
+
     def test_negative_zero_scores(self):
         # Means of -0.0 scores: the replicate sums start from +0.0, as
         # numpy's do.
@@ -977,9 +1057,9 @@ class TestBoundedSearch:
         widths = []
         real = interventions._exact_means
 
-        def spy(scores0, betas, walk, js, workspace):
+        def spy(scores0, walk, counts, js, workspace):
             widths.append(js.shape[1])
-            return real(scores0, betas, walk, js, workspace)
+            return real(scores0, walk, counts, js, workspace)
 
         monkeypatch.setattr(interventions, "_exact_means", spy)
         dist_a, dist_d = _pair(n_seeds, 200, 150)
@@ -1003,12 +1083,11 @@ class TestBoundedSearch:
             js = np.stack([rng.choice(betas.size, 6, replace=False)
                            for _ in range(5)])
             for got_walk in (walk, step_major):
-                assert _exact_means(scores, betas, got_walk, js,
-                                    _Workspace()).tobytes() == \
+                assert _read_out(scores, betas, got_walk, js).tobytes() == \
                     np.take_along_axis(reference_sweep_tail(
                         scores, betas, walk), js, axis=1).tobytes()
-            assert np.abs(_approx_curves(scores, step_major, 50, _Workspace())
-                          - _approx_curves(scores, walk, 50, _Workspace())
+            assert np.abs(_curves_and_counts(scores, step_major, 50)[0]
+                          - _curves_and_counts(scores, walk, 50)[0]
                           ).max() <= _curve_error(60, horizon, 51, 1)
 
     def test_exact_read_out_at_chosen_thresholds(self):
@@ -1019,7 +1098,7 @@ class TestBoundedSearch:
         full = reference_sweep_tail(scores, betas, walk)
         js = np.stack([rng.choice(betas.size, 4, replace=False)
                        for _ in range(6)])
-        got = _exact_means(scores, betas, walk, js, _Workspace())
+        got = _read_out(scores, betas, walk, js)
         assert got.tobytes() == np.take_along_axis(full, js, axis=1).tobytes()
 
     def test_group_walk_equals_the_full_sweep(self):
@@ -1032,7 +1111,7 @@ class TestBoundedSearch:
         workspace = _Workspace()
         base = _walk(scores, 0.1, c_rows, walk,
                      optimal_threshold(0.1, 2.0).beta_hat, 2.0, workspace)
-        approx = _approx_curves(scores, walk, 50, workspace)
+        approx, _ = _curves_and_counts(scores, walk, 50, workspace)
         curves, want = reference_group_means(scores, 0.1, c_rows, 2.0, betas,
                                              blocks)
         assert base.tobytes() == want.tobytes()

@@ -17,9 +17,10 @@ depend on the data.  `_step_keys` mixes the words of a whole set of seeds in
 one pass: the words before t as arrays over the seeds, then t and the slot
 as arrays over (seed, t), giving every (seed, step) key at once.
 `uniform_blocks` then resets one Philox to (key, counter 0, empty buffer)
-for each row of one preallocated step-major (seeds, H, n) array.  Row t of
-block s is therefore byte for byte `step_uniforms(seeds[s], t, slot, n)`,
-and `uniform_block` is the one-seed case.
+for each row of one preallocated step-major (H, seeds, n) array: a grid
+walk's slabs 1..H, where walk[t] becomes X[t].  Row [t, s] is therefore
+byte for byte `step_uniforms(seeds[s], t, slot, n)`, and `uniform_block`
+is the one-seed case.
 """
 
 from __future__ import annotations
@@ -152,25 +153,22 @@ def _step_keys(seeds: Sequence[int], horizon: int,
 
 def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
                    n: int, out: np.ndarray | None = None) -> np.ndarray:
-    """All update uniforms for one run per seed, shape (len(seeds), horizon, n).
+    """All update uniforms for one run per seed, shape (horizon, len(seeds), n).
 
-    Row t of block s is byte for byte step_uniforms(seeds[s], t, group_slot,
-    n), from one Philox generator reset to each (seed, step) key in turn.
-    The blocks are step-major: out, new or given (a reused buffer), is the
-    (1, 0, 2) transpose of a C-contiguous float array of shape (horizon,
-    len(seeds), n), filled step by step in memory order.
+    Row [t, s] is byte for byte step_uniforms(seeds[s], t, group_slot, n),
+    from one Philox generator reset to each (seed, step) key in turn.  The
+    blocks are step-major: out, new or given (a reused buffer), is a
+    C-contiguous float array, filled row by row in memory order.
     """
     if out is None:
         # Allocated before the keys so that a negative horizon raises here.
-        out = np.empty((horizon, len(seeds), n)).transpose(1, 0, 2)
-    # The rows in memory order: step by step.
-    memory = out.transpose(1, 0, 2)
-    if (out.shape != (len(seeds), horizon, n) or out.dtype != np.float64
-            or not memory.flags.c_contiguous):
-        raise ValueError("out must be a step-major float array of shape "
-                         f"{(len(seeds), horizon, n)}")
+        out = np.empty((horizon, len(seeds), n))
+    if (out.shape != (horizon, len(seeds), n) or out.dtype != np.float64
+            or not out.flags.c_contiguous):
+        raise ValueError("out must be a C-contiguous float array of shape "
+                         f"{(horizon, len(seeds), n)}")
     keys = _step_keys(seeds, horizon, group_slot).transpose(1, 0, 2)
-    rows = memory.reshape(len(seeds) * horizon, n)
+    rows = out.reshape(horizon * len(seeds), n)
     bitgen = np.random.Philox(0)
     gen = np.random.Generator(bitgen)
     # A fresh stream: counter 0, empty buffer.  Plain lists keep the
@@ -188,4 +186,4 @@ def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
 
 def uniform_block(seed: int, horizon: int, group_slot: int, n: int) -> np.ndarray:
     """All update uniforms for one run, shape (horizon, n): one seed's block."""
-    return uniform_blocks([seed], horizon, group_slot, n)[0]
+    return uniform_blocks([seed], horizon, group_slot, n)[:, 0]

@@ -32,8 +32,8 @@ from . import __version__
 from ._random import TAG_SAMPLE, derive_seed
 from .distributions import (BetaSpec, check_dominance, read_score_csv,
                             sample_beta, write_score_csv)
-from .dynamics import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
-                       simulate, simulate_group)
+from .dynamics import (MAX_SIMULATE_ROWS, DynamicsParams, ScoreDistribution,
+                       ThresholdPolicy, simulate, simulate_group)
 from .interventions import (MAX_CELL_BYTES, MAX_GRID_CELLS, MAX_SPAN_POINTS,
                             UtilityWeights, WorkerLost, cell_bytes,
                             grid_as_dict, grid_rows, recommend_grid)
@@ -160,6 +160,18 @@ def _cfg_text(v) -> str:
     if isinstance(v, tuple):
         return " ".join(_cfg_text(x) for x in v)
     return str(v)
+
+
+def _check_out_dirs(values: dict) -> None:
+    """Refuse, creating nothing, an output directory that exists and is not
+    one, or whose nearest existing ancestor is not one."""
+    for key in ("out_dir", "out_scores"):
+        path = Path(values.get(key) or ".")
+        there = next(p for p in (path, *path.parents)
+                     if p.exists() or p.is_symlink())
+        if not there.is_dir():
+            raise CliError(f"{_flag(key)} {path} cannot be a directory: "
+                           f"{there} exists and is not one")
 
 
 def _out_dir(values: dict) -> Path:
@@ -374,12 +386,20 @@ def cmd_simulate(values: dict) -> None:
         values["c"] = 1.0       # in place, so run.cfg records it
     c_a, c_d = _pair_option(values, "c", "c_a", "c_d", "a penalty ratio")
     dist_a, dist_d = _load_pair(values)
+    # Rows of trajectory.csv and agents.csv, counted after loading, which
+    # holds horizon + 1 times fewer scores.
+    horizon, dump = values["horizon"], values["dump_agents"]
+    rows = (horizon + 1) * (2 + (dist_a.n + dist_d.n) * dump)
+    if rows > MAX_SIMULATE_ROWS:
+        raise CliError(f"--horizon {horizon}{' with --dump-agents' * dump} "
+                       f"and {dist_a.n:,}/{dist_d.n:,} scores give {rows:,} "
+                       f"output rows, more than the cap of "
+                       f"{MAX_SIMULATE_ROWS:,}")
     policy = ThresholdPolicy(beta_by_group={"A": beta_a, "D": beta_d})
     params = DynamicsParams(k=values["k"], c_by_group={"A": c_a, "D": c_d})
-    traj = simulate(dist_a, dist_d, policy, params, values["horizon"],
-                    values["seed"])
+    traj = simulate(dist_a, dist_d, policy, params, horizon, values["seed"])
     out = _out_dir(values)
-    agents = out / "agents.csv" if values["dump_agents"] else None
+    agents = out / "agents.csv" if dump else None
     traj.write_csv(out / "trajectory.csv", per_agent_path=agents)
     final_a = traj.final("A").mean()
     final_d = traj.final("D").mean()
@@ -683,9 +703,11 @@ def cmd_reproduce_figure(values: dict) -> None:
         cmd_max_mean_curve(values)
         return
     # A stem keeps six significant digits of alpha; alphas that would
-    # share one are refused before any grid is built.
+    # share one, and alphas outside [0, 1], are refused before any grid is
+    # built.
     stems: dict[str, float] = {}
     for alpha in values["alpha"]:
+        UtilityWeights(alpha=alpha, mode=values["mode"])
         stem = f"grid_alpha{alpha:g}"
         if stem in stems:
             raise CliError(f"--alpha {stems[stem]!r} and {alpha!r} would "
@@ -763,6 +785,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         values = _resolve(args, spec.options)
+        _check_out_dirs(values)
         spec.run(values)
         if values.get("out_dir"):
             _finalize(spec.name, values, t0)

@@ -42,6 +42,10 @@ import numpy as np
 # and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import step_uniforms, substream  # noqa: F401
 
+# Most CSV rows that the command line lets one simulate run write, in
+# trajectory.csv and agents.csv; the loans benchmark writes 802.
+MAX_SIMULATE_ROWS = 10_000_000
+
 
 def _as_readonly_scores(scores) -> np.ndarray:
     arr = np.asarray(scores, dtype=float)

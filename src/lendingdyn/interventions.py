@@ -57,12 +57,14 @@ baseline at the shared c-hat.  Every kind keeps its own seed
 (seed, cell, kind) and its own replicates, so its outcome is evaluate_policy
 under that seed, bit for bit; evaluate_policy is the one-kind case.
 
-A cell's uniform blocks, which become its walks, and its step and search
-temporaries are arrays of a workspace (_Workspace) that lives for one
-evaluation: one evaluate_policy call, or one grid, in each grid worker
-process or in the process that runs the cells itself.  The cells of a grid
-ask for the same shapes, so after its first cell a worker allocates and
-faults in none of them again.  Nothing about a workspace reaches a number.
+A group's walk is one step-major (horizon + 1, rows, n) array, walk[t] =
+X[t]: the scores, then the uniform blocks stepped in place.  It and the
+cell's step and search temporaries are arrays of a workspace (_Workspace)
+that lives for one evaluation: one evaluate_policy call, or one grid, in
+each grid worker process or in the process that runs the cells itself.
+The cells of a grid ask for the same shapes, so after its first cell a
+worker allocates and faults in none of them again.  Nothing about a
+workspace reaches a number.
 """
 
 from __future__ import annotations
@@ -181,7 +183,7 @@ MAX_SPAN_POINTS = 1000
 MAX_GRID_CELLS = 10_000
 
 # Most bytes of cell arrays (cell_bytes) that the command line lets one grid
-# worker hold: 1 GiB, 119 times the 9.0 MB of the acceptance and benchmark
+# worker hold: 1 GiB, 115 times the 9.3 MB of the acceptance and benchmark
 # grids (500 scores per group, 10 replicates, horizon 20).
 MAX_CELL_BYTES = 1 << 30
 
@@ -211,9 +213,9 @@ def cell_bytes(n_a: int, n_d: int, horizon: int, n_seeds: int) -> int:
     """Estimated bytes of the arrays one grid cell holds at once, in one
     worker's workspace, for groups of n_a and n_d scores.
 
-    The two groups' uniform blocks, which become the walks, hold
-    3 * n_seeds rows of horizon x n floats each, and their threshold counts
-    as many uint16; the walk keeps five (2, rows, n) arrays of 8-byte items
+    The two groups' walks, X[0..horizon] of 3 * n_seeds rows each, hold
+    (horizon + 1) x n floats per row, and their threshold counts horizon x n
+    uint16; the walk keeps five (2, rows, n) arrays of 8-byte items
     (the step pair, its scratch and its two step patterns); the threshold
     search's batches are bounded by _BATCH_CELLS, or by one step's
     rows x n when that is larger.
@@ -223,7 +225,7 @@ def cell_bytes(n_a: int, n_d: int, horizon: int, n_seeds: int) -> int:
     batch = max(_BATCH_CELLS, rows * n)
     cols = max(8 * _BATCH_CELLS, rows * n)
     tau = np.min_scalar_type(max(horizon, 0)).itemsize
-    return (8 * rows * horizon * (n_a + n_d)       # the blocks
+    return (8 * rows * (horizon + 1) * (n_a + n_d)  # the walks
             + 2 * rows * horizon * (n_a + n_d)     # their threshold counts
             + 5 * 8 * 2 * rows * n                 # the walk's step arrays
             + 3 * 8 * batch                        # running minima, bins
@@ -257,14 +259,15 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _walk(scores0: np.ndarray, k: float, c_rows, blocks: np.ndarray,
-          bhat: float, c_hat: float, workspace: _Workspace) -> np.ndarray:
+def _walk(k: float, c_rows, walk: np.ndarray, bhat: float, c_hat: float,
+          workspace: _Workspace) -> np.ndarray:
     """Step every row's always-approved walk, in place of its uniforms, and
     the beta-hat baseline beside it; return each row's baseline mean.
 
-    Row r draws blocks[r], shape (horizon, n), at penalty c_rows[r]; after
-    the walk blocks[r, t] holds X[t + 1] (X[0] = scores0).  The baseline
-    steps the same uniforms at c_hat in the same approved_step call, and
+    walk, step-major (horizon + 1, rows, n), holds X[0] in walk[0] and the
+    uniforms of step t in walk[t + 1], row r's drawn at penalty c_rows[r];
+    after the walk walk[t] holds X[t].  The baseline steps the same
+    uniforms from walk[0] at c_hat in the same approved_step call, and
     keep_denied gives its agents below bhat their scores back, bit for bit
     (a denied -0.0 stays -0.0), so row r's baseline mean is
     simulate_group(..., bhat, k, c_hat, ...).mean() for the row's seed,
@@ -273,30 +276,22 @@ def _walk(scores0: np.ndarray, k: float, c_rows, blocks: np.ndarray,
     and their int64 scratch come from the workspace, and the step loop
     allocates nothing.
     """
-    rows, horizon, n = blocks.shape
+    rows, n = walk.shape[1:]
     c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
     # pair[0] is the walk, pair[1] the baseline; one call steps both.
     pair = workspace.array("pair", (2, rows, n))
     nxt = workspace.array("pair_next", (2, rows, n))
     bits = workspace.array("pair_bits", (2, rows, n), np.int64)
-    pair[:] = scores0
+    pair[:] = walk[0]
     c_pair = np.stack([c_col, np.full_like(c_col, c_hat)])
     steps = step_bits(k, c_pair, workspace.array("pair_steps", (2, 2, rows, n),
                                                  np.int64))
-    for t in range(horizon):
-        u = blocks[:, t]
+    for u in walk[1:]:
         approved_step(pair, u, steps, nxt, bits)
         keep_denied(pair[1], bhat, nxt[1], bits[1])
         u[...] = nxt[0]
         pair, nxt = nxt, pair
     return pair[1].mean(axis=1)
-
-
-def _batch_shape(walk: np.ndarray) -> tuple[int, int, int]:
-    """(steps, rows, n) of one batch of a walk's steps: at most
-    _BATCH_CELLS cells, and at least one step."""
-    rows, horizon, n = walk.shape
-    return min(max(1, _BATCH_CELLS // max(1, rows * n)), horizon), rows, n
 
 
 def _lattice_bins(values: np.ndarray, m: int, out: np.ndarray,
@@ -319,11 +314,12 @@ def _lattice_bins(values: np.ndarray, m: int, out: np.ndarray,
     return out
 
 
-def _approx_curves(scores0: np.ndarray, walk: np.ndarray, m: int,
-                   counts: np.ndarray, workspace: _Workspace) -> np.ndarray:
+def _approx_curves(walk: np.ndarray, m: int, counts: np.ndarray,
+                   workspace: _Workspace) -> np.ndarray:
     """Every row's mean curve over the thresholds linspace(0, 1, m + 1),
-    to within _curve_error; the threshold counts C of every step go to
-    counts, shape (horizon, rows, n), which _exact_means reads next.
+    to within _curve_error, from a step-major walk, walk[t] = X[t] (_walk);
+    the threshold counts C of every step go to counts, shape (horizon,
+    rows, n), for _exact_means.
 
     Under threshold b an agent ends at X[tau], tau = #{t < horizon :
     min(X[0..t]) >= b}, so its final score is X[horizon] plus X[t] - X[t+1]
@@ -333,38 +329,32 @@ def _approx_curves(scores0: np.ndarray, walk: np.ndarray, m: int,
     bincount over (row, C[t]) per batch of steps, then a cumsum along j.
     C[t] is at most m + 1 <= 1,001 (_beta_grid), so counts may be uint16.
     """
-    rows, horizon, n = walk.shape
+    horizon, rows, n = len(walk) - 1, *walk.shape[1:]
     size = rows * (m + 2)
     sums = np.zeros(size)
     # row r's counts go to its own m + 2 bins
     offsets = np.arange(0, size, m + 2).reshape(rows, 1)
-    shape = _batch_shape(walk)
+    # A batch of steps holds at most _BATCH_CELLS cells, or one step.
+    per = max(1, _BATCH_CELLS // (rows * n))
+    shape = (min(per, horizon), rows, n)
     runmin = workspace.array("runmin", shape)
     bins = workspace.array("bins", shape, np.intp)
     scratch = workspace.array("bin_values", shape)
-    low, per = scores0, max(1, shape[0])
+    low = walk[0]
     for t0 in range(0, horizon, per):
         t1 = min(horizon, t0 + per)
         mins, b, diff = runmin[:t1 - t0], bins[:t1 - t0], scratch[:t1 - t0]
         # mins[s] = min(X[0], ..., X[t0 + s])
         for t in range(t0, t1):
-            low = np.minimum(low, walk[:, t - 1] if t else scores0,
-                             out=mins[t - t0])
+            low = np.minimum(low, walk[t], out=mins[t - t0])
         _lattice_bins(mins, m, b, diff)
         counts[t0:t1] = b
         b += offsets
         # diff[s] = X[t] - X[t + 1] for t = t0 + s
-        steps = walk[:, t0:t1].transpose(1, 0, 2)
-        if t0:
-            np.subtract(walk[:, t0 - 1:t1 - 1].transpose(1, 0, 2), steps,
-                        out=diff)
-        else:
-            np.subtract(scores0, steps[0], out=diff[0])
-            np.subtract(steps[:-1], steps[1:], out=diff[1:])
+        np.subtract(walk[t0:t1], walk[t0 + 1:t1 + 1], out=diff)
         sums += np.bincount(b.ravel(), diff.ravel(), size)
-    last = walk[:, -1] if horizon else np.broadcast_to(scores0, (rows, n))
     curves = np.cumsum(sums.reshape(rows, m + 2)[:, :m + 1], axis=1)
-    curves += last.sum(axis=1, keepdims=True)
+    curves += walk[horizon].sum(axis=1, keepdims=True)
     curves /= n
     return curves
 
@@ -390,9 +380,10 @@ def _curve_error(n: int, horizon: int, n_betas: int, n_rows: int) -> float:
             + 4.0 * _U)
 
 
-def _exact_means(scores0: np.ndarray, walk: np.ndarray, counts: np.ndarray,
-                 js: np.ndarray, workspace: _Workspace) -> np.ndarray:
-    """Horizon-end means of every row of a walk at its own thresholds.
+def _exact_means(walk: np.ndarray, counts: np.ndarray, js: np.ndarray,
+                 workspace: _Workspace) -> np.ndarray:
+    """Horizon-end means of every row of a step-major walk, walk[t] = X[t]
+    (_walk), at its own thresholds.
 
     counts holds the walk's threshold counts C, the uint16 array that
     _approx_curves fills (each count at most 1,001), and js, shape
@@ -403,17 +394,17 @@ def _exact_means(scores0: np.ndarray, walk: np.ndarray, counts: np.ndarray,
     running minimum clears the threshold (the freeze identity,
     _approx_curves), is #{t : C[t] > j}: per block of threshold columns of
     at most 8 * _BATCH_CELLS (row, threshold, agent) cells, one pass over
-    the steps counts it, uint16 against uint16.  X[tau] is gathered, rows
-    at a time, into C-ordered (rows, w, agents) arrays of at most
-    _BATCH_CELLS cells and averaged over the agents: the same pairwise sum
-    per (row, threshold) as simulate_group's mean.  Every array at those
-    sizes is the workspace's.
+    the steps counts it, uint16 against uint16.  X[tau] = walk[tau] is
+    gathered, rows at a time, into C-ordered (rows, w, agents) arrays of at
+    most _BATCH_CELLS cells and averaged over the agents: the same pairwise
+    sum per (row, threshold) as simulate_group's mean.  Every array at
+    those sizes is the workspace's.
     """
-    rows, horizon, n = walk.shape
+    horizon, rows, n = len(walk) - 1, *walk.shape[1:]
     width = max(1, 8 * _BATCH_CELLS // (rows * n))
     if js.shape[1] > width:
         return np.hstack([
-            _exact_means(scores0, walk, counts, js[:, j:j + width], workspace)
+            _exact_means(walk, counts, js[:, j:j + width], workspace)
             for j in range(0, js.shape[1], width)])
     cols = js.astype(counts.dtype)[:, :, None]
     tau = workspace.array("tau", js.shape + (n,), np.min_scalar_type(horizon))
@@ -423,24 +414,17 @@ def _exact_means(scores0: np.ndarray, walk: np.ndarray, counts: np.ndarray,
         tau += np.greater(step[:, None], cols, out=approved)
     out = np.empty(tau.shape[:2])
     per = max(1, _BATCH_CELLS // tau[0].size)
-    # The walk is one block of memory in some axis order (C-ordered, or
-    # step-major as _evaluate_cell lays it out): steps is that block, and
-    # walk[r, t, i] is steps[r * sr + t * st + i * si].
-    steps = walk.ravel(order="K")
-    sr, st, si = (stride // walk.itemsize for stride in walk.strides)
+    # walk[t, r, i] is flat[(t * rows + r) * n + i]
+    flat = walk.reshape(-1)
     for r0 in range(0, rows, per):
         part = tau[r0:r0 + per]
         finals = workspace.array("finals", part.shape)
-        if horizon:
-            # X[tau] = walk[r, tau - 1, i]; tau = 0 lands elsewhere or is
-            # clipped, and is overwritten with X[0].
-            flat = workspace.array("final_index", part.shape, np.intp)
-            np.copyto(flat, part)
-            flat *= st
-            flat += (np.arange(r0, r0 + len(part))[:, None, None] * sr - st)
-            flat += np.arange(n) * si
-            np.take(steps, flat, out=finals, mode="clip")
-        np.copyto(finals, scores0, where=part == 0)
+        index = workspace.array("final_index", part.shape, np.intp)
+        np.copyto(index, part)
+        index *= rows * n
+        index += np.arange(r0 * n, (r0 + len(part)) * n).reshape(-1, 1, n)
+        # Every index is in range; mode="raise" would buffer out.
+        np.take(flat, index, out=finals, mode="clip")
         out[r0:r0 + per] = finals.mean(axis=2)
     return out
 
@@ -512,11 +496,11 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     seeds[i]: every spec keeps its own replicate seeds and its rows are
     walked and averaged on their own.  Batching only shares the work: per
     group, one uniform_blocks call builds the blocks of every spec's
-    replicates, and one walk (_walk) steps all of them, each row at its
-    spec's post-intervention penalty, together with the beta-hat baseline,
-    which every spec runs at the shared c-hat.  The blocks, which become
-    the walks, and the walk's and the search's temporaries are arrays of
-    the workspace, so the cells of one grid reuse them.
+    replicates behind the scores in one walk array, and one walk (_walk)
+    steps all of them, each row at its spec's post-intervention penalty,
+    together with the beta-hat baseline, which every spec runs at the
+    shared c-hat.  The walks and the walk's and the search's temporaries
+    are arrays of the workspace, so the cells of one grid reuse them.
 
     The threshold search is bounded.  The walk yields approximate curves
     whose replicate means lie within _curve_error (delta) of the exact
@@ -548,20 +532,20 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     walks, means, bases, slack = [], [], [], 1024.0 * _U
     for slot, dist in ((0, dist_a), (1, dist_d)):
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
-        # The blocks become the walk.  It is step-major, so that a step of
-        # every row, which each walk step and search batch reads, is one
-        # contiguous slab.  Group A's walk and threshold counts live on
-        # until both groups' curves have picked the candidates.
-        walk = workspace.array(f"walk{slot}", (horizon, len(rep_seeds),
-                                               dist.n)).transpose(1, 0, 2)
-        uniform_blocks(rep_seeds, horizon, slot, dist.n, out=walk)
-        base = _walk(dist.scores, k, c_rows, walk, bhat, c_hat, workspace)
+        # Step-major, so that a step of every row, which each walk step and
+        # search batch reads, is one contiguous slab.  Group A's walk and
+        # threshold counts live on until both groups' curves have picked
+        # the candidates.
+        walk = workspace.array(f"walk{slot}", (horizon + 1, len(rep_seeds),
+                                               dist.n))
+        walk[0] = dist.scores
+        uniform_blocks(rep_seeds, horizon, slot, dist.n, out=walk[1:])
+        base = _walk(k, c_rows, walk, bhat, c_hat, workspace)
         # A count is at most m + 1 <= 1,001, as _beta_grid caps m at
         # _MAX_BETA_STEPS, so a uint16 holds it.
         counts = workspace.array(f"counts{slot}", (horizon, len(rep_seeds),
                                                    dist.n), np.uint16)
-        approx = _approx_curves(dist.scores, walk, betas.size - 1, counts,
-                                workspace)
+        approx = _approx_curves(walk, betas.size - 1, counts, workspace)
         walks.append((walk, counts))
         means.append([approx[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
@@ -586,7 +570,7 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     exact = []
     for side, dist in enumerate((dist_a, dist_d)):
         js = [np.unique(plan[side]) for plan in plans]
-        per_row = _exact_means(dist.scores, *walks[side],
+        per_row = _exact_means(*walks[side],
                                np.repeat(_padded(js), n_seeds, axis=0),
                                workspace)
         walks[side] = None

@@ -138,22 +138,31 @@ def reference_mean_curves(scores0, k, c, betas, blocks):
     return S.mean(axis=2)
 
 
-def reference_sweep_tail(scores0, betas, walks):
+def step_major_walk(scores0, blocks):
+    """The array a grid walk lives in, from scores and uniform blocks of
+    shape (rows, horizon, n): shape (horizon + 1, rows, n), C-ordered, with
+    scores0 in slab 0 of every row and blocks[:, t] in slab t + 1."""
+    rows, horizon, n = np.shape(blocks)
+    walk = np.empty((horizon + 1, rows, n))
+    walk[0] = scores0
+    walk[1:] = np.transpose(blocks, (1, 0, 2))
+    return walk
+
+
+def reference_sweep_tail(betas, walk):
     """Horizon-end means of every row's walk at every threshold.
 
-    walks[r, t] is row r's always-approved walk X[t + 1] (X[0] = scores0),
-    shape (rows, horizon, n); betas ascending.  Returns shape
+    walk[t] is every row's always-approved walk X[t], shape
+    (horizon + 1, rows, n); betas ascending.  Returns shape
     (rows, len(betas)).  By the freeze identity an agent with threshold b
     ends at X[tau(b)], tau(b) = #{t < horizon : min(X_0..X_t) >= b}; along
     the betas tau does not increase, so an agent's finals are X[horizon],
     ..., X[0] in runs, one np.repeat of its reversed walk.  This is the
     full sweep the bounded search replaced, kept as its reference.
     """
-    rows, horizon, n = walks.shape
-    nb = betas.size
-    rev = np.empty((rows, n, horizon + 1))
-    rev[:, :, :horizon] = walks[:, ::-1].transpose(0, 2, 1)
-    rev[:, :, horizon] = scores0
+    rows, n, nb = walk.shape[1], walk.shape[2], betas.size
+    # rev[r, i] is agent i's walk in row r, reversed: X[horizon], ..., X[0]
+    rev = np.ascontiguousarray(walk[::-1].transpose(1, 2, 0))
     runmin = np.minimum.accumulate(rev[:, :, :0:-1], axis=2)
     cleared = np.searchsorted(betas, runmin, side="right")
     runs = np.diff(cleared[:, :, ::-1], axis=2, prepend=0, append=nb)
@@ -162,15 +171,13 @@ def reference_sweep_tail(scores0, betas, walks):
     return np.ascontiguousarray(finals.transpose(0, 2, 1)).mean(axis=2)
 
 
-def reference_threshold_counts(scores0, betas, walks):
+def reference_threshold_counts(betas, walk):
     """C[t, r, i] = #{j : betas[j] <= min(X_0..X_t)} of agent i in row r,
-    for walks[r, t] = X[t + 1] (X[0] = scores0): the counts of thresholds
-    at or below each step's running minimum, shape (horizon, rows, n)."""
-    rows, horizon, n = walks.shape
-    path = np.concatenate([np.broadcast_to(scores0, (rows, 1, n)), walks],
-                          axis=1)[:, :horizon]
-    runmin = np.minimum.accumulate(path, axis=1)
-    return np.searchsorted(betas, runmin, side="right").transpose(1, 0, 2)
+    for walk[t] = X[t], shape (horizon + 1, rows, n): the counts of
+    thresholds at or below each step's running minimum, shape
+    (horizon, rows, n)."""
+    runmin = np.minimum.accumulate(walk[:-1], axis=0)
+    return np.searchsorted(betas, runmin, side="right")
 
 
 def reference_approved_step(scores, u, k, c):
@@ -201,7 +208,8 @@ def reference_group_means(scores0, k, c_rows, c_hat, betas, blocks):
         base = reference_advance(base, u, bhat, k, c_hat)
         u[...] = reference_approved_step(x, u, k, c_col)
         x = u
-    return reference_sweep_tail(scores0, betas, blocks), base.mean(axis=1)
+    return (reference_sweep_tail(betas, step_major_walk(scores0, blocks)),
+            base.mean(axis=1))
 
 
 def reference_evaluate_cell(dist_a, dist_d, specs, seeds, weights, k,
@@ -220,7 +228,7 @@ def reference_evaluate_cell(dist_a, dist_d, specs, seeds, weights, k,
         c_rows = np.repeat([post.c_for(dist.group) for post in posts], n_seeds)
         curves, base = reference_group_means(
             dist.scores, k, c_rows, c_hat, betas,
-            uniform_blocks(rep_seeds, horizon, slot, dist.n))
+            uniform_blocks(rep_seeds, horizon, slot, dist.n).transpose(1, 0, 2))
         means.append([curves[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])
     if per_group_beta:

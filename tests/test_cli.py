@@ -433,6 +433,45 @@ class TestSimulate:
                          "--out-dir", out)
         assert code == 0
 
+    @pytest.mark.parametrize("flags, rows", [
+        # trajectory.csv alone: 2 rows a step
+        (("--horizon", 100_000_000), "200,000,002 output rows"),
+        # agents.csv: 100 + 100 agents a step
+        (("--horizon", 50_000, "--dump-agents"), "10,100,202 output rows"),
+    ])
+    def test_rows_past_the_cap_are_refused(self, capsys, monkeypatch,
+                                           tmp_path, flags, rows):
+        _forbid(monkeypatch, "simulate")
+        target = tmp_path / "never"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "simulate", "--dist-a", "beta:4,8",
+                                "--dist-b", "beta:3,8", "--n", 100,
+                                "--beta", 0.4, *flags, "--out-dir", target)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == ""
+        assert err.count("\n") == 1 and rows in err
+        assert "100/100 scores" in err and "cap of 10,000,000" in err
+        assert ("--dump-agents" in err) == ("--dump-agents" in flags)
+        assert not target.exists()
+
+    def test_row_cap_is_inclusive(self, capsys, monkeypatch, tmp_path):
+        from lendingdyn import cli
+        _forbid(monkeypatch, "simulate")
+        args = ["simulate", "--dist-a", "beta:4,8", "--dist-b", "beta:3,8",
+                "--n", 7, "--beta", 0.4, "--horizon", 9, "--dump-agents",
+                "--out-dir", tmp_path / "out"]
+        monkeypatch.setattr(cli, "MAX_SIMULATE_ROWS", 10 * (2 + 14))
+        with pytest.raises(_Ran):
+            main([str(a) for a in args])
+        monkeypatch.setattr(cli, "MAX_SIMULATE_ROWS", 10 * (2 + 14) - 1)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "160 output rows" in err
+
+    def test_benchmark_sizes_sit_far_below_the_row_cap(self):
+        # The loans workload's simulate: horizon 400, no --dump-agents.
+        from lendingdyn.dynamics import MAX_SIMULATE_ROWS
+        assert 2 * (400 + 1) * 10_000 < MAX_SIMULATE_ROWS
+
 
 class TestRecommend:
     def args(self, out_dir, threads=1):
@@ -756,9 +795,9 @@ class TestGridCaps:
 
     def test_acceptance_sizes_sit_far_below_the_memory_cap(self):
         # The criterion-6 and benchmark grids: 500 scores per group, 10
-        # replicates, horizon 20; 9.0 MB of cell arrays, 119 times under.
+        # replicates, horizon 20; 9.3 MB of cell arrays, 115 times under.
         need = interventions.cell_bytes(500, 500, 20, 10)
-        assert need == 9_035_008
+        assert need == 9_275_008
         assert need * 100 < interventions.MAX_CELL_BYTES
 
     def test_long_c_span_is_refused_by_max_mean_curve(self, capsys,
@@ -1108,6 +1147,20 @@ class TestReproduceFigure:
                        f"write {stem}.json and {stem}.csv\n")
         assert not out.exists()
 
+    def test_an_alpha_out_of_range_is_refused_before_any_grid(
+            self, capsys, monkeypatch, tmp_path):
+        # No grid is built or written for the valid alpha before it either.
+        _forbid(monkeypatch, "recommend_grid")
+        out = tmp_path / "fig"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "reproduce-figure", "--which", "grid",
+                                "--alpha", 0.5, 2, "--n", 20, "--out-dir",
+                                out)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == ""
+        assert err == "error: alpha must lie in [0, 1], got 2.0\n"
+        assert not out.exists()
+
     def test_max_mean_path(self, capsys, tmp_path):
         out = tmp_path / "fig"
         code, _, _ = run(capsys, "reproduce-figure", "--which", "max-mean",
@@ -1251,14 +1304,69 @@ class TestExitCodes:
         assert code == 1
         assert err == "computation failed: out of memory\n"
 
-    def test_out_dir_naming_a_file(self, capsys, tmp_path):     # OSError
+    def test_out_dir_naming_a_file(self, capsys, tmp_path):
+        # Refused as a setting before the run (TestOutDirRefusals).
         taken = tmp_path / "taken"
         taken.write_text("")
+        code, _, err = run(capsys, *TestRunEnvelope.RUNS["simulate"],
+                           "--out-dir", taken)
+        assert code == 2
+        assert err.startswith("error:")
+        assert taken.read_text() == ""
+
+    def test_out_dir_that_becomes_a_file(self, capsys, monkeypatch,
+                                         tmp_path):                # OSError
+        from lendingdyn import cli
+        taken = tmp_path / "taken"
+        real = cli.simulate
+
+        def simulate_then_take(*args, **kwargs):
+            taken.write_text("")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(cli, "simulate", simulate_then_take)
         code, _, err = run(capsys, *TestRunEnvelope.RUNS["simulate"],
                            "--out-dir", taken)
         assert code == 1
         assert err.startswith("computation failed:")
         assert taken.read_text() == ""
+
+
+class TestOutDirRefusals:
+    """An output directory that cannot be made exits 2 with one line before
+    any work starts, and creates nothing."""
+
+    RUNS = {
+        "recommend": (("recommend", "--alpha", 0.5, *_PAIR, *_SMALL_GRID,
+                       "--out-dir"), "recommend_grid"),
+        "simulate": (("simulate", *_PAIR, "--beta", 0.4, "--horizon", 3,
+                      "--out-dir"), "simulate"),
+        "predict-risk": (("predict-risk", "--model", "model.json", "--in",
+                          "apps.csv", "--out-scores"), "load_records"),
+    }
+
+    @pytest.mark.parametrize("form", ["file", "under-file", "dangling-link"])
+    @pytest.mark.parametrize("name", RUNS)
+    def test_is_refused_before_the_work(self, capsys, monkeypatch, tmp_path,
+                                        name, form):
+        argv, work = self.RUNS[name]
+        _forbid(monkeypatch, work)
+        taken = tmp_path / "taken"
+        if form == "dangling-link":
+            taken.symlink_to(tmp_path / "missing")
+        else:
+            taken.write_text("kept")
+        target = taken / "sub" if form == "under-file" else taken
+        before = sorted(tmp_path.rglob("*"))
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, *argv, target)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == ""
+        flag = argv[-1]
+        assert err == (f"error: {flag} {target} cannot be a directory: "
+                       f"{taken} exists and is not one\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        if form != "dangling-link":
+            assert taken.read_text() == "kept"
 
 
 def test_no_subcommand_prints_help(capsys):

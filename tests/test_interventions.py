@@ -23,7 +23,7 @@ from lendingdyn.interventions import (KIND_ORDER, _approx_curves, _beta_grid,
 from oracles import (reference_baseline_outcome, reference_evaluate_cell,
                      reference_group_means, reference_mean_curves,
                      reference_sweep_tail, reference_threshold_counts,
-                     reference_walk)
+                     reference_walk, step_major_walk)
 
 BO = InterventionKind.BETA_ONLY
 GB = InterventionKind.GROUP_BLIND
@@ -102,45 +102,42 @@ class TestApplyIntervention:
             InterventionSpec(kind=BO, r=0.5, baseline_c=-1.0)
 
 
-def _approved_walk(scores, k, c_rows, walk):
+def _approved_walk(k, c_rows, walk):
     """Step the rows' always-approved walk in place; the beta-hat baseline
     that _walk steps beside it (here at beta 1, penalty 0) is dropped."""
-    _walk(scores, k, c_rows, walk, 1.0, 0.0, _Workspace())
+    _walk(k, c_rows, walk, 1.0, 0.0, _Workspace())
 
 
-def _curves_and_counts(scores, walk, m, workspace=None):
+def _curves_and_counts(walk, m, workspace=None):
     """_approx_curves of a walk over m threshold steps, and the threshold
     counts it takes, which must be the reference counts."""
-    rows, horizon, n = walk.shape
-    counts = np.empty((horizon, rows, n), np.uint16)
-    curves = _approx_curves(scores, walk, m, counts,
-                            workspace or _Workspace())
+    counts = np.empty((len(walk) - 1, *walk.shape[1:]), np.uint16)
+    curves = _approx_curves(walk, m, counts, workspace or _Workspace())
     assert np.array_equal(counts, reference_threshold_counts(
-        scores, np.linspace(0.0, 1.0, m + 1), walk))
+        np.linspace(0.0, 1.0, m + 1), walk))
     return curves, counts
 
 
-def _read_out(scores, betas, walk, js, workspace=None):
+def _read_out(betas, walk, js, workspace=None):
     """The exact read-out at betas[js]: from the counts _approx_curves
     takes when betas is the grid of some m steps, else (for any other
     ascending betas) from the reference counts."""
     workspace = workspace or _Workspace()
     m = betas.size - 1
     if m and np.array_equal(betas, np.linspace(0.0, 1.0, m + 1)):
-        _, counts = _curves_and_counts(scores, walk, m, workspace)
+        _, counts = _curves_and_counts(walk, m, workspace)
     else:
-        counts = reference_threshold_counts(scores, betas, walk).astype(
-            np.uint16)
-    return _exact_means(scores, walk, counts, js, workspace)
+        counts = reference_threshold_counts(betas, walk).astype(np.uint16)
+    return _exact_means(walk, counts, js, workspace)
 
 
 def _row_curves(scores, k, c_rows, betas, blocks):
     """Exact sweep curves of rows walked at their own penalties: the walk,
     then the exact read-out at every threshold of every row."""
-    walk = blocks.copy()
-    _approved_walk(scores, k, c_rows, walk)
-    js = np.tile(np.arange(betas.size), (len(walk), 1))
-    return _read_out(scores, betas, walk, js)
+    walk = step_major_walk(scores, blocks)
+    _approved_walk(k, c_rows, walk)
+    js = np.tile(np.arange(betas.size), (len(blocks), 1))
+    return _read_out(betas, walk, js)
 
 
 def _mean_curves(scores, k, c, betas, blocks):
@@ -151,8 +148,8 @@ def _mean_curves(scores, k, c, betas, blocks):
 def _baseline_means(scores, k, c, blocks):
     """Beta-hat baseline means at penalty c."""
     bhat = optimal_threshold(k, c).beta_hat
-    return _walk(scores, k, np.full(len(blocks), c), blocks.copy(), bhat, c,
-                 _Workspace())
+    return _walk(k, np.full(len(blocks), c), step_major_walk(scores, blocks),
+                 bhat, c, _Workspace())
 
 
 class TestMeanCurves:
@@ -255,16 +252,19 @@ class TestMeanCurves:
             reference_mean_curves(scores, k, c, betas, blocks))
 
     def test_scores0_is_not_mutated(self):
+        # The walk copies the scores into slab 0 and never steps it: X[0]
+        # stays there for the read-out.
         rng = np.random.default_rng(2)
         scores = rng.random(40)
         kept = scores.copy()
         scores.flags.writeable = False
-        walk = rng.random((3, 8, 40))
+        walk = step_major_walk(scores, rng.random((3, 8, 40)))
         workspace = _Workspace()
-        _walk(scores, 0.1, [1.0, 2.0, 3.0], walk,
+        _walk(0.1, [1.0, 2.0, 3.0], walk,
               optimal_threshold(0.1, 2.0).beta_hat, 2.0, workspace)
-        _curves_and_counts(scores, walk, 20, workspace)
+        _curves_and_counts(walk, 20, workspace)
         assert scores.tobytes() == kept.tobytes()
+        assert walk[0].tobytes() == np.tile(kept, (3, 1)).tobytes()
 
 
 class TestBaselineMeans:
@@ -406,7 +406,8 @@ class TestEvaluatePolicy:
         bhat = np.array([optimal_threshold(0.1, 2.0).beta_hat])
         for slot, dist, base in ((0, small_pair[0], out.base_a),
                                  (1, small_pair[1], out.base_d)):
-            blocks = uniform_blocks(rep_seeds, 5, slot, dist.n)
+            blocks = uniform_blocks(rep_seeds, 5, slot, dist.n).transpose(
+                1, 0, 2)
             want = reference_mean_curves(dist.scores, 0.1, 2.0, bhat, blocks)
             assert base == float(np.mean(want[:, 0]))
 
@@ -801,9 +802,9 @@ def _random_walk_case(rng, horizon, n, rows, m, on_grid=0.3):
                       rng.random(n))
     k = rng.choice([0.0, 0.05, 0.1, 0.25, 0.3])
     c_rows = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], rows)
-    walk = rng.random((rows, horizon, n))
-    _approved_walk(scores, k, c_rows, walk)
-    return betas, scores, walk
+    walk = step_major_walk(scores, rng.random((rows, horizon, n)))
+    _approved_walk(k, c_rows, walk)
+    return betas, walk
 
 
 class TestApproximateCurves:
@@ -820,9 +821,9 @@ class TestApproximateCurves:
             n = int(rng.choice([1, 2, 7, 64, 500]))
             rows = int(rng.integers(1, 9))
             m = int(rng.choice([1, 2, 4, 10, 20, 100, 1000]))
-            betas, scores, walk = _random_walk_case(rng, horizon, n, rows, m)
-            approx, counts = _curves_and_counts(scores, walk, m, workspace)
-            exact = _exact_means(scores, walk, counts,
+            betas, walk = _random_walk_case(rng, horizon, n, rows, m)
+            approx, counts = _curves_and_counts(walk, m, workspace)
+            exact = _exact_means(walk, counts,
                                  np.tile(np.arange(m + 1), (rows, 1)),
                                  workspace)
             bound = _curve_error(n, horizon, m + 1, 1)
@@ -839,13 +840,13 @@ class TestApproximateCurves:
         # every such threshold, exactly, in both stages.
         rng = np.random.default_rng(3)
         scores = rng.uniform(0.0, 0.6, 50)
-        walk = rng.random((4, 10, 50))
-        _approved_walk(scores, 0.1, np.full(4, 2.0), walk)
+        walk = step_major_walk(scores, rng.random((4, 10, 50)))
+        _approved_walk(0.1, np.full(4, 2.0), walk)
         betas = _beta_grid(0.05)
         top = betas > scores.max()
-        approx, counts = _curves_and_counts(scores, walk, 20)
+        approx, counts = _curves_and_counts(walk, 20)
         assert np.all(approx[:, top] == approx[:, top][:, :1])
-        exact = _exact_means(scores, walk, counts,
+        exact = _exact_means(walk, counts,
                              np.tile(np.flatnonzero(top), (4, 1)),
                              _Workspace())
         assert np.all(exact == scores.mean())
@@ -963,9 +964,9 @@ class TestBoundedSearch:
         reads = []
         real = interventions._exact_means
 
-        def spy(scores0, walk, counts, js, workspace):
+        def spy(walk, counts, js, workspace):
             reads.append((js.shape[1], int(counts.max(initial=0))))
-            return real(scores0, walk, counts, js, workspace)
+            return real(walk, counts, js, workspace)
 
         monkeypatch.setattr(interventions, "_exact_means", spy)
         betas = _beta_grid(0.001)
@@ -1057,9 +1058,9 @@ class TestBoundedSearch:
         widths = []
         real = interventions._exact_means
 
-        def spy(scores0, walk, counts, js, workspace):
+        def spy(walk, counts, js, workspace):
             widths.append(js.shape[1])
-            return real(scores0, walk, counts, js, workspace)
+            return real(walk, counts, js, workspace)
 
         monkeypatch.setattr(interventions, "_exact_means", spy)
         dist_a, dist_d = _pair(n_seeds, 200, 150)
@@ -1073,32 +1074,28 @@ class TestBoundedSearch:
         assert widths and 1 <= min(widths) and max(widths) <= 3
 
     def test_a_step_major_walk_reads_the_same(self):
-        # _evaluate_cell lays its walks out step by step; the curves and
-        # the exact read-out must not depend on the layout.
+        # The read-out and the curves of a step-major walk against the full
+        # sweep; at horizons 0 and 1 every final is X[0] or X[1].
         rng = np.random.default_rng(17)
         for horizon in (0, 1, 13):
-            betas, scores, walk = _random_walk_case(rng, horizon, 60, 5, 50)
-            step_major = np.ascontiguousarray(walk.transpose(1, 0, 2))
-            step_major = step_major.transpose(1, 0, 2)
+            betas, walk = _random_walk_case(rng, horizon, 60, 5, 50)
             js = np.stack([rng.choice(betas.size, 6, replace=False)
                            for _ in range(5)])
-            for got_walk in (walk, step_major):
-                assert _read_out(scores, betas, got_walk, js).tobytes() == \
-                    np.take_along_axis(reference_sweep_tail(
-                        scores, betas, walk), js, axis=1).tobytes()
-            assert np.abs(_curves_and_counts(scores, step_major, 50)[0]
-                          - _curves_and_counts(scores, walk, 50)[0]
-                          ).max() <= _curve_error(60, horizon, 51, 1)
+            full = reference_sweep_tail(betas, walk)
+            assert _read_out(betas, walk, js).tobytes() == \
+                np.take_along_axis(full, js, axis=1).tobytes()
+            assert np.abs(_curves_and_counts(walk, 50)[0] - full).max() \
+                <= _curve_error(60, horizon, 51, 1)
 
     def test_exact_read_out_at_chosen_thresholds(self):
         # Any subset of thresholds, in any order, reads the same floats as
         # the full sweep's columns.
         rng = np.random.default_rng(8)
-        betas, scores, walk = _random_walk_case(rng, 15, 80, 6, 50)
-        full = reference_sweep_tail(scores, betas, walk)
+        betas, walk = _random_walk_case(rng, 15, 80, 6, 50)
+        full = reference_sweep_tail(betas, walk)
         js = np.stack([rng.choice(betas.size, 4, replace=False)
                        for _ in range(6)])
-        got = _read_out(scores, betas, walk, js)
+        got = _read_out(betas, walk, js)
         assert got.tobytes() == np.take_along_axis(full, js, axis=1).tobytes()
 
     def test_group_walk_equals_the_full_sweep(self):
@@ -1107,11 +1104,11 @@ class TestBoundedSearch:
         blocks = rng.random((6, 11, 70))
         c_rows = [0.5, 1.0, 2.0, 2.0, 3.0, 0.0]
         betas = _beta_grid(0.02)
-        walk = blocks.copy()
+        walk = step_major_walk(scores, blocks)
         workspace = _Workspace()
-        base = _walk(scores, 0.1, c_rows, walk,
+        base = _walk(0.1, c_rows, walk,
                      optimal_threshold(0.1, 2.0).beta_hat, 2.0, workspace)
-        approx, _ = _curves_and_counts(scores, walk, 50, workspace)
+        approx, _ = _curves_and_counts(walk, 50, workspace)
         curves, want = reference_group_means(scores, 0.1, c_rows, 2.0, betas,
                                              blocks)
         assert base.tobytes() == want.tobytes()

@@ -57,13 +57,12 @@ def test_block_rows_are_the_step_streams(seed, slot, horizon, n):
 @pytest.mark.parametrize("n", (1, 500))
 def test_blocks_of_a_seed_list_are_the_step_streams(seeds, slot, horizon, n):
     blocks = uniform_blocks(list(seeds), horizon, slot, n)
-    assert blocks.shape == (len(seeds), horizon, n)
-    # step-major, the layout the grid's reused buffers have
-    assert (blocks.dtype == np.float64
-            and blocks.transpose(1, 0, 2).flags.c_contiguous)
+    assert blocks.shape == (horizon, len(seeds), n)
+    # step-major, the layout of the grid's walks behind their scores
+    assert blocks.dtype == np.float64 and blocks.flags.c_contiguous
     for s, seed in enumerate(seeds):
         for t in range(horizon):
-            assert (blocks[s, t].tobytes()
+            assert (blocks[t, s].tobytes()
                     == step_uniforms(seed, t, slot, n).tobytes())
 
 
@@ -73,7 +72,7 @@ def test_blocks_written_into_a_step_major_out(seeds, horizon):
     # The grid walks' reused buffer, holding stale values: every row is
     # overwritten with its stream.
     want = uniform_blocks(list(seeds), horizon, 1, 7)
-    out = np.full((horizon, len(seeds), 7), np.nan).transpose(1, 0, 2)
+    out = np.full((horizon, len(seeds), 7), np.nan)
     got = uniform_blocks(list(seeds), horizon, 1, 7, out=out)
     assert got is out
     assert got.tobytes() == want.tobytes()
@@ -81,9 +80,9 @@ def test_blocks_written_into_a_step_major_out(seeds, horizon):
 
 def test_an_unusable_out_rejected():
     blocks = np.empty((4, 3, 2, 5))
-    for out in (np.empty((4, 3, 6)).transpose(1, 0, 2),
-                np.empty((4, 3, 5), dtype=np.float32).transpose(1, 0, 2),
-                blocks[:, :, 0].transpose(1, 0, 2), np.empty((3, 4, 5))):
+    for out in (np.empty((4, 3, 6)), np.empty((4, 3, 5), dtype=np.float32),
+                blocks[:, :, 0], np.empty((3, 4, 5)),
+                np.empty((3, 4, 5)).transpose(1, 0, 2)):
         with pytest.raises(ValueError, match="out must be"):
             uniform_blocks([1, 2, 3], 4, 0, 5, out=out)
 
@@ -108,11 +107,11 @@ def test_property_over_random_seeds():
         keys = _step_keys(seeds, horizon, slot)
         blocks = uniform_blocks(seeds, horizon, slot, n)
         assert keys.shape == (len(seeds), horizon, 2)
-        assert blocks.shape == (len(seeds), horizon, n)
+        assert blocks.shape == (horizon, len(seeds), n)
         for s, seed in enumerate(seeds):
             for t in range(horizon):
                 assert np.array_equal(keys[s, t], numpy_key(seed, t, slot))
-                assert (blocks[s, t].tobytes()
+                assert (blocks[t, s].tobytes()
                         == step_uniforms(seed, t, slot, n).tobytes())
 
     check()

@@ -7,20 +7,19 @@ count, or which other draws happened first.  Two runs that share a seed and a
 coordinate path produce identical numbers even if one sweeps many policies
 and the other simulates a single trajectory.
 
-A uniform block is H such streams, one per step, so building it through
-`substream` would cost H `SeedSequence` + Philox constructions.  It builds
-the same streams more cheaply instead.  A fresh `Philox(SeedSequence(...))`
-is counter 0 and key `SeedSequence(...).generate_state(2, np.uint64)`, and
-that key is plain uint32 arithmetic over the entropy words
+The update uniforms of step t are the stream (seed, TAG_STEP, t, slot),
+`step_uniforms`, but a run needs one per step, so they are built without a
+`SeedSequence` + Philox construction each.  A fresh
+`Philox(SeedSequence(...))` is counter 0 and key
+`SeedSequence(...).generate_state(2, np.uint64)`, and that key is plain
+uint32 arithmetic over the entropy words
 [seed_lo, seed_hi, 0, 0, TAG_STEP, t, slot] with hash constants that do not
-depend on the data.  `_step_keys` mixes the words of a whole set of seeds in
-one pass: the words before t as arrays over the seeds, then t and the slot
-as arrays over (seed, t), giving every (seed, step) key at once.
-`uniform_blocks` then resets one Philox to (key, counter 0, empty buffer)
-for each row of one preallocated step-major (H, seeds, n) array: a grid
-walk's slabs 1..H, where walk[t] becomes X[t].  Row [t, s] is therefore
-byte for byte `step_uniforms(seeds[s], t, slot, n)`, and `uniform_block`
-is the one-seed case.
+depend on the data.  `_step_keys` mixes every (seed, step) key of a set of
+seeds and a range of steps in one pass, and `_streams` resets one Philox to
+each key in turn.  `uniform_blocks` fills a grid walk's step-major
+(H, seeds, n) slabs from it; `step_rows` draws a simulation walk's rows
+one at a time, mixing keys a batch of steps at a time.  Either way row t of
+seed s is byte for byte `step_uniforms(seeds[s], t, slot, n)`.
 """
 
 from __future__ import annotations
@@ -108,12 +107,12 @@ def _successive(hash_const: int, count: int, mult: int = _MULT_A) -> np.ndarray:
 _OUTPUT_CONSTS = _successive(_INIT_B, _POOL_SIZE, _MULT_B)
 
 
-def _step_keys(seeds: Sequence[int], horizon: int,
+def _step_keys(seeds: Sequence[int], steps: range,
                group_slot: int) -> np.ndarray:
-    """Philox keys of the streams (seed, TAG_STEP, t, group_slot), t < horizon.
+    """Philox keys of the streams (seed, TAG_STEP, t, group_slot), t in steps.
 
-    Shape (len(seeds), horizon, 2); entry [s, t] equals
-    _seed_sequence(seeds[s], (TAG_STEP, t, group_slot))
+    Shape (len(seeds), len(steps), 2); entry [s, i] equals
+    _seed_sequence(seeds[s], (TAG_STEP, steps[i], group_slot))
     .generate_state(2, np.uint64).  The mixing is numpy's SeedSequence, with
     its data-independent hash constants kept as Python ints: the words
     before t are mixed as arrays over the seeds, t and the slot as arrays
@@ -135,10 +134,10 @@ def _step_keys(seeds: Sequence[int], horizon: int,
     for dst in range(_POOL_SIZE):
         word, hash_const = _hashmix(TAG_STEP, hash_const)
         pool[dst] = _mix(pool[dst], word)
-    # From t on the pool is a (4, seeds, horizon) array, and each word is
+    # From t on the pool is a (4, seeds, steps) array, and each word is
     # mixed into all four pool words at once, with four successive constants.
     pool = np.array(pool, dtype=np.uint32)[:, :, None]
-    for word in (np.arange(horizon, dtype=np.uint32), int(group_slot) & _MASK32):
+    for word in (np.asarray(steps, dtype=np.uint32), int(group_slot) & _MASK32):
         consts = _successive(hash_const, _POOL_SIZE + 1)
         mixed, _ = _hashmix(word, consts[:-1, None])
         pool = _mix(pool, mixed)
@@ -151,13 +150,28 @@ def _step_keys(seeds: Sequence[int], horizon: int,
         np.uint64)
 
 
+def _streams(keys):
+    """Per [lo, hi] Philox key, one Generator reset to the fresh stream at
+    that key; the same Generator each time, so draw before the next."""
+    bitgen = np.random.Philox(0)
+    gen = np.random.Generator(bitgen)
+    # Plain lists keep the per-key assignment cheap.
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": None},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    for key in keys:
+        state["state"]["key"] = key
+        bitgen.state = state
+        yield gen
+
+
 def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
                    n: int, out: np.ndarray | None = None) -> np.ndarray:
     """All update uniforms for one run per seed, shape (horizon, len(seeds), n).
 
-    Row [t, s] is byte for byte step_uniforms(seeds[s], t, group_slot, n),
-    from one Philox generator reset to each (seed, step) key in turn.  The
-    blocks are step-major: out, new or given (a reused buffer), is a
+    Row [t, s] is byte for byte step_uniforms(seeds[s], t, group_slot, n).
+    The blocks are step-major: out, new or given (a reused buffer), is a
     C-contiguous float array, filled row by row in memory order.
     """
     if out is None:
@@ -167,23 +181,25 @@ def uniform_blocks(seeds: Sequence[int], horizon: int, group_slot: int,
             or not out.flags.c_contiguous):
         raise ValueError("out must be a C-contiguous float array of shape "
                          f"{(horizon, len(seeds), n)}")
-    keys = _step_keys(seeds, horizon, group_slot).transpose(1, 0, 2)
+    keys = _step_keys(seeds, range(horizon), group_slot).transpose(1, 0, 2)
     rows = out.reshape(horizon * len(seeds), n)
-    bitgen = np.random.Philox(0)
-    gen = np.random.Generator(bitgen)
-    # A fresh stream: counter 0, empty buffer.  Plain lists keep the
-    # per-row assignment cheap.
-    state = {"bit_generator": "Philox",
-             "state": {"counter": [0, 0, 0, 0], "key": None},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for row, key in enumerate(keys.reshape(-1, 2).tolist()):
-        state["state"]["key"] = key
-        bitgen.state = state
-        gen.random(out=rows[row])
+    for row, gen in zip(rows, _streams(keys.reshape(-1, 2).tolist())):
+        gen.random(out=row)
     return out
 
 
 def uniform_block(seed: int, horizon: int, group_slot: int, n: int) -> np.ndarray:
     """All update uniforms for one run, shape (horizon, n): one seed's block."""
     return uniform_blocks([seed], horizon, group_slot, n)[:, 0]
+
+
+_KEY_BATCH = 256  # most steps whose keys step_rows mixes at once
+
+
+def step_rows(seed: int, horizon: int, group_slot: int, n: int):
+    """Yield row t = step_uniforms(seed, t, group_slot, n), byte for byte,
+    for t < horizon: a new array each, drawn only when it is taken."""
+    keys = (key for t in range(0, horizon, _KEY_BATCH) for key in _step_keys(
+        [seed], range(t, min(t + _KEY_BATCH, horizon)), group_slot)[0].tolist())
+    for gen in _streams(keys):
+        yield gen.random(n)

@@ -16,7 +16,6 @@ Exit codes: 0 success, 1 computation failure, 2 invalid input or settings.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import platform
 import sys
@@ -33,10 +32,12 @@ from ._random import TAG_SAMPLE, derive_seed
 from .distributions import (BetaSpec, check_dominance, read_score_csv,
                             sample_beta, write_score_csv)
 from .dynamics import (MAX_SIMULATE_ROWS, DynamicsParams, ScoreDistribution,
-                       ThresholdPolicy, simulate, simulate_group)
+                       ThresholdPolicy, simulate, write_rows)
+# Nothing here calls it; perfbench/tracing.py wraps it at this name.
+from .dynamics import simulate_group  # noqa: F401
 from .interventions import (MAX_CELL_BYTES, MAX_GRID_CELLS, MAX_SPAN_POINTS,
-                            UtilityWeights, WorkerLost, cell_bytes,
-                            grid_as_dict, grid_rows, recommend_grid)
+                            UtilityWeights, WorkerLost, baseline_outcome,
+                            cell_bytes, grid_as_dict, grid_rows, recommend_grid)
 from .markov import (ChainError, RationalStep, absorption_probabilities,
                      build_chain, enumerate_states, transient_mass)
 from .risk import (RiskModel, SeparationError, fit_logistic, load_records,
@@ -162,16 +163,22 @@ def _cfg_text(v) -> str:
     return str(v)
 
 
-def _check_out_dirs(values: dict) -> None:
+def _check_out_paths(values: dict) -> None:
     """Refuse, creating nothing, an output directory that exists and is not
-    one, or whose nearest existing ancestor is not one."""
-    for key in ("out_dir", "out_scores"):
-        path = Path(values.get(key) or ".")
+    one, an output file that is a directory, or either whose nearest
+    existing ancestor is not a directory."""
+    for key in ("out_dir", "out_scores", "out", "out_model", "rejects"):
+        if values.get(key) is None:
+            continue
+        path, is_dir = Path(values[key]), key in ("out_dir", "out_scores")
         there = next(p for p in (path, *path.parents)
                      if p.exists() or p.is_symlink())
-        if not there.is_dir():
-            raise CliError(f"{_flag(key)} {path} cannot be a directory: "
-                           f"{there} exists and is not one")
+        want_dir = is_dir or there != path
+        if there.is_dir() != want_dir:
+            raise CliError(f"{_flag(key)} {path} cannot be a "
+                           f"{'directory' if is_dir else 'file'}: {there} "
+                           f"exists and is {'not ' * want_dir}"
+                           f"{'one' if is_dir else 'a directory'}")
 
 
 def _out_dir(values: dict) -> Path:
@@ -204,18 +211,6 @@ def _emit_json(payload: dict, values: dict, name: str) -> None:
         (_out_dir(values) / name).write_text(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_cell(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _write_rows(path: Path, fieldnames: list[str], rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _csv_cell(v) for k, v in row.items()})
 
 
 def parse_distribution(literal: str, group: str, n: int, seed: int,
@@ -483,7 +478,7 @@ _GRID_FIELDS = ["c", "r", "best", "utility_beta_only", "utility_group_blind",
 
 
 def _write_grid(grid, values: dict, stem: str) -> None:
-    _write_rows(_out_dir(values) / f"{stem}.csv", _GRID_FIELDS, grid_rows(grid))
+    write_rows(_out_dir(values) / f"{stem}.csv", _GRID_FIELDS, grid_rows(grid))
     _emit_json(grid_as_dict(grid), values, f"{stem}.json")
 
 
@@ -511,6 +506,8 @@ MARKOV_OPTS = _COMMON + (
 
 
 def cmd_analyze_markov(values: dict) -> None:
+    if values["horizon"] is not None and values["horizon"] < 0:
+        raise CliError(f"--horizon must be nonnegative, got {values['horizon']}")
     has_steps = values["up"] is not None and values["down"] is not None
     has_kc = values["k"] is not None and values["c"] is not None
     if has_steps == has_kc:
@@ -591,8 +588,8 @@ def _keep(values: dict) -> str | None:
 
 def _write_rejects(path, rejects) -> None:
     if path:
-        _write_rows(Path(path), ["line", "reason"],
-                    [{"line": r.line, "reason": r.reason} for r in rejects])
+        write_rows(path, ["line", "reason"],
+                   [{"line": r.line, "reason": r.reason} for r in rejects])
 
 
 def cmd_train_risk(values: dict) -> None:
@@ -646,42 +643,24 @@ def cmd_predict_risk(values: dict) -> None:
 
 # -------------------------------------------------------- max-mean-curve
 
-def emit_max_mean_curve(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
-                        params: DynamicsParams, c_values, horizon: int,
-                        seed: int) -> list[dict]:
-    """Horizon-end group means under the optimal threshold, per penalty c.
-
-    Each c is simulated under its own analytic beta-hat(k, c), with both
-    groups at that penalty; params supplies k.  One seed drives every c,
-    so the rows are coupled: the same agent sees the same uniforms whether
-    the penalty is mild or harsh.  Rows: {c, max_mean_a, max_mean_d}.
-    """
-    if not c_values:
-        raise ValueError("c_values must be nonempty")
-    rows = []
-    for c in c_values:
-        c = float(c)
-        beta_hat = optimal_threshold(params.k, c).beta_hat
-        final_a = simulate_group(dist_a, beta_hat, params.k, c, horizon,
-                                 seed, group_slot=0)
-        final_d = simulate_group(dist_d, beta_hat, params.k, c, horizon,
-                                 seed, group_slot=1)
-        rows.append({"c": c, "max_mean_a": float(final_a.mean()),
-                     "max_mean_d": float(final_d.mean())})
-    return rows
-
-
 MAXMEAN_OPTS = _COMMON + _DIST_OPTS + _C_GRID_OPTS + (_K, _HORIZON, _OUT_DIR)
 
 
 def cmd_max_mean_curve(values: dict) -> None:
+    """Per penalty c, the horizon means at beta-hat(k, c): baseline_outcome
+    with both groups at c.  One seed drives every c, so the same agent sees
+    the same uniforms whether the penalty is mild or harsh."""
     c_grid = _span(values, "c")
     dist_a, dist_d = _load_pair(values)
-    params = DynamicsParams.uniform(values["k"], 1.0, ("A", "D"))
-    rows = emit_max_mean_curve(dist_a, dist_d, params, c_grid,
-                               values["horizon"], values["seed"])
-    _write_rows(_out_dir(values) / "max_mean.csv",
-                ["c", "max_mean_a", "max_mean_d"], rows)
+    rows = []
+    for c in c_grid:
+        means = baseline_outcome(
+            dist_a, dist_d, DynamicsParams.uniform(values["k"], c, ("A", "D")),
+            values["horizon"], values["seed"])
+        rows.append({"c": c, "max_mean_a": means["A"],
+                     "max_mean_d": means["D"]})
+    write_rows(_out_dir(values) / "max_mean.csv",
+               ["c", "max_mean_a", "max_mean_d"], rows)
 
 
 # ------------------------------------------------------ reproduce-figure
@@ -785,7 +764,7 @@ def main(argv=None) -> int:
     t0 = time.monotonic()
     try:
         values = _resolve(args, spec.options)
-        _check_out_dirs(values)
+        _check_out_paths(values)
         spec.run(values)
         if values.get("out_dir"):
             _finalize(spec.name, values, t0)

@@ -38,8 +38,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-# Nothing here calls substream: perfbench/tracing.py wraps it at this name
-# and tests/test_benchmark_contract.py checks that the name resolves.
+from ._random import step_rows
+# Nothing here calls these two: perfbench/tracing.py wraps them at these
+# names and tests/test_benchmark_contract.py checks that the names resolve.
 from ._random import step_uniforms, substream  # noqa: F401
 
 # Most CSV rows that the command line lets one simulate run write, in
@@ -238,10 +239,11 @@ def _walk(scores: np.ndarray, beta: float, k: float, c: float, horizon: int,
     steps = step_bits(k, c)
     probe = np.empty(scores.shape)
     bits = np.empty(scores.shape, dtype=np.int64)
-    for t in range(horizon):
+    rows = step_rows(seed, horizon, slot, scores.size)
+    for _ in range(horizon):
         if _settled(scores, beta, steps, probe, bits):
             return
-        u = step_uniforms(seed, t, slot, scores.size)
+        u = next(rows)
         scores = _advance_scores(scores, u, beta, steps, u, bits)
         yield scores
 
@@ -329,13 +331,8 @@ class Trajectory:
         return rows
 
     def write_csv(self, path, per_agent_path=None) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["step", "group", "mean",
-                                "fraction_at_one", "fraction_below_beta"])
-            writer.writeheader()
-            for row in self.summary_rows():
-                writer.writerow({k: _csv_num(v) for k, v in row.items()})
+        write_rows(path, ["step", "group", "mean", "fraction_at_one",
+                          "fraction_below_beta"], self.summary_rows())
         if per_agent_path is not None:
             with open(per_agent_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
@@ -346,8 +343,14 @@ class Trajectory:
                             writer.writerow([t, g, i, repr(float(s))])
 
 
-def _csv_num(v):
-    return repr(v) if isinstance(v, float) else v
+def write_rows(path, fieldnames: list[str], rows: list[dict]) -> None:
+    """A CSV of rows under a header, every float written as its repr."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow({k: repr(v) if isinstance(v, float) else v
+                             for k, v in row.items()})
 
 
 def simulate(dist_a: ScoreDistribution, dist_d: ScoreDistribution,

@@ -18,12 +18,13 @@ from scipy import stats
 
 from lendingdyn import (BetaSpec, DynamicsParams, InterventionKind,
                         RationalStep, ScoreDistribution, ThresholdPolicy,
-                        UtilityWeights, build_chain, check_dominance,
+                        UtilityWeights, baseline_outcome, build_chain,
+                        check_dominance,
                         empirical_cdf, enumerate_states, fit_logistic,
                         grid_search_threshold, optimal_threshold,
                         recommend_grid, sample_beta, step_mean,
                         verify_bifurcation)
-from lendingdyn.cli import emit_max_mean_curve, main
+from lendingdyn.cli import main
 
 from conftest import (TRUE_DTI, TRUE_INTERCEPT, TRUE_LTV, TRUE_UNITS,
                       make_loan_rows)
@@ -252,16 +253,17 @@ def test_criterion_09_max_mean_curve_shape(capsys):
                    120):
         dist_a = sample_beta(BetaSpec(a=8, b=3, n=1000, seed=901), group="A")
         dist_d = sample_beta(BetaSpec(a=7, b=3, n=1000, seed=902), group="D")
-        params = DynamicsParams.uniform(0.1, 1.0, ("A", "D"))
         c_values = (0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
         n_seeds = 30
         curves_a = np.empty((n_seeds, len(c_values)))
         curves_d = np.empty((n_seeds, len(c_values)))
         for s in range(n_seeds):
-            rows = emit_max_mean_curve(dist_a, dist_d, params, c_values,
-                                       horizon=20, seed=s)
-            curves_a[s] = [row["max_mean_a"] for row in rows]
-            curves_d[s] = [row["max_mean_d"] for row in rows]
+            # max-mean-curve's row at c: both groups' means at beta-hat(k, c)
+            for i, c in enumerate(c_values):
+                params = DynamicsParams.uniform(0.1, c, ("A", "D"))
+                means = baseline_outcome(dist_a, dist_d, params, horizon=20,
+                                         seed=s)
+                curves_a[s, i], curves_d[s, i] = means["A"], means["D"]
 
         def at_least(diffs):
             mean = diffs.mean(axis=0)

@@ -145,12 +145,15 @@ class TestAnalyzeMarkov:
         assert payload["transient_mass"]["steps"] == 100
         assert payload["transient_mass"]["mass"] < 1e-6
 
-    def test_negative_horizon_is_a_usage_error(self, capsys, tmp_path):
+    def test_negative_horizon_is_a_usage_error(self, capsys, monkeypatch,
+                                                tmp_path):
+        # Refused before any state is enumerated.
+        _forbid(monkeypatch, "enumerate_states")
         out = tmp_path / "out"
         code, _, err = run(capsys, *_MARKOV, "--k", "1/10", "--c", "1",
                            "--horizon", -1, "--out-dir", out)
         assert code == 2
-        assert err == "error: steps must be nonnegative, got -1\n"
+        assert err == "error: --horizon must be nonnegative, got -1\n"
         assert not out.exists()
 
     def test_decimal_strings_are_exact_rationals(self, capsys):
@@ -802,7 +805,7 @@ class TestGridCaps:
 
     def test_long_c_span_is_refused_by_max_mean_curve(self, capsys,
                                                       monkeypatch, tmp_path):
-        _forbid(monkeypatch, "simulate_group")
+        _forbid(monkeypatch, "baseline_outcome")
         target = tmp_path / "never"
         start = time.perf_counter()
         code, _, err = run(capsys, *self.command("max-mean", target,
@@ -1283,6 +1286,18 @@ class TestNegativeHorizon:
         assert not (out / "run.cfg").exists()
 
 
+def test_walks_draw_no_step_uniforms(capsys, monkeypatch, tmp_path):
+    # Every walk draws its rows through the key pass (step_rows or
+    # uniform_blocks); step_uniforms is the streams' definition alone.
+    from lendingdyn import _random, dynamics
+    for module in (_random, dynamics):
+        _forbid(monkeypatch, "step_uniforms", module=module)
+    for name in ("simulate", "max-mean-curve", "recommend"):
+        code, _, err = run(capsys, *TestRunEnvelope.RUNS[name],
+                           "--out-dir", tmp_path / name)
+        assert code == 0, err
+
+
 class TestExitCodes:
     """The branches of main() that no command test above reaches."""
 
@@ -1367,6 +1382,61 @@ class TestOutDirRefusals:
         assert sorted(tmp_path.rglob("*")) == before
         if form != "dangling-link":
             assert taken.read_text() == "kept"
+
+
+class TestOutFileRefusals:
+    """An output file that cannot be written exits 2 with one line before
+    any work starts, and creates nothing."""
+
+    RUNS = {
+        "sample": (("sample", "--a", 4, "--b", 8, "--n", 10, "--out"),
+                   "sample_beta"),
+        "train-risk": (("train-risk", "--in", "train.csv", "--out-model"),
+                       "load_records"),
+        "train-risk-rejects": (("train-risk", "--in", "train.csv",
+                                "--out-model", "m.json", "--rejects"),
+                               "load_records"),
+        "predict-risk-rejects": (("predict-risk", "--model", "model.json",
+                                  "--in", "apps.csv", "--out-scores",
+                                  "scores", "--rejects"), "load_records"),
+    }
+
+    @pytest.mark.parametrize("form", ["directory", "under-file"])
+    @pytest.mark.parametrize("name", RUNS)
+    def test_is_refused_before_the_work(self, capsys, monkeypatch, tmp_path,
+                                        name, form):
+        argv, work = self.RUNS[name]
+        _forbid(monkeypatch, work)
+        monkeypatch.chdir(tmp_path)       # where m.json and scores would go
+        taken = tmp_path / "taken"
+        if form == "directory":
+            taken.mkdir()
+            target, why = taken, "is a directory"
+        else:
+            taken.write_text("kept")
+            target, why = taken / "out.csv", "is not a directory"
+        before = sorted(tmp_path.rglob("*"))
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, *argv, target)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == ""
+        assert err == (f"error: {argv[-1]} {target} cannot be a file: "
+                       f"{taken} exists and {why}\n")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("form", ["file", "dangling-link"])
+    def test_an_existing_file_or_link_is_written(self, capsys, tmp_path,
+                                                 form):
+        out = tmp_path / "s.csv"
+        if form == "dangling-link":
+            out.symlink_to(tmp_path / "missing.csv")
+        else:
+            out.write_text("old")
+        code, _, err = run(capsys, "sample", "--a", 4, "--b", 8, "--n", 5,
+                           "--out", out)
+        assert code == 0, err
+        assert out.read_text().splitlines()[0] == "score"
 
 
 def test_no_subcommand_prints_help(capsys):

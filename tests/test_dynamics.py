@@ -1,6 +1,7 @@
 """Single-step update, exact step mean, and trajectory bookkeeping."""
 
 import csv
+import time
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,8 @@ import pytest
 from lendingdyn import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                         dynamics, expected_next_score, simulate,
                         simulate_group, step_mean, step_population)
+from lendingdyn import _random
+from lendingdyn._random import _KEY_BATCH, step_rows
 from lendingdyn.dynamics import (_U_LAST, _advance_scores, approved_step,
                                  keep_denied, step_bits)
 from oracles import (reference_advance, reference_approved_step,
@@ -299,11 +302,16 @@ STOP_CASES = {
 
 
 def _run_recording_draws(fn, *args):
-    """fn(*args) and the (step, slot) of every uniform block it drew."""
-    with mock.patch.object(dynamics, "step_uniforms",
-                           wraps=dynamics.step_uniforms) as spy:
+    """fn(*args) and the (step, slot) of every uniform row it drew."""
+    draws = []
+
+    def recording(seed, horizon, group_slot, n):
+        for t, row in enumerate(step_rows(seed, horizon, group_slot, n)):
+            draws.append((t, group_slot))
+            yield row
+    with mock.patch.object(dynamics, "step_rows", recording):
         out = fn(*args)
-    return out, [(call.args[1], call.args[2]) for call in spy.call_args_list]
+    return out, draws
 
 
 def _check_against_reference(scores_a, scores_d, beta, k, c, horizon, seed):
@@ -354,6 +362,26 @@ class TestSettledStop:
     ])
     def test_stop_steps_counted_by_hand(self, case, stops):
         assert _check_against_reference(*STOP_CASES[case], 40, 0) == stops
+
+    def test_a_long_horizon_mixes_one_batch_of_keys(self, monkeypatch):
+        # The longest horizon MAX_SIMULATE_ROWS admits: the walk settles
+        # after one step, so it draws one row and mixes one key batch.
+        batches = []
+
+        def recording(seeds, steps, group_slot):
+            batches.append(steps)
+            return step_keys(seeds, steps, group_slot)
+        step_keys = _random._step_keys
+        monkeypatch.setattr(_random, "_step_keys", recording)
+        d = dist([0.9, 1.0, 0.2])
+        start = time.perf_counter()
+        final, draws = _run_recording_draws(simulate_group, d, 0.5, 0.5, 2.0,
+                                            4_999_999, 3)
+        assert time.perf_counter() - start < 1.0
+        assert draws == [(0, 0)]
+        assert batches == [range(0, _KEY_BATCH)]
+        walk = reference_walk(d.scores, 0.5, 0.5, 2.0, 1, 3, 0)
+        assert final.tobytes() == walk[-1].tobytes()
 
     def test_property_against_the_full_horizon_walk(self):
         hypothesis = pytest.importorskip("hypothesis")

@@ -1,11 +1,19 @@
-"""Every name a src module imports is used in it (pyflakes' F401, by ast)."""
+"""Every name a src module imports is used in it (pyflakes' F401, by ast),
+or is imported only for the benchmark tracer to wrap."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "lendingdyn"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lendingdyn"
+TRACING = ROOT / "perfbench" / "tracing.py"
+
+
+def _noqa(node, lines) -> bool:
+    return any("# noqa: F401" in line
+               for line in lines[node.lineno - 1:node.end_lineno])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -18,8 +26,7 @@ def unused_imports(source: str) -> list[str]:
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
-            span = lines[node.lineno - 1:node.end_lineno]
-            if any("# noqa: F401" in line for line in span):
+            if _noqa(node, lines):
                 continue
             for alias in node.names:
                 name = alias.asname or alias.name.split(".")[0]
@@ -55,3 +62,58 @@ def test_the_check_finds_an_unused_import():
               "class A:\n"
               "    x: 'Iterable[int]'\n")
     assert unused_imports(source) == ["field (line 2)"]
+
+
+def traced_names() -> set[tuple[str, str]]:
+    """(module, attribute) of every TARGETS entry in perfbench/tracing.py."""
+    tree = ast.parse(TRACING.read_text())
+    targets = next(node.value for node in ast.walk(tree)
+                   if isinstance(node, ast.Assign)
+                   and any(isinstance(t, ast.Name) and t.id == "TARGETS"
+                           for t in node.targets))
+    return {(where, attr) for _, where, attr in ast.literal_eval(targets)}
+
+
+def noqa_imports(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every name source imports on a "# noqa: F401"
+    import."""
+    lines = source.splitlines()
+    return [(alias.asname or alias.name, node.lineno)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and _noqa(node, lines) for alias in node.names]
+
+
+def untraced_imports(source: str, module: str, traced) -> list[str]:
+    """The noqa imports of source that no tracer target wraps at module."""
+    return [f"{name} (line {line})" for name, line in noqa_imports(source)
+            if (module, name) not in traced]
+
+
+def _module(path) -> str:
+    return "lendingdyn" + ("" if path.stem == "__init__" else f".{path.stem}")
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_noqa_imports_are_tracer_targets(path):
+    assert untraced_imports(path.read_text(), _module(path),
+                            traced_names()) == []
+
+
+def test_the_noqa_imports_were_found():
+    # Guards the parsers above: these are the tracer-only imports.
+    found = {(_module(path), name) for path in SRC.glob("*.py")
+             for name, _ in noqa_imports(path.read_text())}
+    assert found == {("lendingdyn.cli", "simulate_group"),
+                     ("lendingdyn.dynamics", "step_uniforms"),
+                     ("lendingdyn.dynamics", "substream"),
+                     ("lendingdyn.interventions", "uniform_block")}
+    assert found <= traced_names()
+
+
+def test_the_check_finds_an_untraced_noqa_import():
+    source = ("from ._random import substream  # noqa: F401\n"
+              "from ._random import (derive_seed,  # noqa: F401\n"
+              "                      step_uniforms)\n")
+    assert untraced_imports(source, "lendingdyn.dynamics",
+                            traced_names()) == ["derive_seed (line 2)"]

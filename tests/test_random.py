@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from lendingdyn._random import (TAG_STEP, _step_keys, step_uniforms,
-                                uniform_block, uniform_blocks)
+from lendingdyn._random import (_KEY_BATCH, TAG_STEP, _step_keys, step_rows,
+                                step_uniforms, uniform_block, uniform_blocks)
 
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1)
 SLOTS = (0, 1, 2**32 + 1)
@@ -23,17 +23,28 @@ def numpy_key(seed, step, slot):
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("slot", SLOTS)
 def test_keys_match_seed_sequence(seed, slot):
-    keys = _step_keys([seed], 20, slot)
+    keys = _step_keys([seed], range(20), slot)
     assert keys.shape == (1, 20, 2) and keys.dtype == np.uint64
     for t in range(20):
         assert np.array_equal(keys[0, t], numpy_key(seed, t, slot))
 
 
 @pytest.mark.parametrize("seeds", SEED_LISTS)
+@pytest.mark.parametrize("steps", (range(7, 30), range(2**32 - 3, 2**32),
+                                   range(5, 5)))
+def test_keys_of_a_step_range_match_seed_sequence(seeds, steps):
+    keys = _step_keys(list(seeds), steps, 1)
+    assert keys.shape == (len(seeds), len(steps), 2)
+    for s, seed in enumerate(seeds):
+        for i, t in enumerate(steps):
+            assert np.array_equal(keys[s, i], numpy_key(seed, t, 1))
+
+
+@pytest.mark.parametrize("seeds", SEED_LISTS)
 @pytest.mark.parametrize("slot", SLOTS)
 @pytest.mark.parametrize("horizon", (0, 1, 20))
 def test_keys_of_a_seed_list_match_seed_sequence(seeds, slot, horizon):
-    keys = _step_keys(list(seeds), horizon, slot)
+    keys = _step_keys(list(seeds), range(horizon), slot)
     assert keys.shape == (len(seeds), horizon, 2) and keys.dtype == np.uint64
     for s, seed in enumerate(seeds):
         for t in range(horizon):
@@ -64,6 +75,20 @@ def test_blocks_of_a_seed_list_are_the_step_streams(seeds, slot, horizon, n):
         for t in range(horizon):
             assert (blocks[t, s].tobytes()
                     == step_uniforms(seed, t, slot, n).tobytes())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("slot", SLOTS)
+@pytest.mark.parametrize("horizon", (0, 1, _KEY_BATCH - 1, _KEY_BATCH,
+                                     _KEY_BATCH + 1, 2 * _KEY_BATCH + 1))
+def test_rows_are_the_step_streams(seed, slot, horizon):
+    # Across the key batches' seams: each row is its step's stream, in a
+    # new array of its own (a walk writes its scores over it).
+    rows = list(step_rows(seed, horizon, slot, 3))
+    assert len(rows) == horizon
+    for t, row in enumerate(rows):
+        assert row.tobytes() == step_uniforms(seed, t, slot, 3).tobytes()
+    assert not any(np.shares_memory(a, b) for a, b in zip(rows, rows[1:]))
 
 
 @pytest.mark.parametrize("seeds", SEED_LISTS)
@@ -104,7 +129,7 @@ def test_property_over_random_seeds():
                       horizon=st.integers(0, 6),
                       n=st.integers(1, 40))
     def check(seeds, slot, horizon, n):
-        keys = _step_keys(seeds, horizon, slot)
+        keys = _step_keys(seeds, range(horizon), slot)
         blocks = uniform_blocks(seeds, horizon, slot, n)
         assert keys.shape == (len(seeds), horizon, 2)
         assert blocks.shape == (horizon, len(seeds), n)

@@ -116,6 +116,31 @@ class TestOptimizeThreshold:
         code, _, err = run(capsys, *args)
         assert code == 2 and "needs 20,200 evaluations" in err
 
+    # sha256 of threshold.json from the per-threshold loop over
+    # np.where(scores >= beta, g, scores).mean() that came before the
+    # bounded sweep.  At k = 0, g(x) differs from x by rounding alone, so
+    # the pick rests on the last bits of every threshold's mean.
+    # perfbench/workloads.py DIGESTS holds no copy of these.
+    @pytest.mark.parametrize("flags, digest", [
+        ((), "b07ea1e6c12005f2feff4587493053b1b67bb60304df10af5e4d8fa7b317d60b"),
+        (("--k", 0),
+         "b5494c723c42b21c1cf8d0e81995e904855efe9291793529295de4f57b5ea328"),
+        (("--c", 0),
+         "9cb96230cf00673d4d949a703a31f70c92001da2393ca8019c14010f62d9482a"),
+        (("--n", 1000, "--resolution", 2e-5),
+         "37410937de3dccd235543b568173ae0bbdf8eddd78b80df7bee573c9f094a0d0"),
+    ], ids=["readme", "k0", "c0", "fine"])
+    def test_threshold_json_is_pinned(self, capsys, tmp_path, flags, digest):
+        # the README's --dist example, then one setting changed
+        settings = {"--k": 0.1, "--c": 2, "--dist": "beta:4,8", "--n": 10000,
+                    **dict(zip(flags[::2], flags[1::2]))}
+        code, _, err = run(capsys, "optimize-threshold",
+                           *[x for item in settings.items() for x in item],
+                           "--out-dir", tmp_path)
+        assert code == 0, err
+        assert hashlib.sha256(
+            (tmp_path / "threshold.json").read_bytes()).hexdigest() == digest
+
     def test_existing_sweeps_sit_far_below_the_cap(self):
         # the CLI default (1,001 betas over 1,000 scores) and the largest
         # test sweep (101 betas over 20,000 scores)

@@ -23,15 +23,14 @@ from .interventions import (GridCell, InterventionKind, InterventionSpec,
                             PolicyOutcome, RecommendationGrid, UtilityWeights,
                             WorkerLost, apply_intervention, baseline_outcome,
                             evaluate_policy, grid_as_dict, grid_rows,
-                            recommend_grid, utility)
+                            grid_search_threshold, recommend_grid, utility)
 from .markov import (AbsorbingChain, AbsorptionResult, ChainError,
                      RationalStep, StateSpace, absorption_probabilities,
                      build_chain, enumerate_states, transient_mass)
 from .risk import (FitDiagnostics, LoanRecord, LoanTable, LoadResult,
                    RiskModel, RowReject, SeparationError, fit_logistic,
                    load_records, predict_many, to_score_distributions)
-from .thresholds import (OptimalThreshold, grid_search_threshold,
-                         optimal_threshold)
+from .thresholds import OptimalThreshold, optimal_threshold
 
 __all__ = [
     "__version__",

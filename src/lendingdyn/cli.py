@@ -37,12 +37,14 @@ from .dynamics import (MAX_SIMULATE_ROWS, DynamicsParams, ScoreDistribution,
 from .dynamics import simulate_group  # noqa: F401
 from .interventions import (MAX_CELL_BYTES, MAX_GRID_CELLS, MAX_SPAN_POINTS,
                             UtilityWeights, WorkerLost, baseline_outcome,
-                            cell_bytes, grid_as_dict, grid_rows, recommend_grid)
-from .markov import (ChainError, RationalStep, absorption_probabilities,
-                     build_chain, enumerate_states, transient_mass)
+                            cell_bytes, grid_as_dict, grid_rows,
+                            grid_search_threshold, recommend_grid)
+from .markov import (MAX_MASS_WORK, ChainError, RationalStep,
+                     absorption_probabilities, build_chain, enumerate_states,
+                     transient_mass)
 from .risk import (RiskModel, SeparationError, fit_logistic, load_records,
                    predict_many, to_score_distributions)
-from .thresholds import grid_search_threshold, optimal_threshold
+from .thresholds import optimal_threshold
 
 # Settings that change how a run executes but never what it computes.
 # They stay out of run.cfg so identical experiments compare byte for byte.
@@ -165,8 +167,8 @@ def _cfg_text(v) -> str:
 
 def _check_out_paths(values: dict) -> None:
     """Refuse, creating nothing, an output directory that exists and is not
-    one, an output file that is a directory, or either whose nearest
-    existing ancestor is not a directory."""
+    one, an output file that is a directory or whose directory is missing,
+    or either whose nearest existing ancestor is not a directory."""
     for key in ("out_dir", "out_scores", "out", "out_model", "rejects"):
         if values.get(key) is None:
             continue
@@ -179,6 +181,9 @@ def _check_out_paths(values: dict) -> None:
                            f"{'directory' if is_dir else 'file'}: {there} "
                            f"exists and is {'not ' * want_dir}"
                            f"{'one' if is_dir else 'a directory'}")
+        if not is_dir and there not in (path, path.parent):
+            raise CliError(f"{_flag(key)} {path} cannot be a file: its "
+                           f"directory {path.parent} does not exist")
 
 
 def _out_dir(values: dict) -> Path:
@@ -521,6 +526,13 @@ def cmd_analyze_markov(values: dict) -> None:
     pi0 = _rational(values, "pi0")
     beta = _rational(values, "beta")
     space = enumerate_states(pi0, step, beta)
+    # The mass takes one dense transient x transient product per step.
+    work = len(space.transient) ** 2 * (values["horizon"] or 0)
+    if work > MAX_MASS_WORK:
+        raise CliError(f"--horizon {values['horizon']:,} over "
+                       f"{len(space.transient):,} transient states needs "
+                       f"{work:,} multiply-adds of transient mass, more than "
+                       f"the cap of {MAX_MASS_WORK:,}")
     chain = build_chain(space)
     start = _rational(values, "start") if values["start"] else pi0
     result = absorption_probabilities(chain, start)

@@ -83,7 +83,8 @@ from ._random import derive_seed, uniform_blocks, TAG_CELL, TAG_REPLICATE
 # name and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import uniform_block  # noqa: F401
 from .dynamics import (DynamicsParams, ScoreDistribution, approved_step,
-                       keep_denied, simulate_group, step_bits)
+                       expected_next_score, keep_denied, simulate_group,
+                       step_bits)
 from .thresholds import optimal_threshold
 
 
@@ -327,7 +328,7 @@ def _approx_curves(walk: np.ndarray, m: int, counts: np.ndarray,
     number of thresholds at or below that minimum (_lattice_bins), the
     step's difference counts for betas[j] iff C[t] <= j: one weighted
     bincount over (row, C[t]) per batch of steps, then a cumsum along j.
-    C[t] is at most m + 1 <= 1,001 (_beta_grid), so counts may be uint16.
+    C[t] is at most m + 1, so the grid's counts (_beta_grid) fit uint16.
     """
     horizon, rows, n = len(walk) - 1, *walk.shape[1:]
     size = rows * (m + 2)
@@ -385,8 +386,8 @@ def _exact_means(walk: np.ndarray, counts: np.ndarray, js: np.ndarray,
     """Horizon-end means of every row of a step-major walk, walk[t] = X[t]
     (_walk), at its own thresholds.
 
-    counts holds the walk's threshold counts C, the uint16 array that
-    _approx_curves fills (each count at most 1,001), and js, shape
+    counts holds the walk's threshold counts C, the unsigned array that
+    _approx_curves fills (each count at most m + 1), and js, shape
     (rows, w), the indices of the thresholds row r is read at.
     out[r, j] equals simulate_group(..., betas[js[r, j]], ...).mean() for
     the seed and penalty of the row, bit for bit.  A running minimum lies
@@ -394,7 +395,7 @@ def _exact_means(walk: np.ndarray, counts: np.ndarray, js: np.ndarray,
     running minimum clears the threshold (the freeze identity,
     _approx_curves), is #{t : C[t] > j}: per block of threshold columns of
     at most 8 * _BATCH_CELLS (row, threshold, agent) cells, one pass over
-    the steps counts it, uint16 against uint16.  X[tau] = walk[tau] is
+    the steps counts it in the counts' dtype.  X[tau] = walk[tau] is
     gathered, rows at a time, into C-ordered (rows, w, agents) arrays of at
     most _BATCH_CELLS cells and averaged over the agents: the same pairwise
     sum per (row, threshold) as simulate_group's mean.  Every array at
@@ -427,6 +428,42 @@ def _exact_means(walk: np.ndarray, counts: np.ndarray, js: np.ndarray,
         np.take(flat, index, out=finals, mode="clip")
         out[r0:r0 + per] = finals.mean(axis=2)
     return out
+
+
+# Score evaluations a threshold search may cover, (betas) x (scores): under
+# a second.  The CLI's default, 1,001 betas over 1,000 scores, is 1.0e6.
+MAX_SWEEP_EVALUATIONS = 10**8
+
+
+def grid_search_threshold(dist: ScoreDistribution, params: DynamicsParams,
+                          resolution: float = 1e-3) -> float:
+    """Beta on the grid {0, res, ..., 1} maximizing the exact one-step mean.
+
+    The grid's bounded search on a one-step walk, X[1] = g(X[0]): exact
+    means, the floats np.where(scores >= beta, g, scores).mean() gives, are
+    read at the thresholds within 2 * _curve_error of the best approximate
+    mean.  Ties break toward the largest beta.  resolution must be <= 0.01;
+    a sweep past MAX_SWEEP_EVALUATIONS is refused before any beta is built.
+    """
+    if not (0 < resolution <= 0.01):
+        raise ValueError("resolution must lie in (0, 0.01]")
+    m = np.round(1.0 / resolution)      # a float: inf for a subnormal step
+    evaluations = (m + 1) * dist.n
+    if evaluations > MAX_SWEEP_EVALUATIONS:
+        raise ValueError(
+            f"resolution {resolution!r} over {dist.n:,} scores needs "
+            f"{evaluations:,.0f} evaluations, more than the cap of "
+            f"{MAX_SWEEP_EVALUATIONS:,}")
+    m, s, workspace = int(m), dist.scores, _Workspace()
+    g = expected_next_score(s, params.k, params.c_for(dist.group))
+    walk = np.stack([s, g])[:, None]
+    counts = np.empty((1, 1, dist.n), np.min_scalar_type(m + 1))
+    approx = _approx_curves(walk, m, counts, workspace)[0]
+    keep = np.flatnonzero(approx >= approx.max() - 1024.0 * _U
+                          - 2.0 * _curve_error(dist.n, 1, m + 1, 1))
+    exact = _exact_means(walk, counts, keep[None], workspace)[0]
+    best = keep[np.flatnonzero(exact == exact.max())[-1]]
+    return float(np.linspace(0.0, 1.0, m + 1)[best])
 
 
 def _replicate_means(means: np.ndarray) -> np.ndarray:

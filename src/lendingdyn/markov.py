@@ -22,6 +22,11 @@ import numpy as np
 # enumerate_states' limit: the float blocks are dense and the solve is O(n^3).
 MAX_TRANSIENT_STATES = 4096
 
+# Most transient states^2 x horizon multiply-adds of transient mass that
+# analyze-markov accepts, a few seconds: 6.8 times the largest benchmark
+# chain's, 765 states at horizon 10,000.
+MAX_MASS_WORK = 4 * 10**10
+
 
 class ChainError(ValueError):
     """Raised when a chain cannot be built or fails its sanity checks."""

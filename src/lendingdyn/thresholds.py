@@ -19,8 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DynamicsParams, ScoreDistribution, expected_next_score
-
 
 @dataclass(frozen=True)
 class OptimalThreshold:
@@ -49,33 +47,3 @@ def optimal_threshold(k: float, c: float) -> OptimalThreshold:
         x0 = c * k
     return OptimalThreshold(beta_hat=min(max(x0, 0.0), 1.0), crossing_point=x0)
 
-
-# Score evaluations a grid search may make, (betas) x (scores): about a
-# second.  The CLI's default, 1,001 betas over 1,000 scores, is 1.0e6.
-MAX_SWEEP_EVALUATIONS = 10**8
-
-
-def grid_search_threshold(dist: ScoreDistribution, params: DynamicsParams,
-                          resolution: float = 1e-3) -> float:
-    """Beta on the grid {0, res, ..., 1} maximizing the exact one-step mean.
-
-    Ties break toward the largest beta.  resolution must be <= 0.01, and a
-    sweep past MAX_SWEEP_EVALUATIONS is refused before any beta is built.
-    """
-    if not (0 < resolution <= 0.01):
-        raise ValueError("resolution must lie in (0, 0.01]")
-    m = np.round(1.0 / resolution)      # a float: inf for a subnormal step
-    evaluations = (m + 1) * dist.n
-    if evaluations > MAX_SWEEP_EVALUATIONS:
-        raise ValueError(
-            f"resolution {resolution!r} over {dist.n:,} scores needs "
-            f"{evaluations:,.0f} evaluations, more than the cap of "
-            f"{MAX_SWEEP_EVALUATIONS:,}")
-    betas = np.linspace(0.0, 1.0, int(m) + 1)
-    scores = dist.scores
-    g = expected_next_score(scores, params.k, params.c_for(dist.group))
-    values = np.array([
-        np.where(scores >= b, g, scores).mean() for b in betas
-    ])
-    best = np.flatnonzero(values == values.max())[-1]
-    return float(betas[best])

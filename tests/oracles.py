@@ -7,8 +7,9 @@ from fractions import Fraction as F
 import numpy as np
 
 from lendingdyn import (DynamicsParams, PolicyOutcome, RationalStep,
-                        ScoreDistribution, apply_intervention,
-                        optimal_threshold, utility)
+                        ScoreDistribution, ThresholdPolicy,
+                        apply_intervention, optimal_threshold, step_mean,
+                        utility)
 from lendingdyn._random import step_uniforms, uniform_blocks
 from lendingdyn.interventions import _replicate_seeds, _utility_values
 from lendingdyn.risk import (APPLICATION_COLUMNS, TRAINING_COLUMNS, LoadResult,
@@ -136,6 +137,19 @@ def reference_mean_curves(scores0, k, c, betas, blocks):
     for t in range(horizon):
         S = reference_advance(S, blocks[:, t, None, :], b, k, c)
     return S.mean(axis=2)
+
+
+def reference_grid_search(dist, params, resolution=1e-3):
+    """The per-threshold loop that the bounded threshold sweep replaced:
+    every beta of linspace(0, 1, round(1 / resolution) + 1) scored by its
+    exact one-step mean (step_mean), the last maximum taken.  It makes
+    (betas) x (scores) evaluations with no cap."""
+    betas = np.linspace(0.0, 1.0, int(np.round(1.0 / resolution)) + 1)
+    values = np.array([
+        step_mean(dist, ThresholdPolicy.uniform(float(b), (dist.group,)),
+                  params)
+        for b in betas])
+    return float(betas[np.flatnonzero(values == values.max())[-1]])
 
 
 def step_major_walk(scores0, blocks):

@@ -2,6 +2,7 @@
 
 import concurrent.futures.process
 import hashlib
+import importlib.util
 import json
 import math
 import multiprocessing
@@ -9,12 +10,14 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lendingdyn import (distributions, interventions, optimal_threshold,
-                        thresholds)
+from lendingdyn import (RationalStep, distributions, enumerate_states,
+                        interventions, optimal_threshold)
 from lendingdyn.cli import COMMANDS, main, parse_distribution
 
 from conftest import make_loan_rows, write_loan_csv, write_risk_inputs
@@ -93,7 +96,7 @@ class TestOptimizeThreshold:
     ])
     def test_long_sweep_is_refused(self, capsys, monkeypatch, tmp_path,
                                    resolution, need):
-        _forbid(monkeypatch, "expected_next_score", module=thresholds)
+        _forbid(monkeypatch, "expected_next_score", module=interventions)
         target = tmp_path / "never"
         start = time.perf_counter()
         code, _, err = run(capsys, "optimize-threshold", "--k", 0.1, "--c", 3,
@@ -110,9 +113,9 @@ class TestOptimizeThreshold:
         args = ("optimize-threshold", "--k", 0.1, "--c", 3, "--dist",
                 "beta:4,8", "--n", 200, "--resolution", 0.01)
         want = run_json(capsys, *args)
-        monkeypatch.setattr(thresholds, "MAX_SWEEP_EVALUATIONS", 101 * 200)
+        monkeypatch.setattr(interventions, "MAX_SWEEP_EVALUATIONS", 101 * 200)
         assert run_json(capsys, *args) == want
-        monkeypatch.setattr(thresholds, "MAX_SWEEP_EVALUATIONS", 101 * 200 - 1)
+        monkeypatch.setattr(interventions, "MAX_SWEEP_EVALUATIONS", 101 * 200 - 1)
         code, _, err = run(capsys, *args)
         assert code == 2 and "needs 20,200 evaluations" in err
 
@@ -144,8 +147,8 @@ class TestOptimizeThreshold:
     def test_existing_sweeps_sit_far_below_the_cap(self):
         # the CLI default (1,001 betas over 1,000 scores) and the largest
         # test sweep (101 betas over 20,000 scores)
-        assert 1001 * 1000 * 99 < thresholds.MAX_SWEEP_EVALUATIONS
-        assert 101 * 20_000 * 49 < thresholds.MAX_SWEEP_EVALUATIONS
+        assert 1001 * 1000 * 99 < interventions.MAX_SWEEP_EVALUATIONS
+        assert 101 * 20_000 * 49 < interventions.MAX_SWEEP_EVALUATIONS
 
 
 class TestAnalyzeMarkov:
@@ -228,6 +231,56 @@ class TestAnalyzeMarkov:
         assert "more than 4096 transient states" in err
         assert time.monotonic() - t0 < 2.0
 
+    def test_long_mass_horizon_is_refused_before_the_chain(self, capsys,
+                                                           monkeypatch,
+                                                           tmp_path):
+        # 3,455 states: a million dense 3,455 x 3,455 mass products would
+        # run for many minutes
+        _forbid(monkeypatch, "build_chain")
+        target = tmp_path / "never"
+        start = time.perf_counter()
+        code, stdout, err = run(capsys, "analyze-markov", "--pi0", "1/2",
+                                "--beta", "1/3", "--up", "1/73", "--down",
+                                "1/71", "--horizon", 10**6, "--out-dir",
+                                target)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and stdout == ""
+        assert err == ("error: --horizon 1,000,000 over 3,455 transient "
+                       "states needs 11,937,025,000,000 multiply-adds of "
+                       "transient mass, more than the cap of "
+                       "40,000,000,000\n")
+        assert not target.exists()
+
+    def test_mass_cap_is_inclusive(self, capsys, monkeypatch):
+        from lendingdyn import cli
+        args = ("analyze-markov", "--pi0", "1/2", "--beta", "7/20", "--k",
+                "1/10", "--c", "1", "--horizon", 100)
+        want = run_json(capsys, *args)
+        monkeypatch.setattr(cli, "MAX_MASS_WORK", 6 * 6 * 100)
+        assert run_json(capsys, *args) == want
+        monkeypatch.setattr(cli, "MAX_MASS_WORK", 6 * 6 * 100 - 1)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "needs 3,600 multiply-adds" in err
+
+    def test_tested_and_benchmark_chains_sit_far_below_the_mass_cap(self):
+        from lendingdyn.markov import MAX_MASS_WORK
+        workloads = _load_perfbench("workloads")
+        # (pi0, beta, up, down, horizon): the pinned markov.json runs and
+        # criterion 10's, then every benchmark chain, full and smoke
+        cases = [("1/2", "7/20", "1/10", "1/10", 100),
+                 ("1/2", "7/20", "1/10", "1/10", 50),
+                 ("1/2", "1/3", "1/13", "1/11", 1000),
+                 ("0.6", "0.25", "0.05", "0.075", 500),
+                 ("1/2", "1/3", "1/37", "1/31", 10_000)]
+        cases += [("1/2", "1/3", up, down, sizes["horizon"])
+                  for sizes in (workloads.CHAIN, workloads.CHAIN_SMOKE)
+                  for up, down in sizes["cases"]]
+        works = {len(enumerate_states(F(pi0), RationalStep(F(up), F(down)),
+                                      F(beta)).transient) ** 2 * horizon
+                 for pi0, beta, up, down, horizon in cases}
+        assert max(works) == 765**2 * 10_000
+        assert 5 * max(works) <= MAX_MASS_WORK
+
     def test_lattice_under_the_cap_still_solves(self, capsys):
         payload = run_json(capsys, "analyze-markov", "--pi0", "1/2", "--beta",
                            "1/3", "--up", "1/73", "--down", "1/71")
@@ -238,6 +291,9 @@ class TestAnalyzeMarkov:
     # sha256 of markov.json from the dense-Fraction chain that the integer
     # lattice replaced.  The 1/13 and 1/37 cases report masses whose last
     # bits differ if B @ v is replaced by the two-move sparse product.
+    # perfbench/workloads.py DIGESTS["case2/markov.json"] is a copy of the
+    # 1/37 digest; its case0 and case1 pin other runs (1/13 and 1/23 at
+    # horizon 10,000), so a re-pin here updates that copy too.
     @pytest.mark.parametrize("args, digest", [
         (("--pi0", "1/2", "--beta", "7/20", "--k", "1/10", "--c", "1",
           "--horizon", "100"),
@@ -357,7 +413,9 @@ class TestSimulate:
 
     # sha256 of the artifacts of the full-horizon walk that the settled stop
     # replaced.  Every group is settled well before step 30, so the tail of
-    # both files comes from shared snapshots.
+    # both files comes from shared snapshots.  perfbench/workloads.py
+    # DIGESTS["sim/trajectory.csv"] pins the loans workload's run, not a
+    # copy of these.
     @pytest.mark.parametrize("flags, trajectory, agents", [
         (("--c", 1),
          "388030e3cdbc90e186f9ff6594a83fca5ab455440d6b8d216382baa042736007",
@@ -527,6 +585,8 @@ class TestRecommend:
 
     # sha256 of grid.json from the per-threshold sweep that the one-walk
     # kernel replaced; the kernel must reproduce every byte.
+    # perfbench/workloads.py DIGESTS["grid/grid.json"] pins the benchmark
+    # grid at its own sizes, not a copy of these.
     @pytest.mark.parametrize("flags, digest", [
         ((), "966b14325e2fbdf344db8680ee5f28939ad70aae74598d57c4f22b4ba8b2741f"),
         (("--per-group-beta",),
@@ -705,6 +765,15 @@ class TestGridWorkers:
 
 class _Ran(Exception):
     """Raised by a spy in place of the work a refused input must not reach."""
+
+
+def _load_perfbench(name):
+    """perfbench/<name>.py, which is not an importable package."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def _forbid(monkeypatch, *names, module=None):
@@ -1003,6 +1072,7 @@ class TestRiskCommands:
     # sha256 of the artifacts of the row-by-row DictReader loader that the
     # columnar one replaced; the inputs carry no blank lines, so the reject
     # line numbers are the same under either way of counting.
+    # perfbench/workloads.py DIGESTS holds no copy of these.
     PINNED = {
         "model_ridge_0.json":
             "7d57422fc5706e17ff84392e07eb45780f264d8423209df5b64366a6b4c0ebb5",
@@ -1107,7 +1177,9 @@ class TestMaxMeanCurve:
             "--k", 0.1, "--c-min", 0.5, "--c-max", 3, "--c-step", 0.5)
 
     def test_max_mean_csv_is_pinned(self, capsys, tmp_path):
-        # sha256 from the full-horizon walk that the settled stop replaced
+        # sha256 from the full-horizon walk that the settled stop replaced;
+        # perfbench/workloads.py DIGESTS["maxmean/max_mean.csv"] pins the
+        # loans workload's curve, not a copy of this one.
         out = tmp_path / "mm"
         code, _, err = run(capsys, *self.ARGS, "--n", 200, "--seed", 5,
                            "--horizon", 40, "--out-dir", out)
@@ -1426,7 +1498,8 @@ class TestOutFileRefusals:
                                   "scores", "--rejects"), "load_records"),
     }
 
-    @pytest.mark.parametrize("form", ["directory", "under-file"])
+    @pytest.mark.parametrize("form", ["directory", "under-file",
+                                      "missing-dir"])
     @pytest.mark.parametrize("name", RUNS)
     def test_is_refused_before_the_work(self, capsys, monkeypatch, tmp_path,
                                         name, form):
@@ -1436,17 +1509,20 @@ class TestOutFileRefusals:
         taken = tmp_path / "taken"
         if form == "directory":
             taken.mkdir()
-            target, why = taken, "is a directory"
-        else:
+            target, why = taken, f"{taken} exists and is a directory"
+        elif form == "under-file":
             taken.write_text("kept")
-            target, why = taken / "out.csv", "is not a directory"
+            target, why = taken / "out.csv", (f"{taken} exists and is not "
+                                              "a directory")
+        else:
+            target = tmp_path / "nodir" / "out.csv"
+            why = f"its directory {target.parent} does not exist"
         before = sorted(tmp_path.rglob("*"))
         start = time.perf_counter()
         code, stdout, err = run(capsys, *argv, target)
         assert time.perf_counter() - start < 1.0
         assert code == 2 and stdout == ""
-        assert err == (f"error: {argv[-1]} {target} cannot be a file: "
-                       f"{taken} exists and {why}\n")
+        assert err == f"error: {argv[-1]} {target} cannot be a file: {why}\n"
         assert sorted(tmp_path.rglob("*")) == before
         assert not (tmp_path / "m.json").exists()
 

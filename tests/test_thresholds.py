@@ -8,6 +8,8 @@ from lendingdyn import (BetaSpec, DynamicsParams, ScoreDistribution,
                         grid_search_threshold, optimal_threshold,
                         sample_beta, step_mean)
 
+from oracles import reference_grid_search
+
 
 class TestGainFunction:
     """The gain function g(x) = expected_next_score(x, k, c)."""
@@ -132,3 +134,60 @@ class TestGridSearch:
             value = step_mean(dist, ThresholdPolicy.uniform(float(beta), ("A",)),
                               params)
             assert value <= best_value + 1e-12
+
+
+def _score_lists(st):
+    """Score lists of 1 to 40 entries, some repeated: lattice points i / q,
+    which can sit exactly on a threshold, or any floats in [0, 1] and -0.0."""
+    lattice = st.sampled_from([4, 10, 20, 100, 1000]).flatmap(
+        lambda q: st.integers(0, q).map(lambda i: i / q))
+    unit = st.one_of(st.floats(0.0, 1.0), st.just(-0.0))
+    return st.one_of(st.lists(lattice, min_size=1, max_size=40),
+                     st.lists(unit, min_size=1, max_size=40)).flatmap(
+        lambda xs: st.integers(0, len(xs)).map(lambda m: xs + xs[:m]))
+
+
+class TestBoundedSweep:
+    """grid_search_threshold picks what the per-threshold loop picks (the
+    oracle), bit for bit, though it reads exact means at a few thresholds."""
+
+    def test_property_against_the_loop(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=200, deadline=None)
+        @hypothesis.given(
+            scores=_score_lists(st),
+            # a gain of 1e-14 moves a mean by ulps, where the approximate
+            # and exact orders of two thresholds can differ
+            k=st.one_of(st.just(0.0),
+                        st.sampled_from([1e-14, 1e-12, 0.05, 0.1, 0.3]),
+                        st.floats(0.0, 1.0)),
+            c=st.one_of(st.just(0.0), st.sampled_from([0.5, 1.0, 3.0]),
+                        st.floats(0.0, 4.0)),
+            resolution=st.sampled_from([0.01, 0.005, 0.003, 0.002, 0.001]))
+        @hypothesis.example(scores=[0.5], k=0.1, c=1.0, resolution=0.003)
+        @hypothesis.example(scores=[-0.0, 0.0, 0.35, 0.35, 1.0], k=0.0,
+                            c=0.0, resolution=0.01)
+        @hypothesis.example(scores=[i / 20 for i in range(21)], k=0.1,
+                            c=0.0, resolution=0.003)
+        # the last best approximate mean is at 0.51, the best exact one at
+        # 0.68
+        @hypothesis.example(scores=[0.511, 0.687], k=1e-14, c=1.0,
+                            resolution=0.01)
+        def check(scores, k, c, resolution):
+            dist = ScoreDistribution("A", np.array(scores))
+            params = DynamicsParams.uniform(k, c, ("A",))
+            assert grid_search_threshold(dist, params, resolution) \
+                == reference_grid_search(dist, params, resolution)
+
+        check()
+
+    # Two large sweeps under the cap: 1,001 betas over 87,487 scores, and
+    # 50,001 betas over 1,000.
+    @pytest.mark.parametrize("n, resolution", [(87_487, 1e-3), (1000, 2e-5)])
+    def test_the_loops_slow_corners(self, n, resolution):
+        dist = sample_beta(BetaSpec(a=4, b=8, n=n, seed=0), group="A")
+        params = DynamicsParams.uniform(0.1, 2.0, ("A",))
+        assert grid_search_threshold(dist, params, resolution) \
+            == reference_grid_search(dist, params, resolution)

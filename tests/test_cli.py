@@ -292,8 +292,8 @@ class TestAnalyzeMarkov:
     # lattice replaced.  The 1/13 and 1/37 cases report masses whose last
     # bits differ if B @ v is replaced by the two-move sparse product.
     # perfbench/workloads.py DIGESTS["case2/markov.json"] is a copy of the
-    # 1/37 digest; its case0 and case1 pin other runs (1/13 and 1/23 at
-    # horizon 10,000), so a re-pin here updates that copy too.
+    # 1/37 digest, and a re-pin of it must update that copy; case0 and
+    # case1 there pin other runs (1/13 and 1/23 at horizon 10,000).
     @pytest.mark.parametrize("args, digest", [
         (("--pi0", "1/2", "--beta", "7/20", "--k", "1/10", "--c", "1",
           "--horizon", "100"),

@@ -6,11 +6,12 @@ probability pi; repayment moves the score to clamp(pi + k), a late payment to
 clamp(pi - c*k).  Denied agents keep their score unchanged.  Draws are
 independent across agents and steps.
 
-One kernel applies the update on every path, simulate, simulate_group,
-max-mean-curve and the grid's walk: approved_step picks each agent's step
-and keep_denied restores the denied agents, both as int64 bit selects on
-their masks rather than branches, into arrays the caller owns.  A denied
-agent keeps its exact bytes, so a -0.0 read from a score file stays -0.0.
+One kernel applies the update on every path: approved_step picks each
+agent's step (the grid's always-approved walk) and frozen_step also gives
+the denied agents their scores back (every walk that freezes: simulate,
+simulate_group, max-mean-curve, the grid's beta-hat baseline), both as
+int64 bit selects on their masks rather than branches, into arrays the
+caller owns.  A denied agent keeps its exact bytes, so a -0.0 stays -0.0.
 
 The exact one-step mean uses the expected next score
 
@@ -146,9 +147,9 @@ def expected_next_score(scores, k: float, c: float) -> np.ndarray:
 
 
 def step_bits(k: float, c, out: np.ndarray | None = None) -> np.ndarray:
-    """The int64 bit patterns that approved_step selects with, stacked:
-    [0] the xor of the up step +k's bits and the down step c * -k's, [1]
-    the down step's.
+    """The int64 bit patterns approved_step and frozen_step select with,
+    stacked: [0] the xor of the up step +k's bits and the down step
+    c * -k's, [1] the down step's.
 
     c is a float or an array of per-row penalties; c * -k has the bits of
     -c * k (a product's sign is the xor of its factors' signs).  With out,
@@ -186,16 +187,19 @@ def approved_step(scores: np.ndarray, u: np.ndarray, steps: np.ndarray,
     return np.clip(out, 0.0, 1.0, out=out)
 
 
-def keep_denied(scores: np.ndarray, beta, out: np.ndarray,
-                bits: np.ndarray) -> np.ndarray:
-    """Give every agent with pi < beta its score back in out, bit for bit.
+def frozen_step(scores: np.ndarray, u, beta, steps: np.ndarray,
+                out: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """approved_step under threshold beta: every agent with pi < beta
+    gets its score back in out, bit for bit.
 
-    out holds the approved step of scores (approved_step); the freeze is a
-    bit select like the step's: out's bits xor scores' bits, times
-    pi >= beta (1 or 0, in the int64 scratch bits), xor scores' bits.  A
-    denied -0.0 stays -0.0, where multiplying the scores by the mask would
-    write +0.0.  bits has out's shape; nothing is allocated.
+    The freeze is a bit select like the step's: out's bits xor scores'
+    bits, times pi >= beta (1 or 0, in the int64 scratch bits), xor
+    scores' bits.  A denied -0.0 stays -0.0, where multiplying the scores
+    by the mask would write +0.0.  Every agent draws, approved or not,
+    which keeps runs coupled across betas and penalties that share a seed.
+    out may be u but not scores; nothing is allocated.
     """
+    approved_step(scores, u, steps, out, bits)
     held = scores.view(np.int64)
     moved = out.view(np.int64)
     np.greater_equal(scores, beta, out=bits)
@@ -203,14 +207,6 @@ def keep_denied(scores: np.ndarray, beta, out: np.ndarray,
     np.multiply(moved, bits, out=moved)
     np.bitwise_xor(moved, held, out=moved)
     return out
-
-
-def _advance_scores(scores: np.ndarray, u, beta: float, steps: np.ndarray,
-                    out: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    # One uniform per agent regardless of approval: keeps runs coupled across
-    # betas and penalties that share a seed.
-    approved_step(scores, u, steps, out, bits)
-    return keep_denied(scores, beta, out, bits)
 
 
 # u = 0 takes the up branch wherever pi > 0, and the largest double below 1
@@ -226,7 +222,7 @@ def _settled(scores: np.ndarray, beta: float, steps: np.ndarray,
     probe and bits are scratch arrays of the scores' shape."""
     held = scores.view(np.int64)
     return all(np.array_equal(
-        _advance_scores(scores, u, beta, steps, probe, bits).view(np.int64),
+        frozen_step(scores, u, beta, steps, probe, bits).view(np.int64),
         held) for u in (0.0, _U_LAST))
 
 
@@ -244,7 +240,7 @@ def _walk(scores: np.ndarray, beta: float, k: float, c: float, horizon: int,
         if _settled(scores, beta, steps, probe, bits):
             return
         u = next(rows)
-        scores = _advance_scores(scores, u, beta, steps, u, bits)
+        scores = frozen_step(scores, u, beta, steps, u, bits)
         yield scores
 
 
@@ -260,7 +256,7 @@ def step_population(dist: ScoreDistribution, policy: ThresholdPolicy,
     c = params.c_for(dist.group)
     u = rng.random(dist.n)
     bits = np.empty(dist.n, dtype=np.int64)
-    return dist.replace_scores(_advance_scores(
+    return dist.replace_scores(frozen_step(
         dist.scores, u, beta, step_bits(params.k, c), u, bits))
 
 

@@ -58,7 +58,8 @@ baseline at the shared c-hat.  Every kind keeps its own seed
 under that seed, bit for bit; evaluate_policy is the one-kind case.
 
 A group's walk is one step-major (horizon + 1, rows, n) array, walk[t] =
-X[t]: the scores, then the uniform blocks stepped in place.  It and the
+X[t]: the scores, then the uniform blocks stepped in place, each step
+after frozen_step has moved the baseline on its uniforms.  It and the
 cell's step and search temporaries are arrays of a workspace (_Workspace)
 that lives for one evaluation: one evaluate_policy call, or one grid, in
 each grid worker process or in the process that runs the cells itself.
@@ -83,7 +84,7 @@ from ._random import derive_seed, uniform_blocks, TAG_CELL, TAG_REPLICATE
 # name and tests/test_benchmark_contract.py checks that the name resolves.
 from ._random import uniform_block  # noqa: F401
 from .dynamics import (DynamicsParams, ScoreDistribution, approved_step,
-                       expected_next_score, keep_denied, simulate_group,
+                       expected_next_score, frozen_step, simulate_group,
                        step_bits)
 from .thresholds import optimal_threshold
 
@@ -184,7 +185,7 @@ MAX_SPAN_POINTS = 1000
 MAX_GRID_CELLS = 10_000
 
 # Most bytes of cell arrays (cell_bytes) that the command line lets one grid
-# worker hold: 1 GiB, 115 times the 9.3 MB of the acceptance and benchmark
+# worker hold: 1 GiB, 123 times the 8.7 MB of the acceptance and benchmark
 # grids (500 scores per group, 10 replicates, horizon 20).
 MAX_CELL_BYTES = 1 << 30
 
@@ -216,10 +217,10 @@ def cell_bytes(n_a: int, n_d: int, horizon: int, n_seeds: int) -> int:
 
     The two groups' walks, X[0..horizon] of 3 * n_seeds rows each, hold
     (horizon + 1) x n floats per row, and their threshold counts horizon x n
-    uint16; the walk keeps five (2, rows, n) arrays of 8-byte items
-    (the step pair, its scratch and its two step patterns); the threshold
-    search's batches are bounded by _BATCH_CELLS, or by one step's
-    rows x n when that is larger.
+    uint16; the walk keeps five (rows, n) arrays of 8-byte items (the
+    baseline, its next step, their scratch and two step patterns); the
+    threshold search's batches are bounded by _BATCH_CELLS, or by one
+    step's rows x n when that is larger.
     """
     rows = len(KIND_ORDER) * n_seeds
     n = max(n_a, n_d)
@@ -228,7 +229,7 @@ def cell_bytes(n_a: int, n_d: int, horizon: int, n_seeds: int) -> int:
     tau = np.min_scalar_type(max(horizon, 0)).itemsize
     return (8 * rows * (horizon + 1) * (n_a + n_d)  # the walks
             + 2 * rows * horizon * (n_a + n_d)     # their threshold counts
-            + 5 * 8 * 2 * rows * n                 # the walk's step arrays
+            + 5 * 8 * rows * n                     # the walk's step arrays
             + 3 * 8 * batch                        # running minima, bins
             + (tau + 1) * cols                     # tau and its step mask
             + 2 * 8 * max(_BATCH_CELLS, cols // max(rows, 1)))  # finals
@@ -267,38 +268,35 @@ def _walk(k: float, c_rows, walk: np.ndarray, bhat: float, c_hat: float,
 
     walk, step-major (horizon + 1, rows, n), holds X[0] in walk[0] and the
     uniforms of step t in walk[t + 1], row r's drawn at penalty c_rows[r];
-    after the walk walk[t] holds X[t].  The baseline steps the same
-    uniforms from walk[0] at c_hat in the same approved_step call, and
-    keep_denied gives its agents below bhat their scores back, bit for bit
-    (a denied -0.0 stays -0.0), so row r's baseline mean is
-    simulate_group(..., bhat, k, c_hat, ...).mean() for the row's seed,
-    bit for bit: the float baseline_outcome returns.  Both kernels are
-    bit selects, with no branch on the random masks; the two step arrays
-    and their int64 scratch come from the workspace, and the step loop
-    allocates nothing.
+    after the walk walk[t] holds X[t].  At each step frozen_step first
+    moves the baseline, from walk[0] at c_hat, on the step's uniforms, so
+    its agents below bhat keep their scores, bit for bit, and row r's
+    baseline mean is simulate_group(..., bhat, k, c_hat, ...).mean() for
+    the row's seed, bit for bit: the float baseline_outcome returns.  Then
+    approved_step writes the walk's step over the uniforms.  The baseline,
+    its next step, the int64 scratch and the walk's step patterns come
+    from the workspace, and the step loop allocates nothing.
     """
     rows, n = walk.shape[1:]
     c_col = np.asarray(c_rows, dtype=float).reshape(-1, 1)
-    # pair[0] is the walk, pair[1] the baseline; one call steps both.
-    pair = workspace.array("pair", (2, rows, n))
-    nxt = workspace.array("pair_next", (2, rows, n))
-    bits = workspace.array("pair_bits", (2, rows, n), np.int64)
-    pair[:] = walk[0]
-    c_pair = np.stack([c_col, np.full_like(c_col, c_hat)])
-    steps = step_bits(k, c_pair, workspace.array("pair_steps", (2, 2, rows, n),
-                                                 np.int64))
-    for u in walk[1:]:
-        approved_step(pair, u, steps, nxt, bits)
-        keep_denied(pair[1], bhat, nxt[1], bits[1])
-        u[...] = nxt[0]
-        pair, nxt = nxt, pair
-    return pair[1].mean(axis=1)
+    base = workspace.array("base", (rows, n))
+    nxt = workspace.array("base_next", (rows, n))
+    bits = workspace.array("step_scratch", (rows, n), np.int64)
+    steps = step_bits(k, c_col, workspace.array("steps", (2, rows, n),
+                                                np.int64))
+    base_steps = step_bits(k, c_hat)
+    base[:] = walk[0]
+    for t in range(1, len(walk)):
+        frozen_step(base, walk[t], bhat, base_steps, nxt, bits)
+        approved_step(walk[t - 1], walk[t], steps, walk[t], bits)
+        base, nxt = nxt, base
+    return base.mean(axis=1)
 
 
-def _lattice_bins(values: np.ndarray, m: int, out: np.ndarray,
+def _lattice_bins(values: np.ndarray, betas: np.ndarray, out: np.ndarray,
                   scratch: np.ndarray) -> np.ndarray:
-    """searchsorted(linspace(0, 1, m + 1), v, "right") for each v of values
-    in [0, 1]: the count of thresholds at or below v.
+    """searchsorted(betas, v, "right") for each v of values in [0, 1]: the
+    count of thresholds at or below v, where betas = linspace(0, 1, m + 1).
 
     q = floor(v * m + 1/2) is the grid index nearest v.  The grid values
     lie within a few ulps of j / m, so every one below index q is at or
@@ -306,21 +304,20 @@ def _lattice_bins(values: np.ndarray, m: int, out: np.ndarray,
     betas[q] <= v, else q.  The counts go to out (intp); scratch (float)
     is overwritten.  Both are shaped like values.
     """
-    np.multiply(values, m, out=scratch)
+    np.multiply(values, betas.size - 1, out=scratch)
     scratch += 0.5
     np.copyto(out, scratch, casting="unsafe")
     # q lies in [0, m] by construction; mode="raise" would buffer out.
-    out += np.take(np.linspace(0.0, 1.0, m + 1), out, out=scratch,
-                   mode="clip") <= values
+    out += np.take(betas, out, out=scratch, mode="clip") <= values
     return out
 
 
-def _approx_curves(walk: np.ndarray, m: int, counts: np.ndarray,
+def _approx_curves(walk: np.ndarray, betas: np.ndarray, counts: np.ndarray,
                    workspace: _Workspace) -> np.ndarray:
-    """Every row's mean curve over the thresholds linspace(0, 1, m + 1),
-    to within _curve_error, from a step-major walk, walk[t] = X[t] (_walk);
-    the threshold counts C of every step go to counts, shape (horizon,
-    rows, n), for _exact_means.
+    """Every row's mean curve over the thresholds betas, linspace(0, 1,
+    m + 1), to within _curve_error, from a step-major walk, walk[t] = X[t]
+    (_walk); the threshold counts C of every step go to counts, shape
+    (horizon, rows, n), for _exact_means.
 
     Under threshold b an agent ends at X[tau], tau = #{t < horizon :
     min(X[0..t]) >= b}, so its final score is X[horizon] plus X[t] - X[t+1]
@@ -331,6 +328,7 @@ def _approx_curves(walk: np.ndarray, m: int, counts: np.ndarray,
     C[t] is at most m + 1, so the grid's counts (_beta_grid) fit uint16.
     """
     horizon, rows, n = len(walk) - 1, *walk.shape[1:]
+    m = betas.size - 1
     size = rows * (m + 2)
     sums = np.zeros(size)
     # row r's counts go to its own m + 2 bins
@@ -348,7 +346,7 @@ def _approx_curves(walk: np.ndarray, m: int, counts: np.ndarray,
         # mins[s] = min(X[0], ..., X[t0 + s])
         for t in range(t0, t1):
             low = np.minimum(low, walk[t], out=mins[t - t0])
-        _lattice_bins(mins, m, b, diff)
+        _lattice_bins(mins, betas, b, diff)
         counts[t0:t1] = b
         b += offsets
         # diff[s] = X[t] - X[t + 1] for t = t0 + s
@@ -434,6 +432,11 @@ def _exact_means(walk: np.ndarray, counts: np.ndarray, js: np.ndarray,
 # a second.  The CLI's default, 1,001 betas over 1,000 scores, is 1.0e6.
 MAX_SWEEP_EVALUATIONS = 10**8
 
+# Thresholds a threshold search may cover at any n: each of its float arrays
+# over the thresholds then holds at most 8 MB.  The finest pinned and
+# documented searches have 50,001 and 100,001.
+MAX_SWEEP_THRESHOLDS = 10**6
+
 
 def grid_search_threshold(dist: ScoreDistribution, params: DynamicsParams,
                           resolution: float = 1e-3) -> float:
@@ -443,7 +446,8 @@ def grid_search_threshold(dist: ScoreDistribution, params: DynamicsParams,
     means, the floats np.where(scores >= beta, g, scores).mean() gives, are
     read at the thresholds within 2 * _curve_error of the best approximate
     mean.  Ties break toward the largest beta.  resolution must be <= 0.01;
-    a sweep past MAX_SWEEP_EVALUATIONS is refused before any beta is built.
+    a sweep past MAX_SWEEP_EVALUATIONS, or past MAX_SWEEP_THRESHOLDS
+    thresholds, is refused before any beta is built.
     """
     if not (0 < resolution <= 0.01):
         raise ValueError("resolution must lie in (0, 0.01]")
@@ -454,16 +458,21 @@ def grid_search_threshold(dist: ScoreDistribution, params: DynamicsParams,
             f"resolution {resolution!r} over {dist.n:,} scores needs "
             f"{evaluations:,.0f} evaluations, more than the cap of "
             f"{MAX_SWEEP_EVALUATIONS:,}")
-    m, s, workspace = int(m), dist.scores, _Workspace()
+    if m + 1 > MAX_SWEEP_THRESHOLDS:
+        raise ValueError(
+            f"resolution {resolution!r} needs {m + 1:,.0f} thresholds, more "
+            f"than the cap of {MAX_SWEEP_THRESHOLDS:,}")
+    s, workspace = dist.scores, _Workspace()
+    betas = np.linspace(0.0, 1.0, int(m) + 1)
     g = expected_next_score(s, params.k, params.c_for(dist.group))
     walk = np.stack([s, g])[:, None]
-    counts = np.empty((1, 1, dist.n), np.min_scalar_type(m + 1))
-    approx = _approx_curves(walk, m, counts, workspace)[0]
+    counts = np.empty((1, 1, dist.n), np.min_scalar_type(betas.size))
+    approx = _approx_curves(walk, betas, counts, workspace)[0]
     keep = np.flatnonzero(approx >= approx.max() - 1024.0 * _U
-                          - 2.0 * _curve_error(dist.n, 1, m + 1, 1))
+                          - 2.0 * _curve_error(dist.n, 1, betas.size, 1))
     exact = _exact_means(walk, counts, keep[None], workspace)[0]
     best = keep[np.flatnonzero(exact == exact.max())[-1]]
-    return float(np.linspace(0.0, 1.0, m + 1)[best])
+    return float(betas[best])
 
 
 def _replicate_means(means: np.ndarray) -> np.ndarray:
@@ -582,7 +591,7 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
         # _MAX_BETA_STEPS, so a uint16 holds it.
         counts = workspace.array(f"counts{slot}", (horizon, len(rep_seeds),
                                                    dist.n), np.uint16)
-        approx = _approx_curves(walk, betas.size - 1, counts, workspace)
+        approx = _approx_curves(walk, betas, counts, workspace)
         walks.append((walk, counts))
         means.append([approx[span].mean(axis=0) for span in spans])
         bases.append([float(np.mean(base[span])) for span in spans])

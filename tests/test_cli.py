@@ -144,11 +144,45 @@ class TestOptimizeThreshold:
         assert hashlib.sha256(
             (tmp_path / "threshold.json").read_bytes()).hexdigest() == digest
 
+    # At one score the evaluation cap admits 10^8 thresholds, and the
+    # sweep would hold float arrays of 0.8 GB each over them.
+    def test_too_many_thresholds_are_refused(self, capsys, monkeypatch,
+                                             tmp_path):
+        _forbid(monkeypatch, "expected_next_score", module=interventions)
+        scores = tmp_path / "one.csv"
+        scores.write_text("score\n0.5\n")
+        target = tmp_path / "never"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "optimize-threshold", "--k", 0.1, "--c", 3,
+                           "--dist", f"file:{scores}",
+                           "--resolution", "1.00000001e-8",
+                           "--out-dir", target)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert err == ("error: resolution 1.00000001e-08 needs 100,000,000 "
+                       "thresholds, more than the cap of 1,000,000\n")
+        assert not target.exists()
+
+    def test_threshold_cap_is_inclusive(self, capsys, monkeypatch):
+        args = ("optimize-threshold", "--k", 0.1, "--c", 3, "--dist",
+                "beta:4,8", "--n", 200, "--resolution", 0.01)
+        want = run_json(capsys, *args)
+        monkeypatch.setattr(interventions, "MAX_SWEEP_THRESHOLDS", 101)
+        assert run_json(capsys, *args) == want
+        monkeypatch.setattr(interventions, "MAX_SWEEP_THRESHOLDS", 100)
+        code, _, err = run(capsys, *args)
+        assert code == 2 and "needs 101 thresholds" in err
+
     def test_existing_sweeps_sit_far_below_the_cap(self):
         # the CLI default (1,001 betas over 1,000 scores) and the largest
         # test sweep (101 betas over 20,000 scores)
         assert 1001 * 1000 * 99 < interventions.MAX_SWEEP_EVALUATIONS
         assert 101 * 20_000 * 49 < interventions.MAX_SWEEP_EVALUATIONS
+        # threshold.json's pins sweep 1,001 and 50,001 thresholds, the
+        # README's k = 0 corners 100,001 (1e-5) and 1,001 (1e-3)
+        for resolution in (1e-3, 2e-5, 1e-5):
+            assert (round(1 / resolution) + 1) * 9 \
+                < interventions.MAX_SWEEP_THRESHOLDS
 
 
 class TestAnalyzeMarkov:
@@ -599,6 +633,22 @@ class TestRecommend:
         assert hashlib.sha256((out / "grid.json").read_bytes()).hexdigest() \
             == digest
 
+    def test_the_baseline_freezes_through_frozen_step(self, capsys,
+                                                      monkeypatch, tmp_path):
+        # One call per step of each group's beta-hat baseline in each cell,
+        # on all 3 kinds x 2 replicates of 60 scores: 4 cells x 2 groups x
+        # horizon 4.  The sweep's walk is always approved and never freezes.
+        from lendingdyn import dynamics
+        shapes = []
+
+        def spy(scores, *args):
+            shapes.append(scores.shape)
+            return dynamics.frozen_step(scores, *args)
+        monkeypatch.setattr(interventions, "frozen_step", spy)
+        code, _, err = run(capsys, *self.args(tmp_path / "rec"))
+        assert code == 0, err
+        assert shapes == [(6, 60)] * (4 * 2 * 4)
+
     def test_threads_do_not_change_artifacts(self, capsys, tmp_path):
         d1 = tmp_path / "t1"
         run(capsys, *self.args(d1, threads=1))
@@ -892,9 +942,9 @@ class TestGridCaps:
 
     def test_acceptance_sizes_sit_far_below_the_memory_cap(self):
         # The criterion-6 and benchmark grids: 500 scores per group, 10
-        # replicates, horizon 20; 9.3 MB of cell arrays, 115 times under.
+        # replicates, horizon 20; 8.7 MB of cell arrays, 123 times under.
         need = interventions.cell_bytes(500, 500, 20, 10)
-        assert need == 9_275_008
+        assert need == 8_675_008
         assert need * 100 < interventions.MAX_CELL_BYTES
 
     def test_long_c_span_is_refused_by_max_mean_curve(self, capsys,

@@ -12,8 +12,8 @@ from lendingdyn import (DynamicsParams, ScoreDistribution, ThresholdPolicy,
                         simulate_group, step_mean, step_population)
 from lendingdyn import _random
 from lendingdyn._random import _KEY_BATCH, step_rows
-from lendingdyn.dynamics import (_U_LAST, _advance_scores, approved_step,
-                                 keep_denied, step_bits)
+from lendingdyn.dynamics import (_U_LAST, approved_step, frozen_step,
+                                 step_bits)
 from oracles import (reference_advance, reference_approved_step,
                      reference_settled_step, reference_walk)
 
@@ -138,13 +138,13 @@ WORKED_STEPS = [
 
 
 class TestScoreKernel:
-    """approved_step and keep_denied, bit selects, against np.where."""
+    """approved_step and frozen_step, bit selects, against np.where."""
 
     @pytest.mark.parametrize("pi, beta, u, k, c, want", WORKED_STEPS)
     def test_worked_step(self, pi, beta, u, k, c, want):
         out, bits = np.empty(1), np.empty(1, dtype=np.int64)
-        got = _advance_scores(np.array([pi]), np.array([u]), beta,
-                              step_bits(k, c), out, bits)
+        got = frozen_step(np.array([pi]), np.array([u]), beta,
+                          step_bits(k, c), out, bits)
         assert got[0] == want
 
     def test_property_against_the_where_reference(self):
@@ -164,12 +164,12 @@ class TestScoreKernel:
             full = step_bits(k, c, np.empty((2, *scores.shape), np.int64))
             assert approved_step(scores, u, full, out, bits).tobytes() == step
             want = reference_advance(scores, u, beta, k, c).tobytes()
-            assert _advance_scores(scores, u, beta, step_bits(k, c), out,
-                                   bits).tobytes() == want
+            assert frozen_step(scores, u, beta, step_bits(k, c), out,
+                               bits).tobytes() == want
             # out may be the draws themselves
             u_out = u.copy()
-            assert _advance_scores(scores, u_out, beta, full, u_out,
-                                   bits).tobytes() == want
+            assert frozen_step(scores, u_out, beta, full, u_out,
+                               bits).tobytes() == want
 
         check()
 
@@ -182,7 +182,7 @@ class TestScoreKernel:
         assert out.tobytes() == np.array([0.0, 0.0, 0.0, 1.0, 0.4]).tobytes()
         # Below beta every agent keeps its bytes, so -0.0 stays -0.0:
         # multiplying by the mask would write +0.0.
-        keep_denied(scores, 0.75, out, bits)
+        frozen_step(scores, u, 0.75, step_bits(0.1, 1.0), out, bits)
         assert out.tobytes() == np.array(
             [-0.0, 0.0, -0.0, 1.0, 0.5]).tobytes()
         assert np.signbit(out).tolist() == [True, False, True, False, False]
@@ -199,7 +199,7 @@ class TestScoreKernel:
         c = np.array([[0.0], [1.0], [2.5]])
         beta = np.array([[0.0], [0.5], [1.0]])
         out, bits = np.empty((3, 40)), np.empty((3, 40), dtype=np.int64)
-        got = _advance_scores(scores, u, beta, step_bits(0.2, c), out, bits)
+        got = frozen_step(scores, u, beta, step_bits(0.2, c), out, bits)
         for r in range(3):
             want = reference_advance(scores[r], u[r], beta[r, 0], 0.2,
                                      c[r, 0])

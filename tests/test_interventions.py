@@ -111,10 +111,10 @@ def _approved_walk(k, c_rows, walk):
 def _curves_and_counts(walk, m, workspace=None):
     """_approx_curves of a walk over m threshold steps, and the threshold
     counts it takes, which must be the reference counts."""
+    betas = np.linspace(0.0, 1.0, m + 1)
     counts = np.empty((len(walk) - 1, *walk.shape[1:]), np.uint16)
-    curves = _approx_curves(walk, m, counts, workspace or _Workspace())
-    assert np.array_equal(counts, reference_threshold_counts(
-        np.linspace(0.0, 1.0, m + 1), walk))
+    curves = _approx_curves(walk, betas, counts, workspace or _Workspace())
+    assert np.array_equal(counts, reference_threshold_counts(betas, walk))
     return curves, counts
 
 
@@ -779,7 +779,7 @@ class TestLatticeBins:
             betas = np.linspace(0.0, 1.0, m + 1)
             values = np.stack([rng.permutation(_adversarial_values(m, rng))
                                for _ in range(rows)])
-            got = _lattice_bins(values, m,
+            got = _lattice_bins(values, betas,
                                 np.empty(values.shape, dtype=np.intp),
                                 np.empty(values.shape))
             want = np.searchsorted(betas, values, side="right")
@@ -790,9 +790,10 @@ class TestLatticeBins:
         rng = np.random.default_rng(1)
         values = rng.choice(_adversarial_values(m, rng), (5, rows, 30))
         out = np.empty(values.shape, dtype=np.intp)
-        got = _lattice_bins(values, m, out, np.empty(values.shape))
+        betas = np.linspace(0.0, 1.0, m + 1)
+        got = _lattice_bins(values, betas, out, np.empty(values.shape))
         assert got is out
-        want = np.searchsorted(np.linspace(0.0, 1.0, m + 1), values, "right")
+        want = np.searchsorted(betas, values, "right")
         assert np.array_equal(got, want)
 
 

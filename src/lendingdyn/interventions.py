@@ -44,11 +44,11 @@ counts, kept as a uint16 per (step, row, agent): a count is at most
 _MAX_BETA_STEPS + 1 = 1,001.  A utility moves by at most the moves of its
 two means, so only candidates whose approximate utility lies within
 2 * (delta_A + delta_D) of the best can be the exact best; exact means are
-read from the walk and the counts for those alone (1 or 4 of 101
-thresholds on the benchmark grid), with the same pairwise agent sums and
-row-by-row replicate sums as the full sweep, and the last candidate of
-highest exact utility wins.  Where the bound is not small, every threshold
-survives.
+read from the walk and the counts for those alone, each group's walk at
+the union of its cell's survivors (1 to 6 of 101 thresholds on the
+benchmark grid), with the same pairwise agent sums and row-by-row
+replicate sums as the full sweep, and the last candidate of highest exact
+utility wins.  Where the bound is not small, every threshold survives.
 
 recommend_grid evaluates each cell once, for all three kinds: per group,
 one pass builds the blocks of every kind's replicates and one step loop
@@ -382,13 +382,13 @@ def _curve_error(n: int, horizon: int, n_betas: int, n_rows: int) -> float:
 def _exact_means(walk: np.ndarray, counts: np.ndarray, js: np.ndarray,
                  workspace: _Workspace) -> np.ndarray:
     """Horizon-end means of every row of a step-major walk, walk[t] = X[t]
-    (_walk), at its own thresholds.
+    (_walk), at one set of thresholds.
 
     counts holds the walk's threshold counts C, the unsigned array that
-    _approx_curves fills (each count at most m + 1), and js, shape
-    (rows, w), the indices of the thresholds row r is read at.
-    out[r, j] equals simulate_group(..., betas[js[r, j]], ...).mean() for
-    the seed and penalty of the row, bit for bit.  A running minimum lies
+    _approx_curves fills (each count at most m + 1), and js, a 1-D array,
+    the indices of the thresholds every row is read at.  out[r, j] equals
+    simulate_group(..., betas[js[j]], ...).mean() for the seed and penalty
+    of row r, bit for bit, whatever else js holds.  A running minimum lies
     at or above betas[j] exactly when j < C[t], so tau, the steps whose
     running minimum clears the threshold (the freeze identity,
     _approx_curves), is #{t : C[t] > j}: per block of threshold columns of
@@ -401,12 +401,13 @@ def _exact_means(walk: np.ndarray, counts: np.ndarray, js: np.ndarray,
     """
     horizon, rows, n = len(walk) - 1, *walk.shape[1:]
     width = max(1, 8 * _BATCH_CELLS // (rows * n))
-    if js.shape[1] > width:
+    if js.size > width:
         return np.hstack([
-            _exact_means(walk, counts, js[:, j:j + width], workspace)
-            for j in range(0, js.shape[1], width)])
-    cols = js.astype(counts.dtype)[:, :, None]
-    tau = workspace.array("tau", js.shape + (n,), np.min_scalar_type(horizon))
+            _exact_means(walk, counts, js[j:j + width], workspace)
+            for j in range(0, js.size, width)])
+    cols = js.astype(counts.dtype)[:, None]
+    tau = workspace.array("tau", (rows, js.size, n),
+                          np.min_scalar_type(horizon))
     tau.fill(0)
     approved = workspace.array("tau_step", tau.shape, bool)
     for step in counts:
@@ -470,7 +471,7 @@ def grid_search_threshold(dist: ScoreDistribution, params: DynamicsParams,
     approx = _approx_curves(walk, betas, counts, workspace)[0]
     keep = np.flatnonzero(approx >= approx.max() - 1024.0 * _U
                           - 2.0 * _curve_error(dist.n, 1, betas.size, 1))
-    exact = _exact_means(walk, counts, keep[None], workspace)[0]
+    exact = _exact_means(walk, counts, keep, workspace)[0]
     best = keep[np.flatnonzero(exact == exact.max())[-1]]
     return float(betas[best])
 
@@ -484,13 +485,6 @@ def _replicate_means(means: np.ndarray) -> np.ndarray:
     for s in range(means.shape[1]):
         total += means[:, s]
     return total / means.shape[1]
-
-
-def _padded(index_sets) -> np.ndarray:
-    """Stack index arrays into rows, each padded with its last entry."""
-    width = max(len(ix) for ix in index_sets)
-    return np.array([np.pad(ix, (0, width - len(ix)), mode="edge")
-                     for ix in index_sets])
 
 
 def baseline_outcome(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
@@ -531,6 +525,17 @@ class PolicyOutcome:
         object.__setattr__(self, "beta_by_group", dict(self.beta_by_group))
 
 
+def _check_settings(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
+                    horizon: int, n_seeds: int) -> None:
+    """Refuse what no cell can evaluate, before any block is built."""
+    if dist_a.group == dist_d.group:
+        raise ValueError("groups must have distinct labels")
+    if n_seeds < 1:
+        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
+    if horizon < 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+
+
 def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                    specs: Sequence[InterventionSpec], seeds: Sequence[int],
                    weights: UtilityWeights, k: float, horizon: int,
@@ -553,25 +558,20 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     ones, and a utility moves by at most its two means' moves, so the
     exact best candidate has an approximate utility within 2 * (delta_A +
     delta_D) of the approximate best (plus a rounding margin).  Exact means
-    are read out at the candidates inside that slack only, and the last
+    are read out at the candidates inside that slack only: each group's
+    walk once, at the union of its specs' candidates, since an exact mean
+    is the same float whichever other thresholds are read.  The last
     candidate with the highest exact utility wins.  Those are the floats,
     in the same order, that a full sweep of every threshold compares, so
-    the choice, its means and its utility do not change.
+    the choice, its means and its utility do not change.  The settings
+    are checked by the caller (_check_settings).
     """
-    if dist_a.group == dist_d.group:
-        raise ValueError("groups must have distinct labels")
-    if n_seeds < 1:
-        raise ValueError(f"n_seeds must be positive, got {n_seeds}")
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     c_hat = specs[0].baseline_c
     bhat = optimal_threshold(k, c_hat).beta_hat
     pre = DynamicsParams.uniform(k, c_hat, (dist_a.group, dist_d.group))
     posts = [apply_intervention(pre, spec, disadvantaged=dist_d.group)
              for spec in specs]
     rep_seeds = [s for seed in seeds for s in _replicate_seeds(seed, n_seeds)]
-    # spec i's replicates are rows i * n_seeds ... (i + 1) * n_seeds - 1
-    spans = [slice(i * n_seeds, (i + 1) * n_seeds) for i in range(len(specs))]
 
     # The margin covers the rounding of the utilities, each a few float
     # operations on values of size at most 4, and of the comparison.
@@ -593,8 +593,9 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                                                    dist.n), np.uint16)
         approx = _approx_curves(walk, betas, counts, workspace)
         walks.append((walk, counts))
-        means.append([approx[span].mean(axis=0) for span in spans])
-        bases.append([float(np.mean(base[span])) for span in spans])
+        # spec i's replicates are rows i * n_seeds ... (i + 1) * n_seeds - 1
+        means.append(approx.reshape(len(specs), n_seeds, -1).mean(axis=1))
+        bases.append(base.reshape(len(specs), n_seeds).mean(axis=1).tolist())
         slack += 2.0 * _curve_error(dist.n, horizon, betas.size, n_seeds)
 
     # Candidate (A, D) threshold indices in row-major order: the whole grid,
@@ -611,18 +612,16 @@ def _evaluate_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
         plans.append(divmod(keep, betas.size) if per_group_beta
                      else (keep, keep))
 
-    # Exact replicate means at each group's surviving thresholds, one pass
-    # over each walk, mapped back onto the candidates.
+    # Exact replicate means at the union of each group's surviving
+    # thresholds, one pass over each walk, mapped back onto the candidates.
     exact = []
-    for side, dist in enumerate((dist_a, dist_d)):
-        js = [np.unique(plan[side]) for plan in plans]
-        per_row = _exact_means(*walks[side],
-                               np.repeat(_padded(js), n_seeds, axis=0),
-                               workspace)
+    for side in (0, 1):
+        js = np.unique(np.concatenate([plan[side] for plan in plans]))
+        per_row = _exact_means(*walks[side], js, workspace)
         walks[side] = None
         reps = _replicate_means(per_row.reshape(len(specs), n_seeds, -1))
-        exact.append([rep[np.searchsorted(j, plan[side])]
-                      for rep, j, plan in zip(reps, js, plans)])
+        exact.append([rep[np.searchsorted(js, plan[side])]
+                      for rep, plan in zip(reps, plans)])
 
     # Ties go to the last candidate.
     outcomes = []
@@ -663,9 +662,11 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     does not share seeds: it gives every (cell, kind) its own.  beta_step
     must split [0, 1] into at most 1,000 whole steps (_beta_grid).
     """
+    betas = _beta_grid(beta_step)
+    _check_settings(dist_a, dist_d, horizon, n_seeds)
     return _evaluate_cell(dist_a, dist_d, [spec], [seed], weights, k,
-                          horizon, n_seeds, per_group_beta,
-                          _beta_grid(beta_step), _Workspace())[0]
+                          horizon, n_seeds, per_group_beta, betas,
+                          _Workspace())[0]
 
 
 @dataclass(frozen=True)
@@ -811,6 +812,7 @@ def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     betas = _beta_grid(beta_step)
+    _check_settings(dist_a, dist_d, horizon, n_seeds)
     task = partial(_grid_cell, dist_a, dist_d, c_values, r_values, seed,
                    weights, k, horizon, n_seeds, per_group_beta, betas)
     by_cell = _map_cells(task, len(c_values) * len(r_values), threads)

@@ -142,18 +142,6 @@ class AbsorbingChain:
     def a_matrix(self) -> np.ndarray:
         return self._float_blocks[1]
 
-    def _exact_block(self, columns: range) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(sum((Fraction(n, self.space.den) for t, n in moves if t == j),
-                               Fraction(0)) for j in columns) for moves in self.rows)
-
-    @cached_property
-    def transient_block(self) -> tuple[tuple[Fraction, ...], ...]:   # B
-        return self._exact_block(range(len(self.space.absorbing), len(self.space.states)))
-
-    @cached_property
-    def absorbing_block(self) -> tuple[tuple[Fraction, ...], ...]:   # A
-        return self._exact_block(range(len(self.space.absorbing)))
-
 
 def build_chain(space: StateSpace) -> AbsorbingChain:
     """Fill the transition rows: up with probability x, down with 1 - x."""

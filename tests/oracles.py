@@ -16,6 +16,27 @@ from lendingdyn.risk import (APPLICATION_COLUMNS, TRAINING_COLUMNS, LoadResult,
                              LoanRecord, RowReject)
 
 
+def _exact_block(chain, columns):
+    """Rows of a chain's transition probabilities over the state positions
+    in columns, as Fractions."""
+    den = chain.space.den
+    return tuple(tuple(sum((F(num, den) for target, num in moves
+                            if target == j), F(0))
+                       for j in columns)
+                 for moves in chain.rows)
+
+
+def transient_block(chain):
+    """B: transient to transient, over the ascending transient states."""
+    na = len(chain.space.absorbing)
+    return _exact_block(chain, range(na, len(chain.space.states)))
+
+
+def absorbing_block(chain):
+    """A: transient to absorbing, over the ascending absorbing states."""
+    return _exact_block(chain, range(len(chain.space.absorbing)))
+
+
 def exact_absorption(chain):
     """Independent oracle: Gauss-Jordan over Fractions on (I - B) X = A.
 
@@ -27,11 +48,11 @@ def exact_absorption(chain):
     trans = list(space.transient)
     nt, na = len(trans), len(space.absorbing)
     # augmented system rows: [I - B | A | 1] solved for X and expected steps
+    B, A = transient_block(chain), absorbing_block(chain)
     rows = []
     for i in range(nt):
-        row = [(F(1) if i == j else F(0)) - chain.transient_block[i][j]
-               for j in range(nt)]
-        row += list(chain.absorbing_block[i]) + [F(1)]
+        row = [(F(1) if i == j else F(0)) - B[i][j] for j in range(nt)]
+        row += list(A[i]) + [F(1)]
         rows.append(row)
     for col in range(nt):
         piv = next(r for r in range(col, nt) if rows[r][col] != 0)

@@ -1433,6 +1433,25 @@ class TestNegativeHorizon:
         assert not (out / "run.cfg").exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--horizon", -1, "horizon must be nonnegative, got -1"),
+    ("--seeds", 0, "n_seeds must be positive, got 0"),
+])
+def test_grid_settings_are_refused_before_any_worker(capsys, monkeypatch,
+                                                     tmp_path, flag, value,
+                                                     message):
+    # With two workers the cells would run in forked processes; a setting
+    # no cell can evaluate is refused before they are mapped.
+    from lendingdyn import interventions
+    _forbid(monkeypatch, "_map_cells", module=interventions)
+    out = tmp_path / "out"
+    code, _, err = run(capsys, *TestNegativeHorizon.RUNS["recommend"],
+                       "--threads", 2, flag, value, "--out-dir", out)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert not (out / "run.cfg").exists()
+
+
 def test_walks_draw_no_step_uniforms(capsys, monkeypatch, tmp_path):
     # Every walk draws its rows through the key pass (step_rows or
     # uniform_blocks); step_uniforms is the streams' definition alone.

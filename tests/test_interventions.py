@@ -17,8 +17,9 @@ from lendingdyn import interventions, read_score_csv
 from lendingdyn._random import TAG_CELL, TAG_REPLICATE, derive_seed, uniform_blocks
 from lendingdyn.interventions import (KIND_ORDER, _approx_curves, _beta_grid,
                                       _curve_error, _evaluate_cell,
-                                      _exact_means, _lattice_bins, _walk,
-                                      _Workspace, cell_bytes)
+                                      _exact_means, _lattice_bins,
+                                      _replicate_means, _walk, _Workspace,
+                                      cell_bytes)
 
 from oracles import (reference_baseline_outcome, reference_evaluate_cell,
                      reference_group_means, reference_mean_curves,
@@ -136,8 +137,7 @@ def _row_curves(scores, k, c_rows, betas, blocks):
     then the exact read-out at every threshold of every row."""
     walk = step_major_walk(scores, blocks)
     _approved_walk(k, c_rows, walk)
-    js = np.tile(np.arange(betas.size), (len(blocks), 1))
-    return _read_out(betas, walk, js)
+    return _read_out(betas, walk, np.arange(betas.size))
 
 
 def _mean_curves(scores, k, c, betas, blocks):
@@ -532,6 +532,24 @@ class TestRecommendGrid:
             recommend_grid(small_pair[0], small_pair[1], (), (0.1,),
                            UtilityWeights(alpha=0.5), 0.1)
 
+    @pytest.mark.parametrize("n_seeds, horizon, same_labels, match", [
+        (0, 20, False, "^n_seeds must be positive, got 0$"),
+        (10, -1, False, "^horizon must be nonnegative, got -1$"),
+        (10, 20, True, "^groups must have distinct labels$"),
+    ])
+    def test_bad_settings_rejected_before_any_cell(self, small_pair,
+                                                    monkeypatch, n_seeds,
+                                                    horizon, same_labels,
+                                                    match):
+        def mapped(*args):
+            raise AssertionError("cells were mapped")
+        monkeypatch.setattr(interventions, "_map_cells", mapped)
+        dist_a, dist_d = small_pair
+        with pytest.raises(ValueError, match=match):
+            recommend_grid(dist_a, dist_a if same_labels else dist_d,
+                           (1.0,), (0.1, 0.5), UtilityWeights(alpha=0.5),
+                           0.1, horizon=horizon, n_seeds=n_seeds, threads=2)
+
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, small_pair, threads):
         with pytest.raises(ValueError, match="threads"):
@@ -824,9 +842,7 @@ class TestApproximateCurves:
             m = int(rng.choice([1, 2, 4, 10, 20, 100, 1000]))
             betas, walk = _random_walk_case(rng, horizon, n, rows, m)
             approx, counts = _curves_and_counts(walk, m, workspace)
-            exact = _exact_means(walk, counts,
-                                 np.tile(np.arange(m + 1), (rows, 1)),
-                                 workspace)
+            exact = _exact_means(walk, counts, np.arange(m + 1), workspace)
             bound = _curve_error(n, horizon, m + 1, 1)
             gap = np.abs(approx - exact).max()
             assert gap <= bound, (trial, gap, bound)
@@ -847,8 +863,7 @@ class TestApproximateCurves:
         top = betas > scores.max()
         approx, counts = _curves_and_counts(walk, 20)
         assert np.all(approx[:, top] == approx[:, top][:, :1])
-        exact = _exact_means(walk, counts,
-                             np.tile(np.flatnonzero(top), (4, 1)),
+        exact = _exact_means(walk, counts, np.flatnonzero(top),
                              _Workspace())
         assert np.all(exact == scores.mean())
 
@@ -966,7 +981,7 @@ class TestBoundedSearch:
         real = interventions._exact_means
 
         def spy(walk, counts, js, workspace):
-            reads.append((js.shape[1], int(counts.max(initial=0))))
+            reads.append((js.size, int(counts.max(initial=0))))
             return real(walk, counts, js, workspace)
 
         monkeypatch.setattr(interventions, "_exact_means", spy)
@@ -1050,17 +1065,36 @@ class TestBoundedSearch:
             assert [_bits(o) for o in _evaluate_cell(*args, workspace)] == \
                 [_bits(o) for o in reference_evaluate_cell(*args)]
 
+    @pytest.mark.parametrize("columns", [1, 2])
+    @pytest.mark.parametrize("n_seeds", [8, 10, 17])
+    def test_replicate_means_sum_row_by_row(self, n_seeds, columns):
+        # With 8 or more replicates a numpy mean over one column sums
+        # pairwise, not row by row; the full sweep's replicate mean of a
+        # C-ordered (replicates, thresholds) array sums row by row.  Two
+        # columns check that each column is summed on its own.
+        rng = np.random.default_rng([n_seeds, columns])
+        means = rng.random((3, n_seeds, columns)) * \
+            10.0 ** rng.integers(-8, 1, (3, n_seeds, columns))
+        want = np.empty((3, columns))
+        for spec in range(3):
+            for col in range(columns):
+                total = 0.0
+                for rep in range(n_seeds):
+                    total += means[spec, rep, col]
+                want[spec, col] = total / n_seeds
+        assert _replicate_means(means).tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("n_seeds", [8, 10, 17])
     def test_sequential_replicate_means_at_few_survivors(self, monkeypatch,
                                                           n_seeds):
-        # With 8 or more replicates a numpy mean over a one- or two-column
-        # slice sums pairwise, not row by row; the bounded search must sum
-        # row by row like the full sweep.
+        # Each group's exact read-out holds the union of its three kinds'
+        # survivors, a few columns; their replicate means must sum row by
+        # row like the full sweep's (test_replicate_means_sum_row_by_row).
         widths = []
         real = interventions._exact_means
 
         def spy(walk, counts, js, workspace):
-            widths.append(js.shape[1])
+            widths.append(js.size)
             return real(walk, counts, js, workspace)
 
         monkeypatch.setattr(interventions, "_exact_means", spy)
@@ -1072,7 +1106,7 @@ class TestBoundedSearch:
         got = _evaluate_cell(*args, _Workspace())
         assert [_bits(o) for o in got] == \
             [_bits(o) for o in reference_evaluate_cell(*args)]
-        assert widths and 1 <= min(widths) and max(widths) <= 3
+        assert widths and 1 <= min(widths) and max(widths) <= 4
 
     def test_a_step_major_walk_reads_the_same(self):
         # The read-out and the curves of a step-major walk against the full
@@ -1080,11 +1114,10 @@ class TestBoundedSearch:
         rng = np.random.default_rng(17)
         for horizon in (0, 1, 13):
             betas, walk = _random_walk_case(rng, horizon, 60, 5, 50)
-            js = np.stack([rng.choice(betas.size, 6, replace=False)
-                           for _ in range(5)])
+            js = rng.choice(betas.size, 6, replace=False)
             full = reference_sweep_tail(betas, walk)
             assert _read_out(betas, walk, js).tobytes() == \
-                np.take_along_axis(full, js, axis=1).tobytes()
+                full[:, js].tobytes()
             assert np.abs(_curves_and_counts(walk, 50)[0] - full).max() \
                 <= _curve_error(60, horizon, 51, 1)
 
@@ -1094,10 +1127,9 @@ class TestBoundedSearch:
         rng = np.random.default_rng(8)
         betas, walk = _random_walk_case(rng, 15, 80, 6, 50)
         full = reference_sweep_tail(betas, walk)
-        js = np.stack([rng.choice(betas.size, 4, replace=False)
-                       for _ in range(6)])
+        js = rng.choice(betas.size, 4, replace=False)
         got = _read_out(betas, walk, js)
-        assert got.tobytes() == np.take_along_axis(full, js, axis=1).tobytes()
+        assert got.tobytes() == full[:, js].tobytes()
 
     def test_group_walk_equals_the_full_sweep(self):
         rng = np.random.default_rng(13)

@@ -6,8 +6,8 @@ score x/den.  Scores clamp to 1 or 0 and freeze below beta, all absorbing.
 Transient x moves up with probability x/den, down with (den - x)/den.  With
 S = [[I, 0], [A, B]] (absorbing states first), (I - B) X = A gives the
 absorption probabilities and (I - B) t = 1 the expected steps.  Fractions
-are exact views of the ints; floats appear only in the float blocks, built
-once per chain, and in the linear algebra.
+are exact views of the ints; floats appear only in A, I - B and B, each
+built from the int rows when it is needed, and in the linear algebra.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
-# enumerate_states' limit: the float blocks are dense and the solve is O(n^3).
+# enumerate_states' limit: the solve is O(n^3) and holds two dense n x n
+# arrays, I - B and LAPACK's LU copy of it, about 268 MB at 4,096 states.
 MAX_TRANSIENT_STATES = 4096
 
 # Most transient states^2 x horizon multiply-adds of transient mass that
@@ -124,23 +125,40 @@ class AbsorbingChain:
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @cached_property
-    def _float_blocks(self) -> tuple[np.ndarray, np.ndarray]:
-        # int / int is correctly rounded, as float(Fraction) is, so these are
-        # the floats of the exact blocks bit for bit; shared, so read-only.
-        na, nt = len(self.space.absorbing), len(self.rows)
-        B, A = np.zeros((nt, nt)), np.zeros((nt, na))
-        for r, moves in enumerate(self.rows):
-            for target, num in moves:
-                block, j = (A, target) if target < na else (B, target - na)
-                block[r, j] += num / self.space.den
-        B.flags.writeable = A.flags.writeable = False
-        return B, A
+    def _a(self) -> np.ndarray:
+        A = _float_block(self, 0, len(self.space.absorbing))
+        A.flags.writeable = False
+        return A
+
+    @cached_property
+    def _b(self) -> np.ndarray:
+        B = _float_block(self, len(self.space.absorbing), len(self.rows))
+        B.flags.writeable = False
+        return B
 
     def b_matrix(self) -> np.ndarray:
-        return self._float_blocks[0]
+        """B, shared and read-only, built on first use: n x n doubles,
+        134 MB at the 4,096-state cap.  Only the transient mass and
+        acceptance criterion 3 read it.  The solve never does, so its two
+        n x n arrays are freed before the mass builds this third one."""
+        return self._b
 
     def a_matrix(self) -> np.ndarray:
-        return self._float_blocks[1]
+        """A, shared and read-only: n x (absorbing states) doubles."""
+        return self._a
+
+
+def _float_block(chain: AbsorbingChain, first: int, width: int,
+                 sign: float = 1.0) -> np.ndarray:
+    # sign times the rows' probabilities into states[first:first + width].
+    # int / int is correctly rounded, as float(Fraction) is, and negation is
+    # exact, so these are the floats of the exact blocks bit for bit.
+    out = np.zeros((len(chain.rows), width))
+    for r, moves in enumerate(chain.rows):
+        for target, num in moves:
+            if first <= target < first + width:
+                out[r, target - first] += sign * (num / chain.space.den)
+    return out
 
 
 def build_chain(space: StateSpace) -> AbsorbingChain:
@@ -195,21 +213,40 @@ class AbsorptionResult:
             raise KeyError(f"{state} is not an absorbing state") from None
 
 
-def absorption_probabilities(chain: AbsorbingChain, start) -> AbsorptionResult:
-    """Absorption distribution and expected steps from a known state."""
-    start = _exact(start, "start")
+def _transient_row(chain: AbsorbingChain, start: Fraction) -> int | None:
+    """start's row of B, or None when start absorbs."""
     space = chain.space
     if start in space.absorbing:
-        probs = tuple(1.0 if s == start else 0.0 for s in space.absorbing)
-        return AbsorptionResult(start, space.absorbing, probs, 0.0)
+        return None
     if start not in space.transient:
         raise ValueError(f"{start} is not a state of this chain")
-    B, A = chain.b_matrix(), chain.a_matrix()
+    return space.transient.index(start)
+
+
+def absorption_probabilities(chain: AbsorbingChain, start) -> AbsorptionResult:
+    """Absorption distribution and expected steps from a known state.
+
+    Holds two n x n arrays at its peak, I - B and the LU copy that
+    np.linalg.solve makes of it, about 268 MB at the 4,096-state cap, and
+    never builds B.
+    """
+    start = _exact(start, "start")
+    space = chain.space
+    i = _transient_row(chain, start)
+    if i is None:
+        probs = tuple(1.0 if s == start else 0.0 for s in space.absorbing)
+        return AbsorptionResult(start, space.absorbing, probs, 0.0)
+    A = chain.a_matrix()
     _every_state_absorbs(chain)
-    M = np.eye(B.shape[0]) - B
+    # I - B from the rows, bit for bit np.eye(n) - B without building B:
+    # 0.0 - x == 0.0 + -x and 1.0 - x == -x + 1.0.
+    nt = len(chain.rows)
+    M = _float_block(chain, len(space.absorbing), nt, -1.0)
+    M.flat[::nt + 1] += 1.0
+    # Two solves, not one over stacked right-hand sides, which rounds
+    # differently.
     X = np.linalg.solve(M, A)
-    steps = np.linalg.solve(M, np.ones(B.shape[0]))
-    i = space.transient.index(start)
+    steps = np.linalg.solve(M, np.ones(nt))
     probs = X[i]
     total = probs.sum()
     if abs(total - 1.0) > 1e-10:
@@ -223,16 +260,18 @@ def transient_mass(chain: AbsorbingChain, start, steps: int) -> float:
     """P(still transient after `steps`) = row of B^steps summed."""
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
-    start = _exact(start, "start")
-    if start in chain.space.absorbing:
+    i = _transient_row(chain, _exact(start, "start"))
+    if i is None:
         return 0.0
-    i = chain.space.transient.index(start)
     B = chain.b_matrix()
-    v = np.ones(B.shape[0])
-    for _ in range(steps):
+    v, w = np.ones(B.shape[0]), np.empty(B.shape[0])
+    for t in range(steps):
         # Dense on purpose: BLAS dgemv fuses multiply-adds, so a two-move
-        # sparse product rounds differently.  B @ 0 == 0, so stop at zero.
-        v = B @ v
-        if not v.any():
+        # sparse product rounds differently.  B @ 0 == 0, so once v is all
+        # zero the mass is final; looking every 64 steps stops at most 63
+        # products late with the same value.
+        np.matmul(B, v, out=w)
+        v, w = w, v
+        if t % 64 == 63 and not v.any():
             break
     return float(v[i])

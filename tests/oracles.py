@@ -68,6 +68,27 @@ def exact_absorption(chain):
             for i, start in enumerate(trans)}
 
 
+def dense_absorption(chain):
+    """The float solve as it ran on B itself: np.eye(n) - b_matrix(), then
+    one np.linalg.solve for A and one for the ones vector.  Returns
+    (X, steps), with row i for transient state i."""
+    B, A = chain.b_matrix(), chain.a_matrix()
+    M = np.eye(B.shape[0]) - B
+    return np.linalg.solve(M, A), np.linalg.solve(M, np.ones(B.shape[0]))
+
+
+def dense_mass(chain, start, steps):
+    """The transient mass loop with a fresh B @ v and an all-zero test
+    after every product."""
+    B = chain.b_matrix()
+    v = np.ones(B.shape[0])
+    for _ in range(steps):
+        v = B @ v
+        if not v.any():
+            break
+    return float(v[chain.space.transient.index(start)])
+
+
 def reference_chain(pi0: F, step: RationalStep, beta: F):
     """The chain built over Fractions alone: state sets, then dense blocks.
 

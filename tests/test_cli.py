@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -316,11 +317,30 @@ class TestAnalyzeMarkov:
         assert 5 * max(works) <= MAX_MASS_WORK
 
     def test_lattice_under_the_cap_still_solves(self, capsys):
-        payload = run_json(capsys, "analyze-markov", "--pi0", "1/2", "--beta",
-                           "1/3", "--up", "1/73", "--down", "1/71")
-        assert len(payload["transient"]) == 3455
+        # tracemalloc sees I - B, not numpy's LU copy of it; with B or
+        # np.eye(n) beside I - B the traced peak would be twice n^2 doubles
+        tracemalloc.start()
+        try:
+            payload = run_json(capsys, "analyze-markov", "--pi0", "1/2",
+                               "--beta", "1/3", "--up", "1/73", "--down",
+                               "1/71")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = len(payload["transient"])
+        assert n == 3455
         assert math.fsum(payload["probabilities"].values()) == pytest.approx(
             1.0, abs=1e-10)
+        assert peak < 1.5 * n * n * 8
+
+    def test_without_a_horizon_b_is_never_built(self, capsys, monkeypatch):
+        from lendingdyn.markov import AbsorbingChain
+
+        def refuse(self):
+            raise AssertionError("b_matrix built")
+        want = self.frozen(capsys)
+        monkeypatch.setattr(AbsorbingChain, "b_matrix", refuse)
+        assert self.frozen(capsys) == want
 
     # sha256 of markov.json from the dense-Fraction chain that the integer
     # lattice replaced.  The 1/13 and 1/37 cases report masses whose last

@@ -3,6 +3,7 @@
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,8 +14,9 @@ from lendingdyn import (AbsorbingChain, ChainError, RationalStep, StateSpace,
                         enumerate_states, transient_mass)
 from lendingdyn import markov
 
-from oracles import (absorbing_block, exact_absorption, mc_absorption,
-                     reference_chain, transient_block)
+from oracles import (absorbing_block, dense_absorption, dense_mass,
+                     exact_absorption, mc_absorption, reference_chain,
+                     transient_block)
 
 F = Fraction
 
@@ -231,6 +233,12 @@ class TestEdgeCases:
         with pytest.raises(ValueError, match="not a state"):
             absorption_probabilities(chain, F(1, 3))
 
+    def test_unknown_start_has_no_mass(self):
+        step = RationalStep(up=F(1, 4), down=F(1, 4))
+        chain = build_chain(enumerate_states(F(1, 2), step, F(1, 4)))
+        with pytest.raises(ValueError, match="^1/3 is not a state of this chain$"):
+            transient_mass(chain, F(1, 3), 5)
+
     def test_asymmetric_steps(self):
         step = RationalStep.from_gain_penalty(F(1, 10), F(3))
         assert step.up == F(1, 10)
@@ -251,6 +259,19 @@ def assert_matches_reference(pi0, step, beta):
                         dtype=float).reshape(len(trans), width)
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
+    assert_solves_like_dense(chain, chain.space.transient)
+
+
+def assert_solves_like_dense(chain, starts):
+    """absorption_probabilities against np.eye(n) - B, bit for bit."""
+    if not starts:
+        return
+    X, steps = dense_absorption(chain)
+    for start in starts:
+        i = chain.space.transient.index(start)
+        got = absorption_probabilities(chain, start)
+        assert np.array(got.probabilities).tobytes() == X[i].tobytes(), start
+        assert np.float64(got.expected_steps).tobytes() == steps[i].tobytes()
 
 
 class TestReferenceChain:
@@ -285,6 +306,60 @@ class TestReferenceChain:
             assert_matches_reference(pi0, RationalStep(up=up, down=down), beta)
 
         check()
+
+
+def benchmark_chain(up, down):
+    """One of the benchmark's chains: pi0 1/2 and beta 1/3."""
+    step = RationalStep(up=F(up), down=F(down))
+    return build_chain(enumerate_states(F(1, 2), step, F(1, 3)))
+
+
+class TestTwoDenseArrays:
+    """The solve builds I - B from the rows and never B; the mass builds B."""
+
+    @pytest.mark.parametrize("up, down, n", [("1/13", "1/11", 95),
+                                             ("1/23", "1/19", 291),
+                                             ("1/37", "1/31", 765)])
+    def test_benchmark_lattices_solve_bit_for_bit(self, up, down, n):
+        chain = benchmark_chain(up, down)
+        trans = chain.space.transient
+        assert len(trans) == n
+        assert_solves_like_dense(chain, (trans[0], F(1, 2), trans[-1]))
+
+    def test_solve_holds_one_traced_square(self):
+        # numpy mallocs the LU copy itself, so tracemalloc sees I - B alone;
+        # building B as well, or np.eye(n) beside I - B, doubles the peak
+        chain = benchmark_chain("1/37", "1/31")
+        n = len(chain.rows)
+        tracemalloc.start()
+        try:
+            absorption_probabilities(chain, F(1, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
+
+    def test_solve_never_builds_b(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("b_matrix built")
+        monkeypatch.setattr(AbsorbingChain, "b_matrix", refuse)
+        result = absorption_probabilities(worked_chain(), F(1, 2))
+        assert result.expected_steps == pytest.approx(1365 / 233, abs=1e-12)
+
+    def test_mass_matches_the_dense_loop_bit_for_bit(self):
+        # Every entry of the mass vector reaches 0.0 at step 3,476, and
+        # 147/286 keeps a subnormal mass to step 3,475.  The zero test runs
+        # every 64 steps, so the loop stops at step 3,520, not 3,476.
+        chain = benchmark_chain("1/13", "1/11")
+        short = (0, 1, 63, 64, 65)
+        for start, horizons in ((F(1, 2), short),
+                                (F(147, 286), short + tuple(range(3470, 3541)))):
+            for h in horizons:
+                got = transient_mass(chain, start, h)
+                want = dense_mass(chain, start, h)
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), \
+                    (start, h)
+        assert transient_mass(chain, F(147, 286), 3475) > 0.0
 
 
 class TestRandomChains:

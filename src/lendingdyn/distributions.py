@@ -4,12 +4,17 @@ Group A dominates group D on [0, 1] when F_A(x) <= F_D(x) at every grid
 point of the interval (inclusive endpoints, default step 0.01, float
 tolerance 1e-12).  The check runs on empirical CDFs; tests compare it to the
 analytic regularized-incomplete-beta CDF.
+
+Score files, and loan files for risk, are read by read_csv_chunks, the one
+place that decides when a file is plain: as UTF-8, np.loadtxt parsing plain
+chunks and the csv module the rest.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, islice
 
 import numpy as np
@@ -101,97 +106,126 @@ _PLAIN_BYTES = bytes(b for b in range(128)
 _CHUNK_ROWS = 1 << 12       # lines read, parsed and freed at a time
 
 
-class NotPlain(Exception):
-    """The input is one the C reader could read differently from csv.
+def _plain(lines: list[str]) -> bool:
+    """Whether each line is one csv row whose cells np.loadtxt, with
+    comments=None and quotechar=None, reads as the csv module does.
 
-    lines are the lines of the chunk that is not plain, the first ones the
-    csv module must read: every line before them was plain.
-    """
-
-    def __init__(self, lines: list[str]):
-        super().__init__()
-        self.lines = lines
-
-
-def plain_chunks(fh, size: int):
-    """The rest of a file opened with newline="", in lists of `size` lines.
-
-    Each line of a plain file is one csv row, so np.loadtxt with
-    comments=None and quotechar=None reads its cells as the csv module does.
     A line is plain when it is ASCII, holds no '"', no control character
     other than tab, vertical tab and form feed, no '\r' outside a '\r\n'
-    end, is not blank, and is no longer than the csv field limit.  Raises
-    NotPlain with the lines of the first chunk holding a line that is not.
+    end, is not blank, and is no longer than the csv field limit.
     """
+    text = "".join(lines)
+    if not text.isascii():
+        return False
+    raw = text.encode("ascii")
+    left = raw.translate(None, _PLAIN_BYTES)    # '\r' and what is not plain
     limit = csv.field_size_limit()
-    while lines := list(islice(fh, size)):
-        text = "".join(lines)
-        if not text.isascii():
-            raise NotPlain(lines)
-        raw = text.encode("ascii")
-        left = raw.translate(None, _PLAIN_BYTES)    # '\r' and what is not plain
-        if ((left and (left.strip(b"\r") or len(left) != raw.count(b"\r\n")))
+    return not ((left and (left.strip(b"\r") or len(left) != raw.count(b"\r\n")))
                 or "\n" in lines or "\r\n" in lines
-                or (len(text) > limit and max(map(len, lines)) > limit)):
-            raise NotPlain(lines)
-        yield lines
+                or (len(text) > limit and max(map(len, lines)) > limit))
 
 
-def _csv_scores(path, reader, before: int) -> np.ndarray:
-    """The scores of the rows a csv reader yields, read row by row: any
-    text, with every error worded.  The reader starts after `before` file
-    lines, each one row, so its rows are file rows before, before + 1, ...
-    and only row 0 may be a header."""
-    values = []
+def read_csv_chunks(path, start):
+    """The parsed chunks of a CSV file, _CHUNK_ROWS lines at a time: the one
+    place that decides when a file is plain.
+
+    The file is read as UTF-8, a leading BOM dropped.  start(reader) may
+    read header rows off a csv reader at the start of the file, and returns
+    two parsers: plain(lines, line) for a chunk of plain lines, the first
+    on file line `line`, which returns None to refuse the chunk, and
+    csv_rows(rows, lines) for csv rows (see _csv_chunks).  plain parses each
+    chunk while the file is plain; from the first chunk that is not, or
+    that plain refuses, the csv module reads the rest, that chunk first.
+    No line is parsed twice.  A csv.Error raises ValueError naming its
+    file line.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader, before = csv.reader(fh), 0
+        try:
+            plain, csv_rows = start(reader)
+            line = reader.line_num + 1
+            while lines := list(islice(fh, _CHUNK_ROWS)):
+                chunk = plain(lines, line) if _plain(lines) else None
+                if chunk is None:
+                    reader, before = csv.reader(chain(lines, fh)), line - 1
+                    yield from _csv_chunks(reader, before, csv_rows)
+                    return
+                yield chunk
+                line += len(lines)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{before + reader.line_num}: {exc}") from None
+
+
+def _csv_chunks(reader, before: int, parse):
+    """parse(rows, lines) of each chunk of _CHUNK_ROWS rows a csv reader
+    reads after `before` file lines: any text.  Blank lines hold no row;
+    a row's line is the file line it starts on, after quoted newlines and
+    blank lines.  The rows before a csv.Error are parsed before it is
+    raised, so their own errors come first, as in a row-by-row read.
+    """
+    end = before
+    while True:
+        # Rebinding rows frees the last chunk's strings before the next
+        # chunk is read.
+        rows, lines, read = [], [], 0
+        try:
+            for read, row in zip(range(1, _CHUNK_ROWS + 1), reader):
+                if row:
+                    rows.append(row)
+                    lines.append(end + 1)
+                end = before + reader.line_num
+        except csv.Error:
+            if rows:
+                parse(rows, lines)
+            raise
+        if rows:
+            yield parse(rows, lines)
+        if read < _CHUNK_ROWS:
+            return
+
+
+def _plain_scores(lines: list[str], line: int) -> np.ndarray | None:
+    """The scores of plain lines, the first on file line `line`, parsed by
+    np.loadtxt; None when it refuses them."""
+    body = lines
+    if line == 1:
+        # The first line is a header when its first cell does not parse,
+        # as in _csv_scores.
+        try:
+            float(lines[0].split(",", 1)[0])
+        except ValueError:
+            body = lines[1:]
     try:
-        for i, row in enumerate(reader, before):
-            if not row:
-                continue
-            cell = row[0].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if i > 0:
-                    raise ValueError(
-                        f"non-numeric score {cell!r} in {path}") from None
-                # header row
-    except csv.Error as exc:
-        raise ValueError(f"{path}:{before + reader.line_num}: {exc}") from None
+        return np.loadtxt(body, delimiter=",", comments=None, quotechar=None,
+                          usecols=0, ndmin=1) if body else np.empty(0)
+    except ValueError:
+        return None
+
+
+def _csv_scores(path, rows: list[list[str]], lines: list[int]) -> np.ndarray:
+    """The scores of csv rows, each starting on its file line: any text,
+    with every error worded.  Only the row on line 1 may be a header."""
+    values = []
+    for row, line in zip(rows, lines):
+        cell = row[0].strip()
+        try:
+            values.append(float(cell))
+        except ValueError:
+            if line > 1:
+                raise ValueError(
+                    f"non-numeric score {cell!r} in {path}") from None
+            # header row
     return np.array(values, dtype=float)
 
 
 def read_score_csv(path, group: str = "A") -> ScoreDistribution:
     """One-column score CSV; an optional single header cell is skipped.
 
-    Only the first row may be a header; a blank row counts as a row.  Each
-    chunk of a file is parsed by np.loadtxt while the file is plain (see
-    plain_chunks); from the first chunk that is not, or that np.loadtxt
-    refuses, the csv module reads the rest, which also words every error.
-    No line is parsed twice.
+    Only the first row may be a header; a blank row counts as a row.  The
+    file is read by read_csv_chunks.
     """
-    parts, before = [], 0
-    with open(path, newline="") as fh:
-        try:
-            for lines in plain_chunks(fh, _CHUNK_ROWS):
-                body = lines
-                if before == 0:
-                    # The first line is a header when its first cell does
-                    # not parse, as in _csv_scores.
-                    try:
-                        float(lines[0].split(",", 1)[0])
-                    except ValueError:
-                        body = lines[1:]
-                try:
-                    if body:
-                        parts.append(np.loadtxt(
-                            body, delimiter=",", comments=None,
-                            quotechar=None, usecols=0, ndmin=1))
-                except ValueError:
-                    raise NotPlain(lines) from None
-                before += len(lines)
-        except NotPlain as stop:
-            parts.append(_csv_scores(path, csv.reader(chain(stop.lines, fh)),
-                                     before))
+    parts = list(read_csv_chunks(
+        path, lambda reader: (_plain_scores, partial(_csv_scores, path))))
     scores = np.concatenate(parts) if parts else np.empty(0)
     if not scores.size:
         raise ValueError(f"no scores found in {path}")

@@ -9,22 +9,24 @@ into one ScoreDistribution per group label.
 Purpose filtering keeps purchase loans only.  Rows violating field
 invariants are rejected individually with reasons; structural problems
 (missing columns, unparseable numbers, an empty result) raise.  Loaded rows
-are held by column (LoanTable), and the model reads the columns.  np.loadtxt
-parses a plain CSV; the csv module reads any other and words every error.
+are held by column (LoanTable), and the model reads the columns.  A loan
+CSV is read by distributions.read_csv_chunks, the one place that decides
+when a file is plain: np.loadtxt parses a plain one, and the csv module
+reads any other and words every error.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import partial
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
-from .distributions import NotPlain, plain_chunks
+from .distributions import read_csv_chunks
 from .dynamics import ScoreDistribution
 
 PURPOSES = ("purchase", "refinance", "other")
@@ -133,7 +135,6 @@ class LoadResult:
     rejects: tuple[RowReject, ...]
 
 
-_CHUNK_ROWS = 1 << 12       # rows read, parsed and freed at a time
 _NUMBERS = (("balance", float), ("ltv", float), ("dti", float), ("units", int))
 _LATE = {"0": False, "1": True}
 # A purpose's index in PURPOSES; every unnamed purpose is "other".
@@ -166,87 +167,66 @@ def _raise_first_bad_row(path, cells: dict, lines: list[int]):
     raise AssertionError("a chunk failed to parse, but none of its rows does")
 
 
-def _csv_columns(path, reader, index: dict, before: int):
-    """Each chunk of rows as (numbers, purpose, group, late, lines), read by
-    the csv module: any text, with every error worded.  purpose and group
-    hold raw cell text; group is None without a group column.
-
-    The reader starts after `before` file lines.  A row's line is the file
-    line it starts on, after quoted newlines and blank lines.
-    """
-    width = max(index.values()) + 1
-    # A short row's missing cells read None for a number and '' for text,
-    # as DictReader's None did in the row-by-row loader.
-    pad = [""] * width
-    for name, _ in _NUMBERS:
-        pad[index[name]] = None
-    end = before + reader.line_num
-    while True:
-        # Rebinding rows frees the last chunk's strings before the next
-        # chunk is read.
-        rows, lines, read = [], [], 0
-        try:
-            for read, row in zip(range(1, _CHUNK_ROWS + 1), reader):
-                if row:                     # a blank line holds no row
-                    rows.append(row)
-                    lines.append(end + 1)
-                end = before + reader.line_num
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{before + reader.line_num}: {exc}") from None
-        if rows:
-            if min(map(len, rows)) < width:
-                rows = [row + pad[len(row):] if len(row) < width else row
-                        for row in rows]
-            columns = list(zip(*rows))
-            cells = {name: columns[j] for name, j in index.items()}
-            n = len(rows)
-            try:
-                numbers = {name: np.fromiter(map(float, cells[name]), float, n)
-                           for name in ("balance", "ltv", "dti")}
-                units = list(map(int, cells["units"]))
-                late = _labels(cells["late"], n) if "late" in cells else None
-            except (KeyError, TypeError, ValueError):
-                _raise_first_bad_row(path, cells, lines)
-            try:
-                numbers["units"] = np.array(units, dtype=np.int64)
-            except OverflowError:
-                numbers["units"] = np.array(units, dtype=object)
-            yield (numbers, cells["purpose"], cells.get("group"), late,
-                   np.array(lines))
-        if read < _CHUNK_ROWS:
-            return
+def _parsers(path, required, reader):
+    """The plain and csv chunk parsers of a loan file whose header row the
+    csv reader reads next (see distributions.read_csv_chunks)."""
+    header = next(reader, [])
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise ValueError(f"{path}: missing required columns {missing}")
+    # A repeated column name reads its last cell, as with DictReader.
+    position = {name: j for j, name in enumerate(header)}
+    index = {name: position[name] for name in required}
+    return partial(_plain_columns, index), partial(_csv_columns, path, index)
 
 
-def _columns(path, fh, reader, index: dict):
-    """The chunks of _csv_columns for the rest of a file, each parsed by
-    np.loadtxt while the file is plain.
-
-    Each line of a plain file holds one row.  From the first chunk that is
-    not plain, or that np.loadtxt or the late labels refuse, _csv_columns
-    reads the rest of the file, that chunk first, and words any error; no
-    line is parsed twice.
-    """
-    dtype = [(name, _LOADTXT_TYPES.get(name, object)) for name in index]
-    usecols = list(index.values())
-    first = reader.line_num + 1
+def _plain_columns(index: dict, lines: list[str], line: int):
+    """The chunk of _csv_columns for plain lines, the first on file line
+    `line`, parsed by np.loadtxt; None when it or the late labels refuse
+    them."""
+    n = len(lines)
     try:
-        for lines in plain_chunks(fh, _CHUNK_ROWS):
-            n = len(lines)
-            try:
-                table = np.loadtxt(lines, dtype=dtype, delimiter=",",
-                                   comments=None, quotechar=None,
-                                   usecols=usecols, ndmin=1)
-                late = _labels(table["late"], n) if "late" in index else None
-            except (KeyError, ValueError):
-                raise NotPlain(lines) from None
-            yield ({name: table[name] for name in _LOADTXT_TYPES},
-                   table["purpose"],
-                   table["group"] if "group" in index else None,
-                   late, np.arange(first, first + n))
-            first += n
-    except NotPlain as stop:
-        yield from _csv_columns(path, csv.reader(chain(stop.lines, fh)),
-                                index, first - 1)
+        table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
+                           dtype=[(name, _LOADTXT_TYPES.get(name, object))
+                                  for name in index],
+                           usecols=list(index.values()), ndmin=1)
+        late = _labels(table["late"], n) if "late" in index else None
+    except (KeyError, ValueError):
+        return None
+    return ({name: table[name] for name in _LOADTXT_TYPES}, table["purpose"],
+            table["group"] if "group" in index else None,
+            late, np.arange(line, line + n))
+
+
+def _csv_columns(path, index: dict, rows: list[list[str]], lines: list[int]):
+    """csv rows, each starting on its file line, as (numbers, purpose,
+    group, late, lines): any text, with every error worded.  purpose and
+    group hold raw cell text; group is None without a group column."""
+    width = max(index.values()) + 1
+    if min(map(len, rows)) < width:
+        # A short row's missing cells read None for a number and '' for
+        # text, as DictReader's None did in the row-by-row loader.
+        pad = [""] * width
+        for name, _ in _NUMBERS:
+            pad[index[name]] = None
+        rows = [row + pad[len(row):] if len(row) < width else row
+                for row in rows]
+    columns = list(zip(*rows))
+    cells = {name: columns[j] for name, j in index.items()}
+    n = len(rows)
+    try:
+        numbers = {name: np.fromiter(map(float, cells[name]), float, n)
+                   for name in ("balance", "ltv", "dti")}
+        units = list(map(int, cells["units"]))
+        late = _labels(cells["late"], n) if "late" in cells else None
+    except (KeyError, TypeError, ValueError):
+        _raise_first_bad_row(path, cells, lines)
+    try:
+        numbers["units"] = np.array(units, dtype=np.int64)
+    except OverflowError:
+        numbers["units"] = np.array(units, dtype=object)
+    return (numbers, cells["purpose"], cells.get("group"), late,
+            np.array(lines))
 
 
 def _keep_valid(numbers: dict, purpose, group, late, lines: np.ndarray,
@@ -295,10 +275,10 @@ def load_records(path, schema: str = "training",
                  keep_purpose: str | None = "purchase") -> LoadResult:
     """Read a loan CSV, reject invalid rows, filter to the kept purpose.
 
-    Rows are read in chunks and parsed one column at a time: by np.loadtxt
-    while the file is plain (see distributions.plain_chunks), and by the
-    csv module from the first chunk that is not.  A row's line, in its
-    reject or in an error, is the file line the row starts on.
+    Rows are read in chunks by distributions.read_csv_chunks and parsed one
+    column at a time: by np.loadtxt while the file is plain, and by the csv
+    module from the first chunk that is not.  A row's line, in its reject
+    or in an error, is the file line the row starts on.
     """
     if schema == "training":
         required = TRAINING_COLUMNS
@@ -306,33 +286,15 @@ def load_records(path, schema: str = "training",
         required = APPLICATION_COLUMNS
     else:
         raise ValueError(f"schema must be 'training' or 'application', got {schema!r}")
-    parts, rejects = _load(path, required, keep_purpose)
+    rejects: list[RowReject] = []
+    parts = [_keep_valid(*chunk, keep_purpose, rejects) for chunk in
+             read_csv_chunks(path, partial(_parsers, path, required))]
     if not sum(map(len, parts)):
         raise ValueError(f"{path}: no usable rows after validation and filtering")
     table = LoanTable(**{name: None if column is None else
                          np.concatenate([getattr(part, name) for part in parts])
                          for name, column in vars(parts[0]).items()})
     return LoadResult(records=table, rejects=tuple(rejects))
-
-
-def _load(path, required, keep_purpose):
-    """The kept chunks and the rejects of one pass over the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ValueError(f"{path}: missing required columns {missing}")
-        # A repeated column name reads its last cell, as with DictReader.
-        position = {name: j for j, name in enumerate(header)}
-        index = {name: position[name] for name in required}
-        rejects: list[RowReject] = []
-        parts = [_keep_valid(*chunk, keep_purpose, rejects)
-                 for chunk in _columns(path, fh, reader, index)]
-    return parts, rejects
 
 
 @dataclass(frozen=True)

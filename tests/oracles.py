@@ -397,7 +397,7 @@ def reference_load_records(path, schema="training", keep_purpose="purchase"):
     else:
         raise ValueError(f"schema must be 'training' or 'application', got {schema!r}")
 
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         rows = reader.reader = _StartLines(fh)
         header = reader.fieldnames or []
@@ -449,7 +449,7 @@ def reference_read_score_csv(path, group="A"):
     Only row 0 may be a header; blank rows are skipped but still counted.
     """
     values = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         for i, row in enumerate(csv.reader(fh)):
             if not row:
                 continue

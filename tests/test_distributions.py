@@ -1,16 +1,18 @@
 """Beta sampling, empirical CDFs, the dominance check and score CSVs."""
 
+import csv
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from lendingdyn import (BetaSpec, ScoreDistribution, check_dominance,
-                        empirical_cdf, read_score_csv, sample_beta,
-                        write_score_csv)
+                        empirical_cdf, load_records, read_score_csv,
+                        sample_beta, write_score_csv)
 from lendingdyn import distributions
 
-from conftest import plain_lines, spy_calls
-from oracles import reference_read_score_csv
+from conftest import make_loan_rows, plain_lines, spy_calls, write_loan_csv
+from oracles import reference_load_records, reference_read_score_csv
 
 
 class TestSampleBeta:
@@ -170,6 +172,8 @@ SCORE_CASES = [
     ("empty", b"", "plain"),
     ("header-only", b"score\n", "plain"),
     ("header-only-crlf", b"score\r\n", "plain"),
+    ("bom-headerless", b"\xef\xbb\xbf0.5\r\n0.25\r\n", "plain"),
+    ("bom-header", b"\xef\xbb\xbfscore\n0.25\n", "plain"),
 ]
 
 
@@ -184,7 +188,7 @@ class TestScoreCsvOracle:
         path = tmp_path / f"{name}.csv"
         path.write_bytes(data)
         monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
-        fallbacks = spy_calls(monkeypatch, distributions, "_csv_scores")
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
         assert _read_outcome(read_score_csv, path) \
             == _read_outcome(reference_read_score_csv, path)
         assert len(fallbacks) == (reader == "csv")
@@ -208,12 +212,12 @@ class TestScoreCsvOracle:
             return loadtxt(lines, *args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counting)
-        resumed = spy_calls(monkeypatch, distributions, "_csv_scores")
+        resumed = spy_calls(monkeypatch, distributions, "_csv_chunks")
         read_score_csv(path)
         # np.loadtxt read lines 2-6 once (the header aside); the csv
         # module started at line 7 and read the rest.
         assert parsed == [cell + "\n" for cell in cells[1:6]]
-        [(_, reader, before)] = resumed
+        [(reader, before, _)] = resumed
         assert before == 6
         assert before + reader.line_num == len(cells)
 
@@ -249,7 +253,7 @@ class TestScoreCsvOracle:
                 text = text[:-len(end)]
             return text
 
-        fallbacks = spy_calls(monkeypatch, distributions, "_csv_scores")
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
 
         @hypothesis.settings(max_examples=200, deadline=None)
         @hypothesis.given(text=files(),
@@ -269,3 +273,90 @@ class TestScoreCsvOracle:
                 assert not fallbacks
 
         check()
+
+
+def _write_scores(path, cells):
+    path.write_text("score\n" + "".join(cell + "\n" for cell in cells))
+
+
+def _write_loans(path, cells):
+    rows = make_loan_rows(len(cells), seed=3, purpose_mix=False)
+    for row, cell in zip(rows, cells):
+        row["balance"] = cell
+    write_loan_csv(path, rows)
+
+
+def _outcome(read, path):
+    """The values read, or the error's message."""
+    try:
+        return read(path)
+    except ValueError as exc:
+        return str(exc)
+
+
+# The two readers of read_csv_chunks: a writer of a file whose body rows
+# hold the given cells in the score or the balance column, which is file
+# line k + 2 for cell k, and readers of that column, the row-by-row
+# reference last.
+CHUNK_READERS = {
+    "scores": (_write_scores,
+               lambda path: read_score_csv(path).scores.tolist(),
+               lambda path: reference_read_score_csv(path).scores.tolist()),
+    "loans": (_write_loans,
+              lambda path: load_records(
+                  path, keep_purpose=None).records.balance.tolist(),
+              lambda path: [record.balance for record in reference_load_records(
+                  path, keep_purpose=None).records]),
+}
+
+
+class TestReadCsvChunks:
+    """The chunk driver's contract, through each of its two readers."""
+
+    @pytest.mark.parametrize("kind, resume_line",
+                             [("scores", 7), ("loans", 8)])
+    def test_a_refused_chunk_resumes_in_csv_at_its_first_line(
+            self, tmp_path, monkeypatch, kind, resume_line):
+        # Chunks of 3 lines; np.loadtxt refuses the plain "1_0e-1" on file
+        # line 8.  Score chunks start on line 1, loan chunks after the
+        # header line.
+        write, read, reference = CHUNK_READERS[kind]
+        cells = ["0.5", "0.25", "1", "0", "0.75", "0.125", "1_0e-1", "0.375"]
+        path = tmp_path / f"{kind}.csv"
+        write(path, cells)
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", 3)
+        resumed = spy_calls(monkeypatch, distributions, "_csv_chunks")
+        assert read(path) == reference(path) == list(map(float, cells))
+        [(reader, before, _)] = resumed
+        assert before == resume_line - 1
+        assert before + reader.line_num == len(cells) + 1
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 1 << 12])
+    @pytest.mark.parametrize("kind", ["scores", "loans"])
+    def test_a_csv_error_names_its_file_line(self, tmp_path, monkeypatch,
+                                            kind, chunk_rows):
+        write, read, reference = CHUNK_READERS[kind]
+        cells = ["0.5", "0.25", "1", "0", "9" * (csv.field_size_limit() + 1),
+                 "0.75"]
+        path = tmp_path / f"{kind}.csv"
+        write(path, cells)
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
+        assert _outcome(read, path) == f"{path}:6: field larger than " \
+                                       f"field limit ({csv.field_size_limit()})"
+        # A bad cell before it, in its chunk or an earlier one, stops the
+        # read first, as in the row-by-row reader, which words no csv.Error.
+        cells[2] = "x"
+        write(path, cells)
+        assert _outcome(read, path) == _outcome(reference, path)
+        assert "field larger" not in _outcome(read, path)
+
+    @pytest.mark.parametrize("kind", ["scores", "loans"])
+    def test_a_utf8_bom_is_dropped(self, tmp_path, monkeypatch, kind):
+        write, read, reference = CHUNK_READERS[kind]
+        cells = ["0.5", "0.25", "1"]
+        path = tmp_path / f"{kind}.csv"
+        write(path, cells)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
+        assert read(path) == reference(path) == list(map(float, cells))
+        assert not fallbacks

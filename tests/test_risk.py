@@ -10,7 +10,7 @@ import pytest
 from lendingdyn import (FitDiagnostics, LoanRecord, RiskModel,
                         SeparationError, fit_logistic, load_records,
                         predict_many, to_score_distributions)
-from lendingdyn import risk
+from lendingdyn import distributions, risk
 from lendingdyn.risk import LoanTable, RowReject
 
 from conftest import (TRUE_DTI, TRUE_INTERCEPT, TRUE_LTV, TRUE_UNITS,
@@ -329,8 +329,8 @@ class TestColumnarLoaderOracle:
             lines = path.read_text().split("\n")
             path.write_text("\n".join(line + "\n" * (i % 6 == 4)
                                        for i, line in enumerate(lines)))
-        monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
-        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
         for keep_purpose in ("purchase", "other", None):
             assert_matches_reference(path, schema, keep_purpose)
         assert bool(fallbacks) == (not plain)
@@ -362,7 +362,7 @@ class TestColumnarLoaderOracle:
         rows[3][column] = cell
         path = tmp_path / "t.csv"
         write_loan_csv(path, rows)
-        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
         assert_matches_reference(path, "training", "purchase")
         assert len(fallbacks) == (reader == "csv")
         if cell == str(2**63):
@@ -376,7 +376,7 @@ class TestColumnarLoaderOracle:
         path.write_text("".join(",".join(row) + end for row in
                                 [list(rows[0]), *map(dict.values, rows)]),
                         newline="")
-        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
         assert_matches_reference(path, "training", None)
         assert bool(fallbacks) == (end == "\r")
         assert load_records(path, keep_purpose=None).rejects[0].line == 6
@@ -389,7 +389,7 @@ class TestColumnarLoaderOracle:
         rows[8]["dti"] = "?"
         path = tmp_path / "t.csv"
         write_loan_csv(path, rows)
-        monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
         assert_matches_reference(path, "training", "purchase")
         with pytest.raises(ValueError, match=":9: late must be 0 or 1"):
             load_records(path)
@@ -410,7 +410,7 @@ class TestColumnarLoaderOracle:
         rows[13]["purpose"] = "pur\nchase"
         path = tmp_path / "t.csv"
         write_loan_csv(path, rows, columns=list(rows[0]))
-        monkeypatch.setattr(risk, "_CHUNK_ROWS", 4)
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", 4)
         assert_matches_reference(path, schema, "purchase")
         assert_matches_reference(path, schema, None)
 
@@ -422,13 +422,13 @@ class TestColumnarLoaderOracle:
             return loadtxt(lines, *args, **kwargs)
 
         monkeypatch.setattr(np, "loadtxt", counting)
-        resumed = spy_calls(monkeypatch, risk, "_csv_columns")
+        resumed = spy_calls(monkeypatch, distributions, "_csv_chunks")
         result = load_records(path, schema=schema, keep_purpose=None)
         text = path.read_bytes().decode().splitlines(keepends=True)
         # np.loadtxt read the three plain chunks, lines 2-13, once each;
         # the csv module started at line 14 and read the rest.
         assert parsed == text[1:13]
-        [(_, reader, _, before)] = resumed
+        [(reader, before, _)] = resumed
         assert before == 13
         assert before + reader.line_num == len(text)
         assert result.rejects[-1].line == len(text)
@@ -474,7 +474,7 @@ class TestColumnarLoaderOracle:
             end = draw(st.sampled_from(["\n", "\r\n"]))
             return schema, header, rows, end, plain
 
-        fallbacks = spy_calls(monkeypatch, risk, "_csv_columns")
+        fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
 
         @hypothesis.settings(max_examples=150, deadline=None)
         @hypothesis.given(case=files(),
@@ -488,7 +488,7 @@ class TestColumnarLoaderOracle:
                 writer = csv.writer(fh, lineterminator=end)
                 writer.writerow(header)
                 writer.writerows(rows)
-            monkeypatch.setattr(risk, "_CHUNK_ROWS", chunk_rows)
+            monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
             fallbacks.clear()
             assert_matches_reference(path, schema, keep_purpose)
             # plain rows are read by np.loadtxt alone, and nothing else is

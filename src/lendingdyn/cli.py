@@ -478,12 +478,9 @@ def _grids(values: dict, alphas):
             beta_step=values["beta_step"])
 
 
-_GRID_FIELDS = ["c", "r", "best", "utility_beta_only", "utility_group_blind",
-                "utility_group_conscious", "marginal"]
-
-
 def _write_grid(grid, values: dict, stem: str) -> None:
-    write_rows(_out_dir(values) / f"{stem}.csv", _GRID_FIELDS, grid_rows(grid))
+    rows = grid_rows(grid)
+    write_rows(_out_dir(values) / f"{stem}.csv", list(rows[0]), rows)
     _emit_json(grid_as_dict(grid), values, f"{stem}.json")
 
 
@@ -691,6 +688,10 @@ FIGURE_OPTS = _COMMON + _C_GRID_OPTS + _R_GRID_OPTS + (
 
 def cmd_reproduce_figure(values: dict) -> None:
     if values["which"] == "max-mean":
+        # run.cfg records only what the curve reads, as max-mean-curve's does.
+        unread = {o.key for o in FIGURE_OPTS} - {o.key for o in MAXMEAN_OPTS}
+        for key in unread - {"which"}:
+            del values[key]
         cmd_max_mean_curve(values)
         return
     # A stem keeps six significant digits of alpha; alphas that would

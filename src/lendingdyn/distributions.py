@@ -38,8 +38,8 @@ class BetaSpec:
     seed: int
 
     def __post_init__(self):
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError("shape parameters must be positive")
+        if not (0 < self.a < np.inf and 0 < self.b < np.inf):
+            raise ValueError("shape parameters must be finite and positive")
         if self.n <= 0:
             raise ValueError("n must be positive")
 
@@ -137,10 +137,11 @@ def read_csv_chunks(path, start):
     chunk while the file is plain; from the first chunk that is not, or
     that plain refuses, the csv module reads the rest, that chunk first.
     No line is parsed twice.  A csv.Error raises ValueError naming its
-    file line.
+    file line, and text that is not UTF-8 one naming the first line it may
+    be on.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader, before = csv.reader(fh), 0
+        reader, before, line = csv.reader(fh), 0, 1
         try:
             plain, csv_rows = start(reader)
             line = reader.line_num + 1
@@ -154,6 +155,13 @@ def read_csv_chunks(path, start):
                 line += len(lines)
         except csv.Error as exc:
             raise ValueError(f"{path}:{before + reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            # The codec decodes the file a buffer at a time, so the bad byte
+            # is on the first line not yet read or a later one, and its
+            # position counts from the buffer's start, not the file's.
+            at = max(line, before + reader.line_num + 1)
+            raise ValueError(f"{path}: not UTF-8 text at or after line {at}: "
+                             f"{exc.reason}") from None
 
 
 def _csv_chunks(reader, before: int, parse):

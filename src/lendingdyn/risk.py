@@ -1,10 +1,10 @@
 """Loan-record ingestion and the late-payment risk model.
 
-Training rows regress `late` on (balance, ltv, dti, units) plus an intercept
-by Newton iteration with step halving on the Bernoulli log-likelihood;
-coefficients stay on raw feature scales.  A fitted model scores application
-rows, and initial lending scores are pi = 1 - predicted late risk, grouped
-into one ScoreDistribution per group label.
+Training rows regress `late` on the features _FEATURES names (balance, ltv,
+dti, units) plus an intercept by Newton iteration with step halving on the
+Bernoulli log-likelihood; coefficients stay on raw feature scales.  A fitted
+model scores application rows, and initial lending scores are pi = 1 -
+predicted late risk, grouped into one ScoreDistribution per group label.
 
 Purpose filtering keeps purchase loans only.  Rows violating field
 invariants are rejected individually with reasons; structural problems
@@ -31,8 +31,15 @@ from .dynamics import ScoreDistribution
 
 PURPOSES = ("purchase", "refinance", "other")
 
-TRAINING_COLUMNS = ("balance", "ltv", "dti", "units", "purpose", "late")
-APPLICATION_COLUMNS = ("balance", "ltv", "dti", "units", "purpose", "group")
+# The model's features in design-matrix order, each with the type its cells
+# parse to: the one place that names the model's inputs.  The columns, the
+# parsers, the design matrix and the coefficients follow it.  LoanRecord,
+# LoanTable and RiskModel still declare a field per feature, and _INVARIANTS
+# a rule; tests/test_risk.py checks the fields against this table.
+_FEATURES = {"balance": float, "ltv": float, "dti": float, "units": int}
+
+TRAINING_COLUMNS = (*_FEATURES, "purpose", "late")
+APPLICATION_COLUMNS = (*_FEATURES, "purpose", "group")
 
 
 class SeparationError(RuntimeError):
@@ -101,23 +108,22 @@ class LoanTable(Sequence[LoanRecord]):
         if isinstance(records, LoanTable):
             return records
         late = [r.late for r in records]
-        return cls(balance=np.array([r.balance for r in records], dtype=float),
-                   ltv=np.array([r.ltv for r in records], dtype=float),
-                   dti=np.array([r.dti for r in records], dtype=float),
-                   units=np.array([r.units for r in records]),
+        return cls(**{name: np.array([getattr(r, name) for r in records],
+                                     dtype=float if parse is float else None)
+                      for name, parse in _FEATURES.items()},
                    purpose=np.array([r.purpose for r in records], dtype=object),
                    late=None if None in late else np.array(late, dtype=bool),
                    group=np.array([r.group or "" for r in records], dtype=object))
 
     def __len__(self) -> int:
-        return len(self.balance)
+        return len(self.purpose)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(*i.indices(len(self))))
         return LoanRecord(
-            balance=float(self.balance[i]), ltv=float(self.ltv[i]),
-            dti=float(self.dti[i]), units=int(self.units[i]),
+            **{name: parse(getattr(self, name)[i])
+               for name, parse in _FEATURES.items()},
             purpose=str(self.purpose[i]),
             late=None if self.late is None else bool(self.late[i]),
             group=None if self.group is None else self.group[i] or None)
@@ -135,15 +141,12 @@ class LoadResult:
     rejects: tuple[RowReject, ...]
 
 
-_NUMBERS = (("balance", float), ("ltv", float), ("dti", float), ("units", int))
 _LATE = {"0": False, "1": True}
 # A purpose's index in PURPOSES; every unnamed purpose is "other".
 _PURPOSE_CODE = {"purchase": 0, "refinance": 1}
 _PURPOSE_OBJECTS = np.array(PURPOSES, dtype=object)
 _FILTERED = np.array([f"purpose {p!r} filtered out" for p in PURPOSES],
                      dtype=object)
-_LOADTXT_TYPES = {"balance": np.float64, "ltv": np.float64,
-                  "dti": np.float64, "units": np.int64}
 
 
 def _labels(cells, n: int) -> np.ndarray:
@@ -155,7 +158,7 @@ def _raise_first_bad_row(path, cells: dict, lines: list[int]):
     """Raise for the first row with an unparseable number or late label;
     within a row the numbers fail first, in column order."""
     for i, line in enumerate(lines):
-        for name, parse in _NUMBERS:
+        for name, parse in _FEATURES.items():
             try:
                 parse(cells[name][i])
             except (TypeError, ValueError) as exc:
@@ -187,15 +190,24 @@ def _plain_columns(index: dict, lines: list[str], line: int):
     n = len(lines)
     try:
         table = np.loadtxt(lines, delimiter=",", comments=None, quotechar=None,
-                           dtype=[(name, _LOADTXT_TYPES.get(name, object))
+                           dtype=[(name, _FEATURES.get(name, object))
                                   for name in index],
                            usecols=list(index.values()), ndmin=1)
         late = _labels(table["late"], n) if "late" in index else None
     except (KeyError, ValueError):
         return None
-    return ({name: table[name] for name in _LOADTXT_TYPES}, table["purpose"],
+    return ({name: table[name] for name in _FEATURES}, table["purpose"],
             table["group"] if "group" in index else None,
             late, np.arange(line, line + n))
+
+
+def _parse_column(parse, cells, n: int) -> np.ndarray:
+    """A feature's n cells parsed; an int column beyond int64 holds Python
+    ints."""
+    try:
+        return np.fromiter(map(parse, cells), parse, n)
+    except OverflowError:
+        return np.array(list(map(parse, cells)), dtype=object)
 
 
 def _csv_columns(path, index: dict, rows: list[list[str]], lines: list[int]):
@@ -207,7 +219,7 @@ def _csv_columns(path, index: dict, rows: list[list[str]], lines: list[int]):
         # A short row's missing cells read None for a number and '' for
         # text, as DictReader's None did in the row-by-row loader.
         pad = [""] * width
-        for name, _ in _NUMBERS:
+        for name in _FEATURES:
             pad[index[name]] = None
         rows = [row + pad[len(row):] if len(row) < width else row
                 for row in rows]
@@ -215,16 +227,11 @@ def _csv_columns(path, index: dict, rows: list[list[str]], lines: list[int]):
     cells = {name: columns[j] for name, j in index.items()}
     n = len(rows)
     try:
-        numbers = {name: np.fromiter(map(float, cells[name]), float, n)
-                   for name in ("balance", "ltv", "dti")}
-        units = list(map(int, cells["units"]))
+        numbers = {name: _parse_column(parse, cells[name], n)
+                   for name, parse in _FEATURES.items()}
         late = _labels(cells["late"], n) if "late" in cells else None
     except (KeyError, TypeError, ValueError):
         _raise_first_bad_row(path, cells, lines)
-    try:
-        numbers["units"] = np.array(units, dtype=np.int64)
-    except OverflowError:
-        numbers["units"] = np.array(units, dtype=object)
     return (numbers, cells["purpose"], cells.get("group"), late,
             np.array(lines))
 
@@ -308,8 +315,7 @@ class FitDiagnostics:
     singular: bool
 
 
-_COEFFICIENTS = ("intercept", "coef_balance", "coef_ltv", "coef_dti",
-                 "coef_units")
+_COEFFICIENTS = ("intercept", *(f"coef_{name}" for name in _FEATURES))
 _DIAGNOSTICS = ("iterations", "final_log_likelihood", "converged",
                 "gradient_max_norm", "standard_errors", "singular")
 
@@ -324,26 +330,14 @@ class RiskModel:
     diagnostics: FitDiagnostics
 
     def coefficients(self) -> np.ndarray:
-        return np.array([self.intercept, self.coef_balance, self.coef_ltv,
-                         self.coef_dti, self.coef_units])
+        return np.array([getattr(self, key) for key in _COEFFICIENTS])
 
     def to_json_dict(self) -> dict:
-        d = self.diagnostics
-        return {
-            "intercept": self.intercept,
-            "coef_balance": self.coef_balance,
-            "coef_ltv": self.coef_ltv,
-            "coef_dti": self.coef_dti,
-            "coef_units": self.coef_units,
-            "diagnostics": {
-                "iterations": d.iterations,
-                "final_log_likelihood": d.final_log_likelihood,
-                "converged": d.converged,
-                "gradient_max_norm": d.gradient_max_norm,
-                "standard_errors": list(d.standard_errors),
-                "singular": d.singular,
-            },
-        }
+        diagnostics = {key: getattr(self.diagnostics, key)
+                       for key in _DIAGNOSTICS}
+        diagnostics["standard_errors"] = list(diagnostics["standard_errors"])
+        return {**{key: getattr(self, key) for key in _COEFFICIENTS},
+                "diagnostics": diagnostics}
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "RiskModel":
@@ -369,18 +363,11 @@ class RiskModel:
         if not isinstance(d["standard_errors"], list):
             raise ValueError("model key 'diagnostics.standard_errors' must "
                              "be a list")
-        diag = FitDiagnostics(
-            iterations=d["iterations"],
-            final_log_likelihood=d["final_log_likelihood"],
-            converged=d["converged"],
-            gradient_max_norm=d["gradient_max_norm"],
-            log_likelihood_path=(),
-            standard_errors=tuple(d["standard_errors"]),
-            singular=d["singular"],
-        )
-        return cls(intercept=data["intercept"], coef_balance=data["coef_balance"],
-                   coef_ltv=data["coef_ltv"], coef_dti=data["coef_dti"],
-                   coef_units=data["coef_units"], diagnostics=diag)
+        diagnostics = {key: d[key] for key in _DIAGNOSTICS}
+        diagnostics["standard_errors"] = tuple(d["standard_errors"])
+        return cls(**{key: data[key] for key in _COEFFICIENTS},
+                   diagnostics=FitDiagnostics(log_likelihood_path=(),
+                                              **diagnostics))
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -394,12 +381,10 @@ class RiskModel:
 
 
 def _design_matrix(table: LoanTable) -> np.ndarray:
-    X = np.empty((len(table), 5))
+    X = np.empty((len(table), len(_COEFFICIENTS)))
     X[:, 0] = 1.0
-    X[:, 1] = table.balance
-    X[:, 2] = table.ltv
-    X[:, 3] = table.dti
-    X[:, 4] = table.units
+    for j, name in enumerate(_FEATURES, 1):
+        X[:, j] = getattr(table, name)
     return X
 
 
@@ -409,7 +394,7 @@ def _fit_terms(X, w, ridge: float) -> tuple[np.ndarray, np.ndarray]:
     weights = p * (1.0 - p)
     H = (X * weights[:, None]).T @ X
     if ridge > 0:
-        H[1:, 1:] += ridge * np.eye(4)
+        H[1:, 1:] += ridge * np.eye(len(w) - 1)
     return p, H
 
 
@@ -448,7 +433,7 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
     if y.min() == y.max():
         raise ValueError("both label classes must be present")
 
-    w = np.zeros(5)
+    w = np.zeros(X.shape[1])
     ll = _log_likelihood(X, y, w, ridge)
     ll_path = [ll]
     singular = False
@@ -505,7 +490,7 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
         ses = tuple(float(s) for s in np.sqrt(np.maximum(np.diag(cov), 0.0)))
     except np.linalg.LinAlgError:
         singular = True
-        ses = tuple([float("nan")] * 5)
+        ses = tuple([float("nan")] * len(w))
 
     diag = FitDiagnostics(
         iterations=iterations,
@@ -516,9 +501,8 @@ def fit_logistic(records: Sequence[LoanRecord], tol: float = 1e-8,
         standard_errors=ses,
         singular=singular,
     )
-    return RiskModel(intercept=float(w[0]), coef_balance=float(w[1]),
-                     coef_ltv=float(w[2]), coef_dti=float(w[3]),
-                     coef_units=float(w[4]), diagnostics=diag)
+    return RiskModel(**dict(zip(_COEFFICIENTS, map(float, w))),
+                     diagnostics=diag)
 
 
 _P_FLOOR = np.finfo(float).tiny

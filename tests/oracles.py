@@ -359,10 +359,12 @@ def reference_settled_step(walk, beta, k, c):
 
 
 class _StartLines:
-    """A csv.reader that remembers the file line its last row started on."""
+    """A csv.reader that remembers the file line its last row started on,
+    and words a csv.Error as `path:line: message`."""
 
-    def __init__(self, fh):
+    def __init__(self, fh, path):
         self.reader = csv.reader(fh)
+        self.path = path
         self.start = 0
 
     def __iter__(self):
@@ -370,7 +372,10 @@ class _StartLines:
 
     def __next__(self):
         self.start = self.reader.line_num + 1
-        return next(self.reader)
+        try:
+            return next(self.reader)
+        except csv.Error as exc:
+            raise ValueError(f"{self.path}:{self.reader.line_num}: {exc}") from None
 
     @property
     def line_num(self):
@@ -399,7 +404,7 @@ def reference_load_records(path, schema="training", keep_purpose="purchase"):
 
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
-        rows = reader.reader = _StartLines(fh)
+        rows = reader.reader = _StartLines(fh, path)
         header = reader.fieldnames or []
         missing = [c for c in required if c not in header]
         if missing:
@@ -450,16 +455,20 @@ def reference_read_score_csv(path, group="A"):
     """
     values = []
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            cell = row[0].strip()
-            try:
-                values.append(float(cell))
-            except ValueError:
-                if i > 0:
-                    raise ValueError(f"non-numeric score {cell!r} in {path}") from None
-                # header row
+        reader = csv.reader(fh)
+        try:
+            for i, row in enumerate(reader):
+                if not row:
+                    continue
+                cell = row[0].strip()
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    if i > 0:
+                        raise ValueError(f"non-numeric score {cell!r} in {path}") from None
+                    # header row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not values:
         raise ValueError(f"no scores found in {path}")
     return ScoreDistribution(group, np.asarray(values))

@@ -57,6 +57,18 @@ class TestSample:
             "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("args", [
+        ("sample", "--a", "inf", "--b", 1, "--n", 5, "--out", "s.csv"),
+        ("simulate", "--dist-a", "beta:inf,1", "--dist-b", "beta:3,8",
+         "--beta", 0.5, "--n", 5, "--out-dir", "sim"),
+    ])
+    def test_an_infinite_shape_is_named(self, capsys, monkeypatch, tmp_path,
+                                        args):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run(capsys, *args)
+        assert code == 2
+        assert err == "error: shape parameters must be finite and positive\n"
+
 
 class TestOptimizeThreshold:
     def test_payload_is_exactly_the_two_analytic_fields(self, capsys):
@@ -429,6 +441,16 @@ class TestDominanceCheck:
                            score_files[0], "--file-b", score_files[1],
                            "--step", 1 / 999_999)
         assert payload["grid_step"] == 1 / 999_999
+
+    def test_a_file_that_is_not_utf8_is_named(self, capsys, tmp_path,
+                                              score_files):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"score\n0.5\n0.25\xe9\n")
+        code, _, err = run(capsys, "dominance-check", "--file-a", bad,
+                           "--file-b", score_files[1])
+        assert code == 2
+        assert err == f"error: {bad}: not UTF-8 text at or after line 1: " \
+                      f"invalid continuation byte\n"
 
     def test_missing_file_is_a_usage_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "dominance-check", "--file-a",
@@ -1433,6 +1455,22 @@ class TestRunEnvelope:
                    *settings, "--out-dir", figure)[0] == 0
         assert (figure / "max_mean.csv").read_bytes() == \
             (curve / "max_mean.csv").read_bytes()
+
+    def test_figure_max_mean_records_only_what_it_reads(self, capsys,
+                                                        tmp_path):
+        settings = ("--dist-a", "beta:4,8", "--dist-b", "beta:3,8",
+                    "--n", 40, "--seed", 2, "--k", 0.1, *_SMALL_C)
+        curve, figure = tmp_path / "curve", tmp_path / "figure"
+        assert run(capsys, "max-mean-curve", *settings,
+                   "--out-dir", curve)[0] == 0
+        # Grid-only settings are accepted, but the curve never reads them.
+        assert run(capsys, "reproduce-figure", "--which", "max-mean",
+                   *settings, "--alpha", 2, "--seeds", 0, "--beta-step", 7,
+                   "--r-min", 0.3, "--mode", "literal", "--threads", 2,
+                   "--out-dir", figure)[0] == 0
+        curve_cfg = (curve / "run.cfg").read_text().splitlines()
+        figure_cfg = (figure / "run.cfg").read_text().splitlines()
+        assert sorted(curve_cfg + ["which=max-mean"]) == figure_cfg
 
 
 class TestNegativeHorizon:

@@ -53,6 +53,14 @@ class TestSampleBeta:
         with pytest.raises(ValueError):
             BetaSpec(a=1.0, b=1.0, n=0, seed=0)
 
+    @pytest.mark.parametrize("a, b", [(np.inf, 1.0), (1.0, np.inf),
+                                      (np.nan, 1.0), (-np.inf, 1.0),
+                                      (0.0, 1.0)])
+    def test_a_shape_that_is_not_finite_and_positive_is_named(self, a, b):
+        with pytest.raises(ValueError,
+                           match="^shape parameters must be finite and positive$"):
+            BetaSpec(a=a, b=b, n=10, seed=0)
+
 
 class TestEmpiricalCdf:
     def test_worked_values(self):
@@ -341,10 +349,10 @@ class TestReadCsvChunks:
         path = tmp_path / f"{kind}.csv"
         write(path, cells)
         monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
-        assert _outcome(read, path) == f"{path}:6: field larger than " \
-                                       f"field limit ({csv.field_size_limit()})"
+        assert _outcome(read, path) == _outcome(reference, path) == \
+            f"{path}:6: field larger than field limit ({csv.field_size_limit()})"
         # A bad cell before it, in its chunk or an earlier one, stops the
-        # read first, as in the row-by-row reader, which words no csv.Error.
+        # read first, as in the row-by-row reader.
         cells[2] = "x"
         write(path, cells)
         assert _outcome(read, path) == _outcome(reference, path)
@@ -360,3 +368,27 @@ class TestReadCsvChunks:
         fallbacks = spy_calls(monkeypatch, distributions, "_csv_chunks")
         assert read(path) == reference(path) == list(map(float, cells))
         assert not fallbacks
+
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 1 << 12])
+    @pytest.mark.parametrize("fallback", [False, True])
+    @pytest.mark.parametrize("kind", ["scores", "loans"])
+    def test_text_that_is_not_utf8_names_its_file(self, tmp_path, monkeypatch,
+                                                  kind, fallback, chunk_rows):
+        # The bad byte sits past the codec's first 8 KiB buffer, on file
+        # line 3,002; "1_0e-1" sends the rest of the file to the csv module.
+        write, read, _ = CHUNK_READERS[kind]
+        cells = ["0.5"] * 3_100
+        cells[3_000] = "0.25\N{LATIN SMALL LETTER E WITH ACUTE}"
+        if fallback:
+            cells[1] = "1_0e-1"
+        path = tmp_path / f"{kind}.csv"
+        write(path, cells)
+        path.write_bytes(path.read_bytes().replace("\xe9".encode(), b"\xe9"))
+        monkeypatch.setattr(distributions, "_CHUNK_ROWS", chunk_rows)
+        message = _outcome(read, path)
+        prefix = f"{path}: not UTF-8 text at or after line "
+        assert message.startswith(prefix)
+        line, reason = message[len(prefix):].split(": ")
+        assert 1 <= int(line) <= 3_002
+        # The codec's position counts from its buffer, not the file.
+        assert reason == "invalid continuation byte"

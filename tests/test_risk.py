@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -668,6 +669,20 @@ class TestModelSerialization:
             model.diagnostics.standard_errors
         assert np.array_equal(predict_many(back, records),
                               predict_many(model, records))
+
+    def test_the_feature_table_names_every_field(self):
+        # risk._FEATURES is the one list of the model's inputs; each class
+        # that spells its features out as fields must follow it.
+        features = list(risk._FEATURES)
+        assert list(risk._COEFFICIENTS) == \
+            ["intercept", *(f"coef_{name}" for name in features)]
+        assert [f.name for f in fields(RiskModel)] == \
+            [*risk._COEFFICIENTS, "diagnostics"]
+        assert [f.name for f in fields(LoanRecord)][:len(features)] == features
+        assert [f.name for f in fields(LoanTable)][:len(features)] == features
+        assert risk.TRAINING_COLUMNS == (*features, "purpose", "late")
+        assert risk.APPLICATION_COLUMNS == (*features, "purpose", "group")
+        assert set(risk._DIAGNOSTICS) <= {f.name for f in fields(FitDiagnostics)}
 
 
 class TestScoreDistributions:

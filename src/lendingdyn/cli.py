@@ -21,7 +21,7 @@ import platform
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -275,9 +275,9 @@ def _rational(values: dict, key: str) -> Fraction:
                        f"got {values[key]!r}") from None
 
 
-def _span_count(values: dict, prefix: str) -> int:
-    """Points of the --<prefix>-min/-max/-step span, refused past
-    MAX_SPAN_POINTS before any point is built."""
+def _span(values: dict, prefix: str) -> tuple[float, ...]:
+    """Inclusive lo..hi grid from --<prefix>-min/-max/-step settings,
+    refused past MAX_SPAN_POINTS before any point is built."""
     lo = values[f"{prefix}_min"]
     hi = values[f"{prefix}_max"]
     step = values[f"{prefix}_step"]
@@ -292,14 +292,7 @@ def _span_count(values: dict, prefix: str) -> int:
         count = f"{int(gaps) + 1:,}" if np.isfinite(gaps) else "unbounded"
         raise CliError(f"--{prefix}-step {step} gives {count} points, more "
                        f"than the cap of {MAX_SPAN_POINTS:,}")
-    return int(gaps) + 1
-
-
-def _span(values: dict, prefix: str) -> tuple[float, ...]:
-    """Inclusive lo..hi grid from --<prefix>-min/-max/-step settings."""
-    lo, step = values[f"{prefix}_min"], values[f"{prefix}_step"]
-    return tuple(round(lo + i * step, 10)
-                 for i in range(_span_count(values, prefix)))
+    return tuple(round(lo + i * step, 10) for i in range(int(gaps) + 1))
 
 
 # Options that several command tables list with the same settings.
@@ -349,7 +342,6 @@ SAMPLE_OPTS = _COMMON + (
     Option("a", "float", required=True, help="Beta shape a"),
     Option("b", "float", required=True, help="Beta shape b"),
     _N, _SEED,
-    Option("group", "str", default="A", help="group label for the sample"),
     Option("out", "str", required=True, help="one-column CSV to write"),
 )
 
@@ -357,7 +349,7 @@ SAMPLE_OPTS = _COMMON + (
 def cmd_sample(values: dict) -> None:
     spec = BetaSpec(a=values["a"], b=values["b"], n=values["n"],
                     seed=values["seed"])
-    dist = sample_beta(spec, group=values["group"])
+    dist = sample_beta(spec)
     write_score_csv(values["out"], dist)
     print(f"wrote {dist.n} scores, mean {dist.mean():.6f}")
 
@@ -454,12 +446,11 @@ def _grids(values: dict, alphas):
     cells whose arrays would pass MAX_CELL_BYTES in a worker before any
     block is built: the estimate needs the groups' sizes, so it follows
     loading them, which holds 3 * seeds * horizon times fewer floats."""
-    cells = _span_count(values, "c") * _span_count(values, "r")
+    c_grid, r_grid = _span(values, "c"), _span(values, "r")
+    cells = len(c_grid) * len(r_grid)
     if cells > MAX_GRID_CELLS:
         raise CliError(f"--c-*/--r-* spans give {cells:,} grid cells, more "
                        f"than the cap of {MAX_GRID_CELLS:,}")
-    c_grid = _span(values, "c")
-    r_grid = _span(values, "r")
     dist_a, dist_d = _load_pair(values)
     need = cell_bytes(dist_a.n, dist_d.n, values["horizon"], values["seeds"])
     if need > MAX_CELL_BYTES:
@@ -674,26 +665,35 @@ def cmd_max_mean_curve(values: dict) -> None:
 
 # ------------------------------------------------------ reproduce-figure
 
-FIGURE_OPTS = _COMMON + _C_GRID_OPTS + _R_GRID_OPTS + (
-    Option("which", "str", required=True, choices=("grid", "max-mean")),
+# Settings that only --which grid reads.  The figure's table lists them
+# without defaults, so that one given under --which max-mean, by flag or
+# config entry, is seen and refused; the grid fills in the defaults from
+# these.
+_FIGURE_GRID_OPTS = _R_GRID_OPTS + (
     Option("alpha", "floats", default=(0.2, 0.5, 0.8),
            help="utility weights, one grid per value"),
+    _MODE, _SEEDS, _BETA_STEP, _THREADS,
+)
+
+FIGURE_OPTS = _COMMON + _C_GRID_OPTS + (
+    Option("which", "str", required=True, choices=("grid", "max-mean")),
     Option("dist_a", "str", default="beta:4,8"),
     Option("dist_b", "str", default="beta:3,8"),
-    _N, _SEED, _MODE, _K, _HORIZON, _SEEDS, _BETA_STEP,
-    _THREADS,
-    _OUT_DIR,
-)
+    _N, _SEED, _K, _HORIZON, _OUT_DIR,
+) + tuple(replace(opt, default=None) for opt in _FIGURE_GRID_OPTS)
 
 
 def cmd_reproduce_figure(values: dict) -> None:
     if values["which"] == "max-mean":
         # run.cfg records only what the curve reads, as max-mean-curve's does.
-        unread = {o.key for o in FIGURE_OPTS} - {o.key for o in MAXMEAN_OPTS}
-        for key in unread - {"which"}:
-            del values[key]
+        for opt in _FIGURE_GRID_OPTS:
+            if values.pop(opt.key) is not None:
+                raise CliError(f"{_flag(opt)} applies only to --which grid")
         cmd_max_mean_curve(values)
         return
+    for opt in _FIGURE_GRID_OPTS:
+        if values[opt.key] is None:
+            values[opt.key] = opt.default
     # A stem keeps six significant digits of alpha; alphas that would
     # share one, and alphas outside [0, 1], are refused before any grid is
     # built.

@@ -526,10 +526,12 @@ class PolicyOutcome:
 
 
 def _check_settings(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
-                    horizon: int, n_seeds: int) -> None:
+                    k: float, horizon: int, n_seeds: int) -> None:
     """Refuse what no cell can evaluate, before any block is built."""
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
+    if not (np.isfinite(k) and k >= 0):
+        raise ValueError(f"k must be nonnegative, got {k!r}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be positive, got {n_seeds}")
     if horizon < 0:
@@ -663,7 +665,7 @@ def evaluate_policy(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     must split [0, 1] into at most 1,000 whole steps (_beta_grid).
     """
     betas = _beta_grid(beta_step)
-    _check_settings(dist_a, dist_d, horizon, n_seeds)
+    _check_settings(dist_a, dist_d, k, horizon, n_seeds)
     return _evaluate_cell(dist_a, dist_d, [spec], [seed], weights, k,
                           horizon, n_seeds, per_group_beta, betas,
                           _Workspace())[0]
@@ -709,24 +711,6 @@ class WorkerLost(RuntimeError):
     """A grid worker process ended before returning its cells."""
 
 
-def _grid_cell(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
-               c_values: tuple[float, ...], r_values: tuple[float, ...],
-               seed: int, weights: UtilityWeights, k: float, horizon: int,
-               n_seeds: int, per_group_beta: bool, betas: np.ndarray,
-               cell_idx: int,
-               workspace: _Workspace) -> dict[InterventionKind, PolicyOutcome]:
-    """Outcomes of every kind in one grid cell, each under its own seed."""
-    c_hat = c_values[cell_idx // len(r_values)]
-    r = r_values[cell_idx % len(r_values)]
-    specs = [InterventionSpec(kind=kind, r=r, baseline_c=c_hat)
-             for kind in KIND_ORDER]
-    seeds = [derive_seed(seed, TAG_CELL, cell_idx, kind_idx)
-             for kind_idx in range(len(KIND_ORDER))]
-    return dict(zip(KIND_ORDER, _evaluate_cell(
-        dist_a, dist_d, specs, seeds, weights, k, horizon, n_seeds,
-        per_group_beta, betas, workspace)))
-
-
 def _usable_cores() -> int:
     """Cores this process may run on: its affinity set where the OS has one."""
     try:
@@ -747,29 +731,30 @@ def _start_worker(task) -> None:
     _worker_task, _worker_workspace = task, _Workspace()
 
 
-def _run_cell(cell_idx: int):
-    return _worker_task(cell_idx, _worker_workspace)
+def _run_cell(cell):
+    return _worker_task(*cell, workspace=_worker_workspace)
 
 
-def _map_cells(task, n_cells: int, threads: int) -> list:
-    """[task(0, ws), ..., task(n_cells - 1, ws)], on forked worker processes.
+def _map_cells(task, cells: Sequence, threads: int) -> list:
+    """[task(specs, seeds, workspace=ws) for (specs, seeds) in cells], on
+    forked worker processes.
 
-    The pool has min(threads, n_cells, usable cores) workers; with one, or
-    where the fork start method is missing, the cells run here in order.
+    The pool has min(threads, len(cells), usable cores) workers; with one,
+    or where the fork start method is missing, the cells run here in order.
     Workers are forked, so they start with this process's modules and
     data, and with the task, instead of importing them again, as spawned
-    ones would.  Each worker makes its own workspace ws as it starts, so
-    the cell arrays live in the workers alone, and die with them when the
-    grid is done; cells run here share one workspace that is dropped on
-    return.  Forking is safe only while no other thread of this process
-    holds a lock: the CLI starts none, and the executor forks every worker
-    before it starts its own manager thread; a caller running threads of
-    its own passes threads=1.  The pool is shut down, its workers joined,
-    before this returns or raises.  multiprocessing and the executor are
-    imported only here, which keeps them out of every command that runs no
-    grid.
+    ones would; each cell's specs and seeds are sent to its worker.  Each
+    worker makes its own workspace ws as it starts, so the cell arrays live
+    in the workers alone, and die with them when the grid is done; cells
+    run here share one workspace that is dropped on return.  Forking is
+    safe only while no other thread of this process holds a lock: the CLI
+    starts none, and the executor forks every worker before it starts its
+    own manager thread; a caller running threads of its own passes
+    threads=1.  The pool is shut down, its workers joined, before this
+    returns or raises.  multiprocessing and the executor are imported only
+    here, which keeps them out of every command that runs no grid.
     """
-    workers = min(threads, n_cells, _usable_cores())
+    workers = min(threads, len(cells), _usable_cores())
     if workers > 1:
         import multiprocessing
         if "fork" in multiprocessing.get_all_start_methods():
@@ -780,12 +765,12 @@ def _map_cells(task, n_cells: int, threads: int) -> list:
                 with ProcessPoolExecutor(workers, mp_context=context,
                                          initializer=_start_worker,
                                          initargs=(task,)) as pool:
-                    return list(pool.map(_run_cell, range(n_cells)))
+                    return list(pool.map(_run_cell, cells))
             except BrokenProcessPool as exc:
                 raise WorkerLost("a grid worker process ended abruptly "
                                  "(killed, perhaps out of memory)") from exc
     workspace = _Workspace()
-    return [task(cell_idx, workspace) for cell_idx in range(n_cells)]
+    return [task(*cell, workspace=workspace) for cell in cells]
 
 
 def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
@@ -796,14 +781,16 @@ def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
                    beta_step: float = 0.01) -> RecommendationGrid:
     """Evaluate all three interventions on every (c-hat, r) anchor cell.
 
-    Cell (i, j) under policy kind p draws its seed from
-    (seed, cell index, p) and its replicates from that, per the concurrency
-    contract; the worker count can only change wall time, never a value.
-    Each cell is one batched evaluation of its three kinds (one task per
-    cell, _grid_cell), and each kind's outcome equals evaluate_policy under
-    its seed.  threads asks for up to that many worker processes, capped at
-    the cell count and the usable cores (_map_cells); a worker that dies
-    raises WorkerLost.
+    The cells are planned here, in row-major order (c outer, r inner), before
+    any is evaluated: cell i holds its three specs in KIND_ORDER and their
+    seeds, derive_seed(seed, TAG_CELL, i, kind index), from which each kind
+    draws its replicates, per the concurrency contract; the worker count can
+    only change wall time, never a value.  Building the specs checks every
+    c and r, so a setting no cell can evaluate is refused before any runs.
+    Each cell is one batched evaluation of its three kinds (_evaluate_cell),
+    and each kind's outcome equals evaluate_policy under its seed.  threads
+    asks for up to that many worker processes, capped at the cell count and
+    the usable cores (_map_cells); a worker that dies raises WorkerLost.
     """
     c_values = tuple(float(c) for c in c_grid)
     r_values = tuple(float(r) for r in r_grid)
@@ -812,28 +799,33 @@ def recommend_grid(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     betas = _beta_grid(beta_step)
-    _check_settings(dist_a, dist_d, horizon, n_seeds)
-    task = partial(_grid_cell, dist_a, dist_d, c_values, r_values, seed,
-                   weights, k, horizon, n_seeds, per_group_beta, betas)
-    by_cell = _map_cells(task, len(c_values) * len(r_values), threads)
+    _check_settings(dist_a, dist_d, k, horizon, n_seeds)
+    anchors = ((c, r) for c in c_values for r in r_values)
+    plan = [([InterventionSpec(kind=kind, r=r, baseline_c=c)
+              for kind in KIND_ORDER],
+             [derive_seed(seed, TAG_CELL, cell_idx, kind_idx)
+              for kind_idx in range(len(KIND_ORDER))])
+            for cell_idx, (c, r) in enumerate(anchors)]
+    task = partial(_evaluate_cell, dist_a, dist_d, weights=weights, k=k,
+                   horizon=horizon, n_seeds=n_seeds,
+                   per_group_beta=per_group_beta, betas=betas)
+    by_cell = _map_cells(task, plan, threads)
 
     raw_marginals = []
     for outcomes in by_cell:
-        u = sorted((outcomes[kind].utility for kind in KIND_ORDER), reverse=True)
+        u = sorted((o.utility for o in outcomes), reverse=True)
         raw_marginals.append(u[0] - u[1])
-    max_marginal = max(raw_marginals)
-    scale = max_marginal if max_marginal > 0 else 1.0
+    # Every marginal is at least 0; an all-zero grid keeps its zeros.
+    scale = max(raw_marginals) or 1.0
 
     cells = []
-    for cell_idx, outcomes in enumerate(by_cell):
-        utilities = {kind: outcomes[kind].utility for kind in KIND_ORDER}
-        best = KIND_ORDER[int(np.argmax([utilities[kind] for kind in KIND_ORDER]))]
+    for (specs, _), outcomes, marginal in zip(plan, by_cell, raw_marginals):
+        utilities = {o.kind: o.utility for o in outcomes}
+        # Ties go to the first kind in KIND_ORDER.
         cells.append(GridCell(
-            c=c_values[cell_idx // len(r_values)],
-            r=r_values[cell_idx % len(r_values)],
-            best=best, utilities=utilities,
-            marginal=raw_marginals[cell_idx] / scale,
-            outcomes=outcomes))
+            c=specs[0].baseline_c, r=specs[0].r,
+            best=max(utilities, key=utilities.get), utilities=utilities,
+            marginal=marginal / scale, outcomes={o.kind: o for o in outcomes}))
     return RecommendationGrid(weights=weights, c_values=c_values,
                               r_values=r_values, cells=tuple(cells), k=k,
                               horizon=horizon, n_seeds=n_seeds, seed=seed)

@@ -172,8 +172,6 @@ def build_chain(space: StateSpace) -> AbsorbingChain:
         moves = ((col[min(x + up, den)], x), (col[max(x - down, 0)], den - x))
         if any(target == col[x] for target, _ in moves):
             raise ChainError(f"transient state {Fraction(x, den)} self-loops")
-        if sum(num for _, num in moves) != den:
-            raise ChainError(f"row for state {Fraction(x, den)} is not stochastic")
         rows.append(moves)
     return AbsorbingChain(space=space, rows=tuple(rows))
 

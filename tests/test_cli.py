@@ -1463,14 +1463,27 @@ class TestRunEnvelope:
         curve, figure = tmp_path / "curve", tmp_path / "figure"
         assert run(capsys, "max-mean-curve", *settings,
                    "--out-dir", curve)[0] == 0
-        # Grid-only settings are accepted, but the curve never reads them.
         assert run(capsys, "reproduce-figure", "--which", "max-mean",
-                   *settings, "--alpha", 2, "--seeds", 0, "--beta-step", 7,
-                   "--r-min", 0.3, "--mode", "literal", "--threads", 2,
-                   "--out-dir", figure)[0] == 0
+                   *settings, "--out-dir", figure)[0] == 0
         curve_cfg = (curve / "run.cfg").read_text().splitlines()
         figure_cfg = (figure / "run.cfg").read_text().splitlines()
         assert sorted(curve_cfg + ["which=max-mean"]) == figure_cfg
+        # The curve reads no grid-only setting, so one given by flag or by
+        # config entry is refused, and names its flag.
+        for flag, value in (("--alpha", 2), ("--mode", "literal"),
+                            ("--r-min", 0.3), ("--r-max", 0.5),
+                            ("--r-step", 0.1), ("--seeds", 0),
+                            ("--beta-step", 7), ("--threads", 2)):
+            key = flag[2:].replace("-", "_")
+            out, config = tmp_path / key, tmp_path / f"{key}.cfg"
+            config.write_text(f"{key}={value}\n")
+            for given in ((flag, value), ("--config", config)):
+                code, _, err = run(capsys, "reproduce-figure", "--which",
+                                   "max-mean", *settings, *given,
+                                   "--out-dir", out)
+                assert code == 2
+                assert err == f"error: {flag} applies only to --which grid\n"
+                assert not out.exists()
 
 
 class TestNegativeHorizon:
@@ -1494,6 +1507,9 @@ class TestNegativeHorizon:
 @pytest.mark.parametrize("flag, value, message", [
     ("--horizon", -1, "horizon must be nonnegative, got -1"),
     ("--seeds", 0, "n_seeds must be positive, got 0"),
+    ("--r-max", 1.3, "r must lie in [0, 1], got 1.3"),
+    ("--c-min", -0.5, "baseline_c must be nonnegative, got -0.5"),
+    ("--k", -0.1, "k must be nonnegative, got -0.1"),
 ])
 def test_grid_settings_are_refused_before_any_worker(capsys, monkeypatch,
                                                      tmp_path, flag, value,

@@ -532,23 +532,35 @@ class TestRecommendGrid:
             recommend_grid(small_pair[0], small_pair[1], (), (0.1,),
                            UtilityWeights(alpha=0.5), 0.1)
 
-    @pytest.mark.parametrize("n_seeds, horizon, same_labels, match", [
-        (0, 20, False, "^n_seeds must be positive, got 0$"),
-        (10, -1, False, "^horizon must be nonnegative, got -1$"),
-        (10, 20, True, "^groups must have distinct labels$"),
+    # grid overrides the c and r values and the k of a good grid.
+    @pytest.mark.parametrize("n_seeds, horizon, same_labels, match, grid", [
+        (0, 20, False, "^n_seeds must be positive, got 0$", {}),
+        (10, -1, False, "^horizon must be nonnegative, got -1$", {}),
+        (10, 20, True, "^groups must have distinct labels$", {}),
+        (10, 20, False, r"^r must lie in \[0, 1\], got 1\.5$",
+         {"r_grid": (0.1, 1.5)}),
+        (10, 20, False, r"^baseline_c must be nonnegative, got -1\.0$",
+         {"c_grid": (1.0, -1.0)}),
+        (10, 20, False, "^baseline_c must be nonnegative, got inf$",
+         {"c_grid": (1.0, float("inf"))}),
+        (10, 20, False, r"^k must be nonnegative, got -0\.1$", {"k": -0.1}),
+        (10, 20, False, "^k must be nonnegative, got nan$",
+         {"k": float("nan")}),
     ])
     def test_bad_settings_rejected_before_any_cell(self, small_pair,
                                                     monkeypatch, n_seeds,
                                                     horizon, same_labels,
-                                                    match):
+                                                    match, grid):
         def mapped(*args):
             raise AssertionError("cells were mapped")
         monkeypatch.setattr(interventions, "_map_cells", mapped)
         dist_a, dist_d = small_pair
         with pytest.raises(ValueError, match=match):
             recommend_grid(dist_a, dist_a if same_labels else dist_d,
-                           (1.0,), (0.1, 0.5), UtilityWeights(alpha=0.5),
-                           0.1, horizon=horizon, n_seeds=n_seeds, threads=2)
+                           weights=UtilityWeights(alpha=0.5),
+                           horizon=horizon, n_seeds=n_seeds, threads=2,
+                           **{"c_grid": (1.0,), "r_grid": (0.1, 0.5),
+                              "k": 0.1, **grid})
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, small_pair, threads):

@@ -123,6 +123,16 @@ class TestChainStructure:
             assert sum(B[i]) + sum(A[i]) == F(1)
             assert B[i][i] == F(0)
 
+    def test_a_transient_one_self_loops(self):
+        # enumerate_states never lists 1 as transient; a hand-built space
+        # that does reaches build_chain's self-loop check.
+        space = StateSpace(F(1), RationalStep(up=F(1, 10), down=F(1, 10)),
+                           F(0), 10, transient=(F(1),),
+                           absorbing=(F(9, 10),))
+        with pytest.raises(ChainError,
+                           match="^transient state 1 self-loops$"):
+            build_chain(space)
+
     def test_state_count_within_lattice_bound(self):
         random.seed(17)
         for _ in range(20):

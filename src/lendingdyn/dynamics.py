@@ -28,7 +28,8 @@ if pi < 1.  The comparison is of bytes, not `==`: at beta = 0 a score of -0.0
 still steps to +0.0.  A settled group stays settled, and step t of group
 slot j draws the stream (seed, t, j) alone, so `simulate` and
 `simulate_group` stop drawing for a group once it is settled and still return
-every byte of the full-horizon walk.
+every byte of the full-horizon walk.  A `Trajectory` keeps only the arrays
+that were walked: each step past a group's settled one reads its last.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ class ScoreDistribution:
     def mean(self) -> float:
         return float(self.scores.mean())
 
-    def replace_scores(self, scores) -> "ScoreDistribution":
-        return ScoreDistribution(self.group, scores)
-
 
 @dataclass(frozen=True)
 class DynamicsParams:
@@ -94,12 +92,14 @@ class DynamicsParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.k) and self.k >= 0):
-            raise ValueError(f"k must be nonnegative, got {self.k!r}")
+            raise ValueError("k must be finite and nonnegative, "
+                             f"got {self.k!r}")
         if not self.c_by_group:
             raise ValueError("c_by_group must name at least one group")
         for g, c in self.c_by_group.items():
             if not (np.isfinite(c) and c >= 0):
-                raise ValueError(f"c for group {g!r} must be nonnegative, got {c!r}")
+                raise ValueError(f"c for group {g!r} must be finite and "
+                                 f"nonnegative, got {c!r}")
         object.__setattr__(self, "c_by_group", dict(self.c_by_group))
 
     @classmethod
@@ -231,7 +231,8 @@ def _walk(scores: np.ndarray, beta: float, k: float, c: float, horizon: int,
     """Yield one group's scores after each step, until it is settled.
 
     Each step's scores are written over that step's fresh uniforms, so
-    every yielded array is new; the scratch arrays live for the walk."""
+    every yielded array is new, and read-only: the next step only reads
+    it.  The scratch arrays live for the walk."""
     steps = step_bits(k, c)
     probe = np.empty(scores.shape)
     bits = np.empty(scores.shape, dtype=np.int64)
@@ -241,6 +242,7 @@ def _walk(scores: np.ndarray, beta: float, k: float, c: float, horizon: int,
             return
         u = next(rows)
         scores = frozen_step(scores, u, beta, steps, u, bits)
+        scores.flags.writeable = False
         yield scores
 
 
@@ -256,7 +258,7 @@ def step_population(dist: ScoreDistribution, policy: ThresholdPolicy,
     c = params.c_for(dist.group)
     u = rng.random(dist.n)
     bits = np.empty(dist.n, dtype=np.int64)
-    return dist.replace_scores(frozen_step(
+    return ScoreDistribution(dist.group, frozen_step(
         dist.scores, u, beta, step_bits(params.k, c), u, bits))
 
 
@@ -275,56 +277,45 @@ def step_mean(dist: ScoreDistribution, policy: ThresholdPolicy,
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step snapshots of each group, horizon + 1 entries per group.
+    """Each group's walk under one policy, over steps 0..horizon.
 
-    Once a group is settled its remaining entries may all be one shared
-    ScoreDistribution object.
+    walks[g] holds group g's read-only score arrays X[0..stop], where stop
+    is the step at which the group is settled, or the horizon; every later
+    step's scores are X[stop] (module docstring), so a settled tail is not
+    stored.
     """
 
-    snapshots: Mapping[str, tuple[ScoreDistribution, ...]]
+    walks: Mapping[str, tuple[np.ndarray, ...]]
+    horizon: int
     policy: ThresholdPolicy
-    params: DynamicsParams
-    seed: int = 0
-
-    def __post_init__(self):
-        lengths = {len(v) for v in self.snapshots.values()}
-        if len(lengths) != 1:
-            raise ValueError("all groups must have the same number of snapshots")
-        object.__setattr__(self, "snapshots",
-                           {g: tuple(v) for g, v in self.snapshots.items()})
 
     @property
     def groups(self) -> tuple[str, ...]:
-        return tuple(self.snapshots)
+        return tuple(self.walks)
 
-    @property
-    def horizon(self) -> int:
-        return len(next(iter(self.snapshots.values()))) - 1
+    def scores(self, group: str, step: int) -> np.ndarray:
+        walk = self.walks[group]
+        return walk[min(step, len(walk) - 1)]
 
     def means(self, group: str) -> np.ndarray:
-        return np.array([d.mean() for d in self.snapshots[group]])
+        walk = self.walks[group]
+        return np.pad([x.mean() for x in walk],
+                      (0, self.horizon + 1 - len(walk)), mode="edge")
 
     def final(self, group: str) -> ScoreDistribution:
-        return self.snapshots[group][-1]
+        return ScoreDistribution(group, self.walks[group][-1])
 
     def summary_rows(self) -> list[dict]:
-        # A settled tail repeats one object; summarise each object once.
-        stats: dict[tuple[str, int], dict] = {}
-        rows = []
-        for t in range(self.horizon + 1):
-            for g in self.groups:
-                dist = self.snapshots[g][t]
-                key = (g, id(dist))
-                if key not in stats:
-                    scores = dist.scores
-                    beta = self.policy.beta_for(g)
-                    stats[key] = {
-                        "mean": float(scores.mean()),
-                        "fraction_at_one": float(np.mean(scores == 1.0)),
-                        "fraction_below_beta": float(np.mean(scores < beta)),
-                    }
-                rows.append({"step": t, "group": g, **stats[key]})
-        return rows
+        # Each walked array is summarised once; a settled tail repeats it.
+        stats = {}
+        for g, walk in self.walks.items():
+            beta = self.policy.beta_for(g)
+            stats[g] = [{"mean": float(x.mean()),
+                         "fraction_at_one": float(np.mean(x == 1.0)),
+                         "fraction_below_beta": float(np.mean(x < beta))}
+                        for x in walk]
+        return [{"step": t, "group": g, **s[min(t, len(s) - 1)]}
+                for t in range(self.horizon + 1) for g, s in stats.items()]
 
     def write_csv(self, path, per_agent_path=None) -> None:
         write_rows(path, ["step", "group", "mean", "fraction_at_one",
@@ -335,7 +326,7 @@ class Trajectory:
                 writer.writerow(["step", "group", "agent_index", "score"])
                 for t in range(self.horizon + 1):
                     for g in self.groups:
-                        for i, s in enumerate(self.snapshots[g][t].scores):
+                        for i, s in enumerate(self.scores(g, t)):
                             writer.writerow([t, g, i, repr(float(s))])
 
 
@@ -357,22 +348,18 @@ def simulate(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     Group slots are positional (dist_a -> 0, dist_d -> 1): the stream an
     agent consumes is fixed by (seed, step, slot, agent index) alone.  Each
     group stops drawing at the step at which it is settled (module
-    docstring); its remaining snapshots are that settled distribution, one
-    shared object, and every byte equals the full-horizon walk's.
+    docstring), and its walk in the Trajectory ends there; every step it
+    reads back is the full-horizon walk's, byte for byte.
     """
     if horizon < 0:
         raise ValueError(f"horizon must be nonnegative, got {horizon}")
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
-    snaps = {}
-    for slot, dist in enumerate((dist_a, dist_d)):
-        steps = [dist]
-        for scores in _walk(dist.scores, policy.beta_for(dist.group), params.k,
-                            params.c_for(dist.group), horizon, seed, slot):
-            steps.append(dist.replace_scores(scores))
-        steps += [steps[-1]] * (horizon + 1 - len(steps))
-        snaps[dist.group] = steps
-    return Trajectory(snapshots=snaps, policy=policy, params=params, seed=seed)
+    walks = {dist.group: (dist.scores, *_walk(
+        dist.scores, policy.beta_for(dist.group), params.k,
+        params.c_for(dist.group), horizon, seed, slot))
+        for slot, dist in enumerate((dist_a, dist_d))}
+    return Trajectory(walks, horizon, policy)
 
 
 def simulate_group(dist: ScoreDistribution, beta: float, k: float, c: float,

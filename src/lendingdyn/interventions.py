@@ -146,7 +146,8 @@ class InterventionSpec:
         if not (np.isfinite(self.r) and 0.0 <= self.r <= 1.0):
             raise ValueError(f"r must lie in [0, 1], got {self.r!r}")
         if not (np.isfinite(self.baseline_c) and self.baseline_c >= 0.0):
-            raise ValueError(f"baseline_c must be nonnegative, got {self.baseline_c!r}")
+            raise ValueError("baseline_c must be finite and nonnegative, "
+                             f"got {self.baseline_c!r}")
 
 
 def apply_intervention(params: DynamicsParams, spec: InterventionSpec,
@@ -531,7 +532,7 @@ def _check_settings(dist_a: ScoreDistribution, dist_d: ScoreDistribution,
     if dist_a.group == dist_d.group:
         raise ValueError("groups must have distinct labels")
     if not (np.isfinite(k) and k >= 0):
-        raise ValueError(f"k must be nonnegative, got {k!r}")
+        raise ValueError(f"k must be finite and nonnegative, got {k!r}")
     if n_seeds < 1:
         raise ValueError(f"n_seeds must be positive, got {n_seeds}")
     if horizon < 0:

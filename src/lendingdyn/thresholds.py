@@ -36,9 +36,9 @@ def optimal_threshold(k: float, c: float) -> OptimalThreshold:
     the dynamics, so there is no strict gain anywhere.
     """
     if not (np.isfinite(k) and k >= 0):
-        raise ValueError(f"k must be nonnegative, got {k!r}")
+        raise ValueError(f"k must be finite and nonnegative, got {k!r}")
     if not (np.isfinite(c) and c >= 0):
-        raise ValueError(f"c must be nonnegative, got {c!r}")
+        raise ValueError(f"c must be finite and nonnegative, got {c!r}")
     if k == 0 or c * k >= 1:
         return OptimalThreshold(beta_hat=1.0, crossing_point=None)
     if k * (1 + c) <= 1:

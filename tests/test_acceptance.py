@@ -88,8 +88,8 @@ def test_criterion_02_exact_gap_growth_on_admissible_configs(capsys):
                                  group="D")
             # keep every approved move inside (0, 1): no clamping
             scale = 1.0 - k - 1e-9
-            dist_a = dist_a.replace_scores(dist_a.scores * scale)
-            dist_d = dist_d.replace_scores(dist_d.scores * scale)
+            dist_a = ScoreDistribution("A", dist_a.scores * scale)
+            dist_d = ScoreDistribution("D", dist_d.scores * scale)
             assert beta - c * k > 0.0
             if dist_a.mean() <= dist_d.mean():
                 continue

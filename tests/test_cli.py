@@ -96,7 +96,8 @@ class TestOptimizeThreshold:
                            *[x for item in settings.items() for x in item],
                            "--out-dir", out)
         assert code == 2
-        assert err.startswith(f"error: {flag[2:]} must be nonnegative")
+        assert err == f"error: {flag[2:]} must be finite and nonnegative, " \
+                      f"got {value}\n"
         assert not out.exists()
 
     # --resolution 1e-5 over 1,000 scores took 1.0 s, about ten times more
@@ -488,8 +489,9 @@ class TestSimulate:
         assert "beta=0.4" in cfg
 
     # sha256 of the artifacts of the full-horizon walk that the settled stop
-    # replaced.  Every group is settled well before step 30, so the tail of
-    # both files comes from shared snapshots.  perfbench/workloads.py
+    # replaced.  Every group is settled well before step 30 (A at step 21 or
+    # 15, D at 11 or 10), so the tail of both files is read back from each
+    # group's last walked array.  perfbench/workloads.py
     # DIGESTS["sim/trajectory.csv"] pins the loans workload's run, not a
     # copy of these.
     @pytest.mark.parametrize("flags, trajectory, agents", [
@@ -512,6 +514,19 @@ class TestSimulate:
                              ("agents.csv", agents)):
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() \
                 == digest, name
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k", "nan", "k must be finite and nonnegative, got nan"),
+        ("--c", "inf", "c for group 'A' must be finite and nonnegative, "
+                       "got inf"),
+    ])
+    def test_a_gain_or_penalty_that_is_not_finite_is_named(
+            self, capsys, tmp_path, flag, value, message):
+        out = tmp_path / "sim"
+        code, _, err = run(capsys, *self.args(out), flag, value)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not (out / "trajectory.csv").exists()
 
     def test_per_group_thresholds(self, capsys, tmp_path):
         # Groups draw from disjoint streams, so each group's rows equal those
@@ -1508,8 +1523,9 @@ class TestNegativeHorizon:
     ("--horizon", -1, "horizon must be nonnegative, got -1"),
     ("--seeds", 0, "n_seeds must be positive, got 0"),
     ("--r-max", 1.3, "r must lie in [0, 1], got 1.3"),
-    ("--c-min", -0.5, "baseline_c must be nonnegative, got -0.5"),
-    ("--k", -0.1, "k must be nonnegative, got -0.1"),
+    ("--c-min", -0.5, "baseline_c must be finite and nonnegative, got -0.5"),
+    ("--k", -0.1, "k must be finite and nonnegative, got -0.1"),
+    ("--k", "inf", "k must be finite and nonnegative, got inf"),
 ])
 def test_grid_settings_are_refused_before_any_worker(capsys, monkeypatch,
                                                      tmp_path, flag, value,

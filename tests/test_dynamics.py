@@ -238,24 +238,26 @@ class TestSimulate:
         traj = simulate(dist_a, dist_d, policy, params, horizon=7, seed=1)
         assert traj.horizon == 7
         assert traj.groups == ("A", "D")
-        assert all(len(traj.snapshots[g]) == 8 for g in traj.groups)
-        assert np.array_equal(traj.snapshots["A"][0].scores, dist_a.scores)
+        assert all(1 <= len(traj.walks[g]) <= 8 for g in traj.groups)
+        assert np.array_equal(traj.scores("A", 0), dist_a.scores)
+        assert all(len(traj.means(g)) == 8 for g in traj.groups)
+        assert len(traj.summary_rows()) == 8 * 2
 
     def test_same_seed_reproduces(self):
         dist_a, dist_d, policy, params = self.make()
         t1 = simulate(dist_a, dist_d, policy, params, horizon=10, seed=42)
         t2 = simulate(dist_a, dist_d, policy, params, horizon=10, seed=42)
         for g in ("A", "D"):
-            for s1, s2 in zip(t1.snapshots[g], t2.snapshots[g]):
-                assert np.array_equal(s1.scores, s2.scores)
+            assert len(t1.walks[g]) == len(t2.walks[g])
+            for s1, s2 in zip(t1.walks[g], t2.walks[g]):
+                assert np.array_equal(s1, s2)
 
     def test_groups_draw_independent_streams(self):
         dist_a, dist_d, policy, params = self.make()
         t1 = simulate(dist_a, dist_d, policy, params, horizon=5, seed=7)
         # swapping the initial scores must not smuggle group A's randomness
         # into group D: the same slot keeps the same uniforms
-        t2 = simulate(dist_d.replace_scores(dist_a.scores),
-                      dist_a.replace_scores(dist_d.scores),
+        t2 = simulate(dist(dist_a.scores, "D"), dist(dist_d.scores, "A"),
                       policy, params, horizon=5, seed=7)
         assert np.array_equal(t1.final("A").scores, t2.final("D").scores)
 
@@ -318,8 +320,9 @@ def _check_against_reference(scores_a, scores_d, beta, k, c, horizon, seed):
     """simulate and simulate_group against the full-horizon walk, by bytes.
 
     Each group must draw exactly the steps before the one at which the
-    reference walk is settled, and pad the rest with one shared snapshot.
-    Returns the per-group stop steps.
+    reference walk is settled, keep only the read-only arrays up to that
+    step, and read every later step back as the last of them.  Returns the
+    per-group stop steps.
     """
     dist_a, dist_d = dist(scores_a, "A"), dist(scores_d, "D")
     policy = ThresholdPolicy.uniform(beta, ("A", "D"))
@@ -331,10 +334,18 @@ def _check_against_reference(scores_a, scores_d, beta, k, c, horizon, seed):
         walk = reference_walk(d.scores, beta, k, c, horizon, seed, slot)
         stop = reference_settled_step(walk, beta, k, c)
         stops.append(stop)
-        snaps = traj.snapshots[d.group]
-        assert [s.scores.tobytes() for s in snaps] == \
-            [w.tobytes() for w in walk]
-        assert all(s is snaps[stop] for s in snaps[stop:])
+        walked = traj.walks[d.group]
+        assert len(walked) == stop + 1
+        assert not any(x.flags.writeable for x in walked)
+        assert [traj.scores(d.group, t).tobytes()
+                for t in range(horizon + 1)] == [w.tobytes() for w in walk]
+        assert traj.means(d.group).tobytes() == \
+            np.array([w.mean() for w in walk]).tobytes()
+        rows = [r for r in traj.summary_rows() if r["group"] == d.group]
+        assert [(r["step"], r["mean"], r["fraction_at_one"],
+                 r["fraction_below_beta"]) for r in rows] == \
+            [(t, float(w.mean()), float(np.mean(w == 1.0)),
+              float(np.mean(w < beta))) for t, w in enumerate(walk)]
         assert sorted(t for t, j in draws if j == slot) == list(range(stop))
 
         final, own = _run_recording_draws(simulate_group, d, beta, k, c,

@@ -539,12 +539,15 @@ class TestRecommendGrid:
         (10, 20, True, "^groups must have distinct labels$", {}),
         (10, 20, False, r"^r must lie in \[0, 1\], got 1\.5$",
          {"r_grid": (0.1, 1.5)}),
-        (10, 20, False, r"^baseline_c must be nonnegative, got -1\.0$",
+        (10, 20, False,
+         r"^baseline_c must be finite and nonnegative, got -1\.0$",
          {"c_grid": (1.0, -1.0)}),
-        (10, 20, False, "^baseline_c must be nonnegative, got inf$",
+        (10, 20, False,
+         "^baseline_c must be finite and nonnegative, got inf$",
          {"c_grid": (1.0, float("inf"))}),
-        (10, 20, False, r"^k must be nonnegative, got -0\.1$", {"k": -0.1}),
-        (10, 20, False, "^k must be nonnegative, got nan$",
+        (10, 20, False, r"^k must be finite and nonnegative, got -0\.1$",
+         {"k": -0.1}),
+        (10, 20, False, "^k must be finite and nonnegative, got nan$",
          {"k": float("nan")}),
     ])
     def test_bad_settings_rejected_before_any_cell(self, small_pair,

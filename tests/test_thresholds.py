@@ -70,7 +70,7 @@ class TestOptimalThreshold:
         (-np.inf, np.nan, "k"),
     ])
     def test_bad_k_or_c_rejected(self, k, c, name):
-        with pytest.raises(ValueError, match=f"^{name} must be nonnegative"):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and nonnegative"):
             optimal_threshold(k, c)
 
 
